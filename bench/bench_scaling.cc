@@ -153,9 +153,9 @@ void FillWireCounters(benchmark::State& state,
       static_cast<double>(stats.dist_txn_prepares);
   state.counters["txn_cross_server"] =
       static_cast<double>(stats.dist_txn_cross_server);
-  // Group-commit WAL observability: batches written and bytes made durable,
-  // summed over the shard servers. synced_bytes / group_commits is the mean
-  // batch size; single-threaded rows write one entry per batch.
+  // Group-commit WAL observability: durable groups and the bytes they
+  // covered, summed over the shard servers. Without wal_sync (the default)
+  // every append is its own group.
   state.counters["wal_group_commits"] =
       static_cast<double>(stats.wal_group_commits);
   state.counters["wal_synced_bytes"] =
@@ -206,8 +206,8 @@ void RunScalingDistributedApriori(benchmark::State& state, bool batching,
 }
 
 // Arg 0 sweeps the worker fleet against one server; arg 1 then sweeps the
-// shard-server count at the largest fleet — the single-threaded server
-// poll loop is the ceiling the 2- and 4-server rows exist to lift.
+// shard-server count at the largest fleet — each server's single serve
+// loop is the ceiling the 2- and 4-server rows exist to lift.
 void BM_ScalingDistributedApriori(benchmark::State& state) {
   RunScalingDistributedApriori(state, /*batching=*/true,
                                static_cast<int>(state.range(1)));
@@ -284,13 +284,11 @@ BENCHMARK(BM_ScatterGatherDistributed)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Saturating multi-client server hot path (the threaded-serve gate): N
-// client threads hammer ONE shard server, each flushing pipelined
-// 32-out + 32-take bursts — one wire round trip per burst. Rows sweep
-// (clients, server threads); the {8,4} vs {8,1} items/s ratio is the win
-// of the epoll I/O thread + strand workers + group-commit WAL over the
-// single-threaded serve loop on the same protocol. p99 burst latency (µs)
-// rides along so a throughput win bought with a latency collapse shows up.
+// Saturating multi-client server hot path: N client threads hammer ONE
+// shard server, each flushing pipelined 32-out + 32-take bursts — one wire
+// round trip per burst. Rows sweep the client count; the 8-client row is
+// the single serve loop under load. p99 burst latency (µs) rides along so a
+// throughput change bought with a latency collapse shows up.
 enum class SaturationTransport { kUnix, kTcp, kShm };
 
 void ServerSaturationImpl(benchmark::State& state,
@@ -299,7 +297,6 @@ void ServerSaturationImpl(benchmark::State& state,
   using namespace plinda;
   const bool tcp = transport == SaturationTransport::kTcp;
   const int clients = static_cast<int>(state.range(0));
-  const int server_threads = static_cast<int>(state.range(1));
   constexpr int kBurst = 32;   // outs per burst, and then as many takes
   constexpr int kRounds = 48;  // bursts per client per iteration
   const std::string dir = net::MakeStateDir();
@@ -310,7 +307,6 @@ void ServerSaturationImpl(benchmark::State& state,
   sopts.endpoint = tcp ? "tcp:127.0.0.1:0" : endpoint;
   if (tcp) sopts.resolved_endpoint_file = dir + "/endpoint";
   sopts.state_dir = dir + "/state";
-  sopts.threads = server_threads;
   sopts.num_shards = num_stripes;
   const pid_t server_pid = net::ForkServerProcess(sopts);
   if (server_pid <= 0) {
@@ -402,13 +398,6 @@ void ServerSaturationImpl(benchmark::State& state,
           static_cast<double>(stats.transport_syscalls);
       state.counters["transport_bytes"] =
           static_cast<double>(stats.transport_bytes);
-      // Striped-lock contention: waits on a contended stripe/control mutex
-      // and fast-path escalations/collisions on the all-stripes scope. Both
-      // are 0 by construction on single-stripe or single-thread rows.
-      state.counters["state_lock_waits"] =
-          static_cast<double>(stats.state_lock_waits);
-      state.counters["stripe_conflicts"] =
-          static_cast<double>(stats.stripe_conflicts);
       state.counters["stripes"] = static_cast<double>(stats.stripes);
     }
     ctl.Bye();
@@ -425,47 +414,41 @@ void ServerSaturationImpl(benchmark::State& state,
           : latencies_us[std::min(latencies_us.size() - 1,
                                   latencies_us.size() * 99 / 100)];
   state.counters["clients"] = static_cast<double>(clients);
-  state.counters["server_threads"] = static_cast<double>(server_threads);
 }
 
 void BM_ServerSaturation(benchmark::State& state) {
   ServerSaturationImpl(state, SaturationTransport::kUnix);
 }
 BENCHMARK(BM_ServerSaturation)
-    ->Args({1, 1})
-    ->Args({8, 1})
-    ->Args({8, 4})
+    ->Arg(1)
+    ->Arg(8)
     ->Iterations(3)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The striped apply path under the same saturation load: 8 stripes, so the
-// per-client keys ("w0".."w7") hash to mostly-distinct stripes and the
-// worker pool applies independent bursts in parallel instead of convoying
-// on one state lock. The {8,4} items/s ratio against the matching
-// single-stripe BM_ServerSaturation row is the tentpole win on a multicore
-// host; on a single-core host the row documents the (flat) curve and its
-// stripe_conflicts / state_lock_waits counters still prove the fast path
-// engaged.
+// The same saturation load against 8 stripes, so the per-client keys
+// ("w0".."w7") hash to mostly-distinct stripes: the items/s ratio against
+// the matching single-stripe BM_ServerSaturation row prices the stripe
+// partition itself. The stripes counter proves the striped layout flowed
+// end to end from the server's STATS reply.
 void BM_ServerSaturationStriped(benchmark::State& state) {
   ServerSaturationImpl(state, SaturationTransport::kUnix, /*num_stripes=*/8);
 }
 BENCHMARK(BM_ServerSaturationStriped)
-    ->Args({8, 1})
-    ->Args({8, 4})
+    ->Arg(8)
     ->Iterations(3)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // The transport axis: the same saturation workload over loopback TCP. The
 // delta against the matching BM_ServerSaturation rows is pure transport
-// cost; the {8,4} row doubles as the multi-client TCP soak.
+// cost; the 8-client row doubles as the multi-client TCP soak.
 void BM_ServerSaturationTcp(benchmark::State& state) {
   ServerSaturationImpl(state, SaturationTransport::kTcp);
 }
 BENCHMARK(BM_ServerSaturationTcp)
-    ->Args({1, 1})
-    ->Args({8, 4})
+    ->Arg(1)
+    ->Arg(8)
     ->Iterations(3)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
@@ -480,8 +463,8 @@ void BM_ServerSaturationShm(benchmark::State& state) {
   ServerSaturationImpl(state, SaturationTransport::kShm);
 }
 BENCHMARK(BM_ServerSaturationShm)
-    ->Args({1, 1})
-    ->Args({8, 4})
+    ->Arg(1)
+    ->Arg(8)
     ->Iterations(3)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

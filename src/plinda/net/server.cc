@@ -2,17 +2,13 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <limits.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cassert>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -64,6 +60,16 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
+/// fsync()s a directory, so the renames and creates inside it survive a
+/// machine crash.
+bool SyncDir(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
+}
+
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -74,16 +80,15 @@ bool SetNonBlocking(int fd) {
 /// multi-MiB buffer dribbling out through short writes). A fully flushed
 /// buffer resets; a large flushed prefix is trimmed once so a slow receiver
 /// doesn't pin already-sent megabytes. Returns false on a fatal error.
-/// Counts write(2) calls / bytes into the optional transport counters.
-bool FlushCursor(int fd, std::string* buf, size_t* sent,
-                 std::atomic<uint64_t>* syscalls = nullptr,
-                 std::atomic<uint64_t>* bytes = nullptr) {
+/// Counts write(2) calls / bytes into the transport counters.
+bool FlushCursor(int fd, std::string* buf, size_t* sent, uint64_t* syscalls,
+                 uint64_t* bytes) {
   while (*sent < buf->size()) {
-    if (syscalls != nullptr) syscalls->fetch_add(1);
+    ++*syscalls;
     const ssize_t n = ::write(fd, buf->data() + *sent, buf->size() - *sent);
     if (n > 0) {
       *sent += static_cast<size_t>(n);
-      if (bytes != nullptr) bytes->fetch_add(static_cast<uint64_t>(n));
+      *bytes += static_cast<uint64_t>(n);
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
@@ -110,31 +115,6 @@ void TrimFlushed(std::string* buf, size_t* sent) {
     buf->erase(0, *sent);
     *sent = 0;
   }
-}
-
-/// writev() the whole iovec array, chunked to IOV_MAX, resuming partial
-/// writes. Mutates the array.
-bool WritevAll(int fd, std::vector<iovec>* iov) {
-  size_t idx = 0;
-  while (idx < iov->size()) {
-    const int cnt = static_cast<int>(
-        std::min(iov->size() - idx, static_cast<size_t>(IOV_MAX)));
-    const ssize_t n = ::writev(fd, iov->data() + idx, cnt);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    size_t left = static_cast<size_t>(n);
-    while (idx < iov->size() && left >= (*iov)[idx].iov_len) {
-      left -= (*iov)[idx].iov_len;
-      ++idx;
-    }
-    if (left > 0) {
-      (*iov)[idx].iov_base = static_cast<char*>((*iov)[idx].iov_base) + left;
-      (*iov)[idx].iov_len -= left;
-    }
-  }
-  return true;
 }
 
 /// Patches the [u32 len][u64 fnv1a] WAL record header into the first 12
@@ -169,20 +149,8 @@ SpaceServer::SpaceServer(SpaceServerOptions options)
     options_.server_index = 0;
   }
   peers_.resize(placement_.size());
-  int threads = options_.threads;
-  if (threads <= 0) {
-    if (const char* env = std::getenv("FPDM_SERVER_THREADS")) {
-      threads = std::atoi(env);
-    }
-  }
-  if (threads <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw >= 2 ? static_cast<int>(std::min(4u, hw)) : 1;
-  }
-  threads_ = threads;
-  wal_sync_ = options_.wal_sync;
   if (const char* env = std::getenv("FPDM_WAL_SYNC")) {
-    wal_sync_ = std::atoi(env) != 0;
+    options_.wal_sync = std::atoi(env) != 0;
   }
 }
 
@@ -190,7 +158,6 @@ SpaceServer::~SpaceServer() {
   if (log_fd_ >= 0) ::close(log_fd_);
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (wake_fd_ >= 0) ::close(wake_fd_);
   for (auto& [fd, conn] : conns_) {
     if (conn->fd_owned) ::close(fd);  // ShmConn dtors close their own fds
   }
@@ -211,18 +178,14 @@ size_t SpaceServer::ShardIndexFor(const BucketKeyView& key) const {
 bool SpaceServer::FindMatch(const Template& tmpl, Tuple* result, bool remove) {
   BucketKeyView key;
   if (SingleBucketKeyFor(tmpl, &key)) {
-    TupleSpace& space = stripes_[ShardIndexFor(key)]->space;
+    TupleSpace& space = stripes_[ShardIndexFor(key)];
     return remove ? space.TryIn(tmpl, result) : space.TryRd(tmpl, result);
   }
-  // Formal-string-first template: scan stripes in index order. The caller
-  // holds the full scope (ComputeScope never fast-paths formal templates).
-  // With one stripe (the default) matching is exactly global-FIFO; with
-  // more, FIFO holds within each stripe only.
-  if (stripes_.size() > 1) {
-    cross_shard_ops_.fetch_add(1, std::memory_order_relaxed);
-  }
-  for (auto& stripe : stripes_) {
-    TupleSpace& space = stripe->space;
+  // Formal-string-first template: scan stripes in index order. With one
+  // stripe (the default) matching is exactly global-FIFO; with more, FIFO
+  // holds within each stripe only.
+  if (stripes_.size() > 1) ++cross_shard_ops_;
+  for (TupleSpace& space : stripes_) {
     if (remove ? space.TryIn(tmpl, result) : space.TryRd(tmpl, result)) {
       return true;
     }
@@ -233,135 +196,18 @@ bool SpaceServer::FindMatch(const Template& tmpl, Tuple* result, bool remove) {
 size_t SpaceServer::CountAcrossShards(const Template& tmpl) {
   BucketKeyView key;
   if (SingleBucketKeyFor(tmpl, &key)) {
-    return stripes_[ShardIndexFor(key)]->space.CountMatches(tmpl);
+    return stripes_[ShardIndexFor(key)].CountMatches(tmpl);
   }
-  if (stripes_.size() > 1) {
-    cross_shard_ops_.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (stripes_.size() > 1) ++cross_shard_ops_;
   size_t count = 0;
-  for (const auto& stripe : stripes_) count += stripe->space.CountMatches(tmpl);
+  for (const TupleSpace& space : stripes_) count += space.CountMatches(tmpl);
   return count;
 }
 
 void SpaceServer::PublishTuple(Tuple tuple) {
   const BucketKeyView key = BucketKeyFor(tuple);
-  stripes_[ShardIndexFor(key)]->space.Out(std::move(tuple));
-  publish_epoch_.fetch_add(1, std::memory_order_relaxed);
-}
-
-// --- striped state locking -------------------------------------------------
-
-namespace {
-// Debug lock-order bookkeeping: a thread holds at most one StateLock, and
-// control-plane methods can assert they are running under the full scope.
-#ifndef NDEBUG
-thread_local bool tls_scope_held = false;
-thread_local bool tls_full_scope_held = false;
-#endif
-// A fast-path dispatch (partial stripe scope) defers waiter wakeups to an
-// escalation pass after its stripes are released; see SatisfyWaiters.
-thread_local bool tls_partial_scope = false;
-thread_local bool tls_satisfy_deferred = false;
-}  // namespace
-
-void SpaceServer::StateLock::LockCounting(std::mutex& mu) {
-  if (mu.try_lock()) return;
-  server_->state_lock_waits_.fetch_add(1, std::memory_order_relaxed);
-  mu.lock();
-}
-
-SpaceServer::StateLock::StateLock(SpaceServer* server)
-    : server_(server), engaged_(server->live_threaded_), all_(true) {
-  if (!engaged_) return;
-#ifndef NDEBUG
-  assert(!tls_scope_held);
-  tls_scope_held = true;
-  tls_full_scope_held = true;
-#endif
-  for (auto& stripe : server_->stripes_) LockCounting(stripe->mu);
-  LockCounting(server_->ctrl_mu_);
-}
-
-SpaceServer::StateLock::StateLock(SpaceServer* server,
-                                  const std::vector<size_t>& stripe_indices)
-    : server_(server), engaged_(server->live_threaded_), all_(false),
-      subset_(stripe_indices) {
-  if (!engaged_) return;
-#ifndef NDEBUG
-  assert(!tls_scope_held);
-  assert(std::is_sorted(subset_.begin(), subset_.end()));
-  tls_scope_held = true;
-#endif
-  for (size_t i : subset_) LockCounting(server_->stripes_[i]->mu);
-}
-
-SpaceServer::StateLock::~StateLock() {
-  if (!engaged_) return;
-  if (all_) {
-    server_->ctrl_mu_.unlock();
-    for (auto it = server_->stripes_.rbegin(); it != server_->stripes_.rend();
-         ++it) {
-      (*it)->mu.unlock();
-    }
-  } else {
-    for (auto it = subset_.rbegin(); it != subset_.rend(); ++it) {
-      server_->stripes_[*it]->mu.unlock();
-    }
-  }
-#ifndef NDEBUG
-  tls_scope_held = false;
-  tls_full_scope_held = false;
-#endif
-}
-
-bool SpaceServer::ComputeScope(const Request& request, bool decode_ok,
-                               std::vector<size_t>* stripes) const {
-  if (!decode_ok || stripes_.size() <= 1) return false;
-  // While partitioned (or cancelled) every dispatch runs the blackhole /
-  // cancel gates, which may touch connection-drop state — keep them on the
-  // full scope where the I/O thread expects them.
-  if (partitioned_.load(std::memory_order_relaxed)) return false;
-  stripes->clear();
-  auto add = [&](const BucketKeyView& key) {
-    stripes->push_back(ShardIndexFor(key));
-  };
-  switch (request.op) {
-    case Op::kOut:
-      add(BucketKeyFor(request.tuple));
-      break;
-    case Op::kIn: {
-      BucketKeyView key;
-      if (!SingleBucketKeyFor(request.tmpl, &key)) return false;
-      add(key);
-      break;
-    }
-    case Op::kCount: {
-      BucketKeyView key;
-      if (!SingleBucketKeyFor(request.tmpl, &key)) return false;
-      add(key);
-      break;
-    }
-    case Op::kBatch: {
-      for (const BatchOp& sub : request.batch) {
-        if (sub.op == Op::kOut) {
-          add(BucketKeyFor(sub.tuple));
-        } else if (sub.op == Op::kIn) {
-          BucketKeyView key;
-          if (!SingleBucketKeyFor(sub.tmpl, &key)) return false;
-          add(key);
-        } else {
-          return false;  // malformed sub-op: let the full path reject it
-        }
-      }
-      break;
-    }
-    default:
-      return false;  // control-plane / 2PC / formal / stats: full scope
-  }
-  std::sort(stripes->begin(), stripes->end());
-  stripes->erase(std::unique(stripes->begin(), stripes->end()),
-                 stripes->end());
-  return true;
+  stripes_[ShardIndexFor(key)].Out(std::move(tuple));
+  ++publish_epoch_;
 }
 
 // --- log + checkpoint -----------------------------------------------------
@@ -370,8 +216,8 @@ std::string SpaceServer::EncodeSnapshot() const {
   std::string payload;
   PutU64(epoch_, &payload);
   PutU32(static_cast<uint32_t>(stripes_.size()), &payload);
-  for (const auto& stripe : stripes_) {
-    PutString(stripe->space.Checkpoint(), &payload);
+  for (const TupleSpace& space : stripes_) {
+    PutString(space.Checkpoint(), &payload);
   }
   PutU32(static_cast<uint32_t>(continuations_.size()), &payload);
   for (const auto& [pid, cont] : continuations_) {
@@ -488,14 +334,10 @@ bool SpaceServer::LoadSnapshot(const std::string& path) {
   uint32_t num_shards = 0;
   if (!r.TakeU64(&epoch_) || !r.TakeU32(&num_shards)) return false;
   if (num_shards != static_cast<uint32_t>(options_.num_shards)) return false;
-  stripes_.clear();
-  stripes_.reserve(num_shards);
-  for (uint32_t i = 0; i < num_shards; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
+  stripes_.assign(num_shards, TupleSpace{});
+  for (TupleSpace& space : stripes_) {
     std::string ckpt;
-    if (!r.TakeString(&ckpt) || !stripes_[i]->space.Restore(ckpt)) {
-      return false;
-    }
+    if (!r.TakeString(&ckpt) || !space.Restore(ckpt)) return false;
   }
   uint32_t n = 0;
   if (!r.TakeU32(&n)) return false;
@@ -537,22 +379,11 @@ bool SpaceServer::LoadSnapshot(const std::string& path) {
     }
     clients_.emplace(pid, std::move(c));
   }
-  {
-    // Counters live in atomics; decode into temporaries and store.
-    uint64_t pe = 0, to = 0, cm = 0, ab = 0, cp = 0, cs = 0, bf = 0, bo = 0;
-    if (!r.TakeU64(&pe) || !r.TakeU64(&to) || !r.TakeU64(&cm) ||
-        !r.TakeU64(&ab) || !r.TakeU64(&cp) || !r.TakeU64(&cs) ||
-        !r.TakeU64(&bf) || !r.TakeU64(&bo)) {
-      return false;
-    }
-    publish_epoch_.store(pe);
-    tuple_ops_.store(to);
-    commits_.store(cm);
-    aborts_.store(ab);
-    checkpoints_.store(cp);
-    cross_shard_ops_.store(cs);
-    batch_frames_.store(bf);
-    batched_ops_.store(bo);
+  if (!r.TakeU64(&publish_epoch_) || !r.TakeU64(&tuple_ops_) ||
+      !r.TakeU64(&commits_) || !r.TakeU64(&aborts_) ||
+      !r.TakeU64(&checkpoints_) || !r.TakeU64(&cross_shard_ops_) ||
+      !r.TakeU64(&batch_frames_) || !r.TakeU64(&batched_ops_)) {
+    return false;
   }
   uint32_t num_servers = 0;
   if (!r.TakeU32(&num_servers)) return false;
@@ -667,31 +498,15 @@ bool SpaceServer::LoadSnapshot(const std::string& path) {
     }
     decisions_.emplace(TxnKey{pid, incarnation, seq}, std::move(d));
   }
-  {
-    uint64_t tp = 0, tx = 0;
-    if (!r.TakeU64(&tp) || !r.TakeU64(&tx)) return false;
-    txn_prepares_.store(tp);
-    txn_cross_server_.store(tx);
+  if (!r.TakeU64(&txn_prepares_) || !r.TakeU64(&txn_cross_server_)) {
+    return false;
   }
   return r.AtEnd();
 }
 
 bool SpaceServer::TakeCheckpoint() {
-  // Quiesce protocol: in threaded mode every caller holds a full StateLock
-  // (all stripes + ctrl), so no fast-path appender is mid-append and the
-  // snapshot is a consistent cut across stripes. Hold log_mu_ across the
-  // rotation so the log writer's in-flight writev never races the fd swap.
-  // The snapshot already reflects every ENQUEUED entry — apply happens at
-  // enqueue time — so once the rename commits, still-unwritten queued
-  // entries are obsolete: the checkpoint doubles as their durability
-  // barrier, and every reply gated on them becomes releasable.
-#ifndef NDEBUG
-  assert(!live_threaded_ || tls_full_scope_held);
-#endif
-  std::unique_lock<std::mutex> log_lock;
-  if (live_threaded_) {
-    log_lock = std::unique_lock<std::mutex>(log_mu_);
-  }
+  // Callers run between requests, so every appended entry is applied and
+  // the snapshot is a consistent cut.
   const uint64_t old_epoch = epoch_;
   epoch_ += 1;
   const std::string snapshot = EncodeSnapshot();
@@ -699,7 +514,9 @@ bool SpaceServer::TakeCheckpoint() {
   const std::string tmp_path = ckpt_path + ".tmp";
   const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
-  const bool ok = WriteAll(fd, snapshot.data(), snapshot.size());
+  bool ok = WriteAll(fd, snapshot.data(), snapshot.size());
+  // wal_sync: the snapshot is on disk before the rename publishes it.
+  if (ok && options_.wal_sync) ok = ::fdatasync(fd) == 0;
   ::close(fd);
   // The rename is the commit point: a crash before it leaves the previous
   // checkpoint + log pair intact; a crash after it recovers from the new
@@ -708,22 +525,26 @@ bool SpaceServer::TakeCheckpoint() {
     epoch_ = old_epoch;
     return false;
   }
-  if (live_threaded_) {
-    for (PendingWal& p : wal_pending_) {
-      p.frame.clear();
-      wal_buf_pool_.push_back(std::move(p.frame));
-    }
-    wal_pending_.clear();
-    wal_durable_seq_.store(wal_enqueued_seq_.load());
-    WakeIo();  // release replies that were gated on the cleared entries
-  }
+  // wal_sync: the rename, and then the new log's directory entry, reach the
+  // disk before anything that depends on them is acknowledged. A failed
+  // directory sync leaves log_fd_ closed, which callers treat like a log
+  // that would not open: stop serving.
   if (log_fd_ >= 0) ::close(log_fd_);
+  log_fd_ = -1;
+  if (options_.wal_sync && !SyncDir(options_.state_dir)) return false;
   const std::string log_path =
       options_.state_dir + "/log." + std::to_string(epoch_);
-  log_fd_ = ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (log_fd_ < 0) return false;
+  const int log_fd =
+      ::open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (log_fd < 0) return false;
+  if (options_.wal_sync && !SyncDir(options_.state_dir)) {
+    ::close(log_fd);
+    return false;
+  }
+  log_fd_ = log_fd;
   ::unlink(
       (options_.state_dir + "/log." + std::to_string(old_epoch)).c_str());
+  wal_unsynced_bytes_ = 0;  // the synced snapshot holds those entries
   ops_since_checkpoint_ = 0;
   ++checkpoints_;
   return true;
@@ -748,18 +569,9 @@ bool SpaceServer::AppendLog(const LogEntry& entry) {
   // — so recovery can tell a torn or bit-rotted tail from a clean prefix
   // even when the mangled bytes still parse as a plausible length. The
   // payload is encoded straight after 12 reserved header bytes (patched
-  // once the length is known) into a recycled buffer, so the hot path
+  // once the length is known) into a reused buffer, so the hot path
   // allocates nothing in steady state.
-  std::string frame;
-  if (live_threaded_) {
-    std::lock_guard<std::mutex> lk(log_mu_);
-    if (!wal_buf_pool_.empty()) {
-      frame = std::move(wal_buf_pool_.back());
-      wal_buf_pool_.pop_back();
-    }
-  } else {
-    frame = std::move(wal_frame_buf_);
-  }
+  std::string& frame = wal_frame_buf_;
   frame.assign(12, '\0');
   EncodeLogEntryInto(entry, &frame);
   // An oversized entry would be skipped (and truncated away) by ReplayLog,
@@ -772,37 +584,18 @@ bool SpaceServer::AppendLog(const LogEntry& entry) {
     return false;
   }
   PatchWalHeader(&frame);
-  if (live_threaded_) {
-    // Group commit: enqueue for the log-writer thread, which coalesces
-    // everything pending into one writev + fdatasync batch. Callers apply
-    // right away; the reply is only RELEASED once wal_durable_seq_ covers
-    // this seq, so nothing unlogged is ever acknowledged. The seq is
-    // assigned under log_mu_ *together with* the push: stripe-parallel
-    // appenders would otherwise interleave between ticket and enqueue and
-    // hand the log writer an out-of-order wal_pending_ (its durability
-    // watermark is batch.back().seq). Per-stripe apply order still equals
-    // log order because the caller holds the entry's stripe(s) across
-    // append+apply; entries on different stripes commute on replay.
-    {
-      std::lock_guard<std::mutex> lk(log_mu_);
-      const uint64_t seq = wal_enqueued_seq_.load() + 1;
-      wal_enqueued_seq_.store(seq);
-      wal_pending_.push_back(PendingWal{seq, std::move(frame)});
-    }
-    log_cv_.notify_one();
+  if (!WriteAll(log_fd_, frame.data(), frame.size())) {
+    // A partial append is a torn tail: recovery truncates it away, so the
+    // entry is NOT durable. Stop serving instead of acknowledging it.
+    wal_failed_ = true;
+    stop_ = true;
+    return false;
+  }
+  if (options_.wal_sync) {
+    wal_unsynced_bytes_ += frame.size();  // the pass's SyncWal covers it
   } else {
-    if (!WriteAll(log_fd_, frame.data(), frame.size())) {
-      // A partial append is a torn tail: recovery truncates it away, so the
-      // entry is NOT durable. Stop serving instead of acknowledging it.
-      wal_failed_ = true;
-      stop_ = true;
-      return false;
-    }
-    // One append = one durable "batch" in single-threaded mode, so the
-    // group-commit counters stay meaningful across modes.
-    wal_group_commits_.fetch_add(1);
-    wal_synced_bytes_.fetch_add(frame.size());
-    wal_frame_buf_ = std::move(frame);
+    ++wal_group_commits_;  // the write alone is the durable group
+    wal_synced_bytes_ += frame.size();
   }
   // Deliberately no checkpoint here: callers apply the entry right after
   // appending it, and a checkpoint taken in between would snapshot the
@@ -810,6 +603,20 @@ bool SpaceServer::AppendLog(const LogEntry& entry) {
   // it from durable state. The serve loop checkpoints once every entry
   // appended so far has been applied.
   ++ops_since_checkpoint_;
+  return true;
+}
+
+bool SpaceServer::SyncWal() {
+  if (wal_failed_) return false;
+  if (wal_unsynced_bytes_ == 0) return true;
+  if (::fdatasync(log_fd_) != 0) {
+    wal_failed_ = true;
+    stop_ = true;
+    return false;
+  }
+  ++wal_group_commits_;
+  wal_synced_bytes_ += wal_unsynced_bytes_;
+  wal_unsynced_bytes_ = 0;
   return true;
 }
 
@@ -850,10 +657,7 @@ bool SpaceServer::ReplayLog(const std::string& path) {
 
 bool SpaceServer::Recover() {
   ::mkdir(options_.state_dir.c_str(), 0755);
-  stripes_.clear();
-  for (int i = 0; i < options_.num_shards; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-  }
+  stripes_.assign(static_cast<size_t>(options_.num_shards), TupleSpace{});
   const std::string ckpt_path = options_.state_dir + "/ckpt";
   struct stat st;
   if (::stat(ckpt_path.c_str(), &st) == 0) {
@@ -1164,25 +968,8 @@ void SpaceServer::SendEncoded(Conn& conn, const std::string& encoded_reply) {
     fallback = EncodeReply(reply);
     payload = &fallback;
   }
-  if (!live_threaded_) {
-    AppendFrame(*payload, &conn.outbuf);
-    RequestFlush(conn.fd);
-    return;
-  }
-  // Threaded mode: queue behind WAL durability. Tagging with the LAST
-  // enqueued seq (not just this op's own entry, if any) is deliberately
-  // conservative — it also covers replies whose VALUE depends on earlier
-  // not-yet-durable mutations (e.g. a rd that matched another client's
-  // freshly applied out), so no observable state ever escapes ahead of the
-  // log prefix that produced it.
-  PendingOut out;
-  out.walseq = wal_enqueued_seq_.load();
-  AppendFrame(*payload, &out.bytes);
-  {
-    std::lock_guard<std::mutex> lk(conn.out_mu);
-    conn.outgoing.push_back(std::move(out));
-  }
-  RequestFlush(conn.fd);
+  AppendFrame(*payload, &conn.outbuf);
+  flush_request_.insert(conn.fd);
 }
 
 void SpaceServer::SendReply(Conn& conn, const Reply& reply) {
@@ -1197,52 +984,15 @@ void SpaceServer::SendError(Conn& conn, const std::string& detail) {
 }
 
 void SpaceServer::SatisfyWaiters() {
-  if (tls_partial_scope) {
-    // Fast-path dispatch: the worker holds only this request's stripes, and
-    // satisfying a waiter may probe any stripe and touch the client tables.
-    // Defer — WorkerLoop escalates to a full StateLock after releasing the
-    // subset (no lost wakeup: a racing parker either saw our publish while
-    // probing under the shared stripe mutex, or registered in waiter_count_
-    // before releasing it, which the escalation check observes).
-    tls_satisfy_deferred = true;
-    return;
-  }
-  SatisfyAllWaiters();
-}
-
-std::vector<std::pair<std::list<SpaceServer::Waiter>*,
-                      std::list<SpaceServer::Waiter>::iterator>>
-SpaceServer::WaitersByTicket() {
-  std::vector<std::pair<std::list<Waiter>*, std::list<Waiter>::iterator>> all;
-  for (auto& stripe : stripes_) {
-    for (auto it = stripe->waiters.begin(); it != stripe->waiters.end();
-         ++it) {
-      all.emplace_back(&stripe->waiters, it);
-    }
-  }
-  for (auto it = formal_waiters_.begin(); it != formal_waiters_.end(); ++it) {
-    all.emplace_back(&formal_waiters_, it);
-  }
-  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    return a.second->ticket < b.second->ticket;
-  });
-  return all;
-}
-
-void SpaceServer::SatisfyAllWaiters() {
-#ifndef NDEBUG
-  assert(!live_threaded_ || tls_full_scope_held);
-#endif
-  // Ticket order reproduces the arrival-order scan of the pre-striping
-  // global FIFO list exactly (observable in reply bytes). Erasing a list
-  // iterator never invalidates the others, so the snapshot stays valid.
-  for (auto& [list, it] : WaitersByTicket()) {
+  for (auto it = waiters_.begin(); it != waiters_.end();) {
     Tuple t;
-    if (!FindMatch(it->tmpl, &t, /*remove=*/false)) continue;
+    if (!FindMatch(it->tmpl, &t, /*remove=*/false)) {
+      ++it;
+      continue;
+    }
     auto cit = conns_.find(it->fd);
     if (cit == conns_.end()) {
-      list->erase(it);  // connection died while parked
-      waiter_count_.fetch_sub(1);
+      it = waiters_.erase(it);  // connection died while parked
       continue;
     }
     Conn& conn = *cit->second;
@@ -1268,8 +1018,7 @@ void SpaceServer::SatisfyAllWaiters() {
       ++tuple_ops_;
       SendReply(conn, reply);
     }
-    list->erase(it);
-    waiter_count_.fetch_sub(1);
+    it = waiters_.erase(it);
   }
 }
 
@@ -1280,22 +1029,7 @@ void SpaceServer::ParkWaiter(Conn& conn, const Request& request) {
   w.seq = request.seq;
   w.tmpl = request.tmpl;
   w.remove = (request.flags & kInRemove) != 0;
-  w.ticket = waiter_ticket_.fetch_add(1);
-  BucketKeyView key;
-  if (SingleBucketKeyFor(request.tmpl, &key)) {
-    // The caller holds this stripe (it is the kIn's ComputeScope stripe, or
-    // the full scope), so tickets are monotone within each stripe list.
-    stripes_[ShardIndexFor(key)]->waiters.push_back(std::move(w));
-  } else {
-#ifndef NDEBUG
-    assert(!live_threaded_ || tls_full_scope_held);
-#endif
-    formal_waiters_.push_back(std::move(w));
-  }
-  // Count AFTER the park is in its list but before the caller releases the
-  // stripe: a publisher that misses this increment must have published
-  // before our probe (same stripe mutex), so the probe saw its tuple.
-  waiter_count_.fetch_add(1);
+  waiters_.push_back(std::move(w));
 }
 
 void SpaceServer::HandleHello(Conn& conn, const Request& request) {
@@ -1404,12 +1138,11 @@ void SpaceServer::HandleBatch(Conn& conn, const Request& request) {
   // sub-ops see the effects of earlier ones in the same batch) and
   // recording each resolved effect. The WAL record is appended AFTER
   // resolution — the one place we invert the log-before-apply discipline —
-  // which is safe because the dispatch holds every stripe the batch can
-  // touch (ComputeScope's union, or the full scope) across resolve + append
-  // + apply, so nothing observes the intermediate state; no ack is sent
-  // unless the append succeeds, and a crash in between loses the in-memory
-  // mutation together with the log record, so the client's retry re-applies
-  // from scratch.
+  // which is safe because no other request runs between resolve and append,
+  // so nothing observes the intermediate state; no ack is sent unless the
+  // append succeeds, and a crash in between loses the in-memory mutation
+  // together with the log record, so the client's retry re-applies from
+  // scratch.
   LogEntry entry;
   entry.kind = LogKind::kBatch;
   entry.pid = conn.pid;
@@ -1453,15 +1186,8 @@ void SpaceServer::HandleBatch(Conn& conn, const Request& request) {
 void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
   Request request;
   std::string error;
-  const bool ok = DecodeRequest(payload, &request, &error);
-  DispatchRequest(conn, request, ok, error);
-}
-
-void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
-                                  bool decode_ok,
-                                  const std::string& decode_error) {
-  if (!decode_ok) {
-    SendError(conn, decode_error);
+  if (!DecodeRequest(payload, &request, &error)) {
+    SendError(conn, error);
     conn.close_after_flush = true;
     return;
   }
@@ -1481,7 +1207,7 @@ void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
     if (peer_op || client_traffic) {
       conn.saw_bye = true;  // partition drop, not a crash: no crash-abort
       conn.close_after_flush = true;
-      RequestFlush(conn.fd);
+      flush_request_.insert(conn.fd);
       return;  // blackholed: no reply
     }
   }
@@ -1653,8 +1379,8 @@ void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
     }
     case Op::kTakeAll: {
       Reply reply;
-      for (const auto& stripe : stripes_) {
-        for (Tuple& t : stripe->space.TakeAllInOrder()) {
+      for (TupleSpace& space : stripes_) {
+        for (Tuple& t : space.TakeAllInOrder()) {
           reply.tuples.push_back(std::move(t));
         }
       }
@@ -1703,12 +1429,10 @@ void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
       reply.publish_epoch = publish_epoch_;
       reply.txn_prepares = txn_prepares_;
       reply.txn_cross_server = txn_cross_server_;
-      reply.wal_group_commits = wal_group_commits_.load();
-      reply.wal_synced_bytes = wal_synced_bytes_.load();
-      reply.transport_syscalls = transport_syscalls_.load();
-      reply.transport_bytes = transport_bytes_.load();
-      reply.state_lock_waits = state_lock_waits_.load();
-      reply.stripe_conflicts = stripe_conflicts_.load();
+      reply.wal_group_commits = wal_group_commits_;
+      reply.wal_synced_bytes = wal_synced_bytes_;
+      reply.transport_syscalls = transport_syscalls_;
+      reply.transport_bytes = transport_bytes_;
       reply.stripes = stripes_.size();
       SendReply(conn, reply);
       break;
@@ -1717,11 +1441,11 @@ void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
       Reply reply;
       reply.publish_epoch = publish_epoch_;
       reply.forwards_pending = ForwardsPending();
-      for (const auto& [list, wit] : WaitersByTicket()) {
+      for (const Waiter& w : waiters_) {
         ParkedWaiter parked;
-        parked.pid = wit->pid;
-        parked.remove = wit->remove;
-        parked.tmpl_text = ToString(wit->tmpl);
+        parked.pid = w.pid;
+        parked.remove = w.remove;
+        parked.tmpl_text = ToString(w.tmpl);
         reply.parked.push_back(std::move(parked));
       }
       SendReply(conn, reply);
@@ -1732,13 +1456,11 @@ void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
       Reply cancelled;
       cancelled.status = WireStatus::kCancelled;
       const std::string encoded = EncodeReply(cancelled);
-      for (const auto& [list, wit] : WaitersByTicket()) {
-        auto cit = conns_.find(wit->fd);
+      for (const Waiter& w : waiters_) {
+        auto cit = conns_.find(w.fd);
         if (cit != conns_.end()) SendEncoded(*cit->second, encoded);
       }
-      for (const auto& stripe : stripes_) stripe->waiters.clear();
-      formal_waiters_.clear();
-      waiter_count_.store(0, std::memory_order_relaxed);
+      waiters_.clear();
       SendReply(conn, Reply{});
       break;
     }
@@ -1751,11 +1473,12 @@ void SpaceServer::DispatchRequest(Conn& conn, const Request& request,
       // reply — the parked op is a non-destructive rd either way.
       Reply miss;
       miss.status = WireStatus::kNotFound;
-      for (const auto& [list, wit] : WaitersByTicket()) {
+      for (auto wit = waiters_.begin(); wit != waiters_.end();) {
         if (wit->fd == conn.fd) {
           SendReply(conn, miss);
-          list->erase(wit);
-          waiter_count_.fetch_sub(1, std::memory_order_relaxed);
+          wit = waiters_.erase(wit);
+        } else {
+          ++wit;
         }
       }
       SendReply(conn, Reply{});
@@ -1967,18 +1690,7 @@ void SpaceServer::DropConns(const std::vector<int>& fds) {
     if (it == conns_.end()) continue;
     dropped.push_back(std::move(it->second));
     conns_.erase(it);
-    auto purge = [this, fd](std::list<Waiter>& list) {
-      for (auto wit = list.begin(); wit != list.end();) {
-        if (wit->fd == fd) {
-          wit = list.erase(wit);
-          waiter_count_.fetch_sub(1, std::memory_order_relaxed);
-        } else {
-          ++wit;
-        }
-      }
-    };
-    for (const auto& stripe : stripes_) purge(stripe->waiters);
-    purge(formal_waiters_);
+    waiters_.remove_if([fd](const Waiter& w) { return w.fd == fd; });
     // A 2PC commit parked on this connection loses its reply target (the
     // fd number may be reused); the client's resent XCOMMIT re-parks.
     for (auto& [pid, txn] : coord_pending_) {
@@ -1994,7 +1706,7 @@ void SpaceServer::DropConns(const std::vector<int>& fds) {
       dying.shm->Close();
       FoldShmSyscalls(dying);
     } else if (dying.shm_accept != nullptr) {
-      transport_syscalls_.fetch_add(dying.shm_accept->syscalls());
+      transport_syscalls_ += dying.shm_accept->syscalls();
       if (dying.fd_owned) ::close(fd);
     } else if (dying.fd_owned) {
       ::close(fd);
@@ -2040,14 +1752,14 @@ void SpaceServer::StartPartitionDrop() {
   // saw_bye suppresses the DropConns crash-abort: the client is alive on
   // the far side of the cut and will reconnect under the SAME incarnation
   // after the heal, expecting its open transaction intact. Outbound peer
-  // links are torn down by PumpPeers on the I/O thread (it owns those
-  // fds); unregistered control connections stay up as the heal channel.
+  // links are torn down by PumpPeers; unregistered control connections
+  // stay up as the heal channel.
   for (auto& [fd, conn_ptr] : conns_) {
     Conn& conn = *conn_ptr;
     if (conn.pid < 0 && !conn.is_peer) continue;
     conn.saw_bye = true;
     conn.close_after_flush = true;
-    RequestFlush(fd);
+    flush_request_.insert(fd);
   }
 }
 
@@ -2059,7 +1771,6 @@ void SpaceServer::EnqueueForward(size_t target, std::vector<Tuple> outs) {
   msg.fseq = ++peer.next_fseq;
   msg.op = Op::kForward;
   msg.outs = std::move(outs);
-  msg.walseq = live_threaded_ ? wal_enqueued_seq_.load() : 0;
   peer.unacked.push_back(std::move(msg));
 }
 
@@ -2074,7 +1785,6 @@ void SpaceServer::EnqueuePrepare(uint32_t target, int32_t pid,
   msg.txn_pid = pid;
   msg.txn_incarnation = incarnation;
   msg.txn_seq = seq;
-  msg.walseq = live_threaded_ ? wal_enqueued_seq_.load() : 0;
   peer.unacked.push_back(std::move(msg));
   ++txn_prepares_;
 }
@@ -2089,7 +1799,6 @@ void SpaceServer::EnqueueDecide(uint32_t target, const TxnKey& key,
   msg.txn_incarnation = std::get<1>(key);
   msg.txn_seq = std::get<2>(key);
   msg.decision = outcome;
-  msg.walseq = live_threaded_ ? wal_enqueued_seq_.load() : 0;
   peer.unacked.push_back(std::move(msg));
 }
 
@@ -2274,11 +1983,10 @@ void SpaceServer::ReadPeerAcks(size_t k) {
 }
 
 void SpaceServer::PumpPeers() {
-  // Partitioned: hold every outbound link down. Runs on the I/O thread
-  // (which owns the peer fds), so this is also where the partition's
-  // teardown of established links happens; the unacked queues stay intact
-  // and resend in full after the heal, the peers' watermarks absorbing any
-  // duplicates from frames that made it out before the cut.
+  // Partitioned: hold every outbound link down. This is also where the
+  // partition's teardown of established links happens; the unacked queues
+  // stay intact and resend in full after the heal, the peers' watermarks
+  // absorbing any duplicates from frames that made it out before the cut.
   if (partitioned_) {
     for (PeerLink& peer : peers_) {
       if (peer.fd >= 0) DropPeer(peer);
@@ -2320,16 +2028,8 @@ void SpaceServer::PumpPeers() {
     // dedup window and the post-cancel gate (forwards and 2PC traffic must
     // drain even after a Cancel so the harvest sees every committed
     // tuple and no transaction stays in doubt).
-    const uint64_t durable = wal_durable_seq_.load();
     while (peer.sent < peer.unacked.size()) {
       const PeerMsg& msg = peer.unacked[peer.sent];
-      // Group-commit gating: never put a message on the wire before the
-      // log entry whose apply produced it is durable — a peer durably
-      // applying effects of an entry a crash here would erase breaks
-      // exactly-once (the replayed commit would re-forward under a fresh
-      // fseq). Messages queue in WAL order, so stopping at the first
-      // non-durable one gates a clean prefix.
-      if (live_threaded_ && msg.walseq > durable) break;
       Request request;
       request.op = msg.op;
       request.pid = static_cast<int32_t>(options_.server_index);
@@ -2360,38 +2060,7 @@ void SpaceServer::PumpPeers() {
   }
 }
 
-// --- threaded serve machinery ---------------------------------------------
-
-void SpaceServer::WakeIo() {
-  if (wake_fd_ < 0) return;
-  const uint64_t one = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-}
-
-void SpaceServer::RequestFlush(int fd) {
-  {
-    std::lock_guard<std::mutex> lk(flush_mu_);
-    flush_request_.insert(fd);
-  }
-  if (live_threaded_) WakeIo();  // single-threaded: we ARE the I/O thread
-}
-
-void SpaceServer::ScheduleConnLocked(Conn* conn) {
-  if (conn->scheduled || conn->inbox.empty()) return;
-  conn->scheduled = true;
-  runnable_.push_back(conn);
-  sched_cv_.notify_one();
-}
-
-bool SpaceServer::DrainOutgoing(Conn& conn) {
-  const uint64_t durable = wal_durable_seq_.load();
-  std::lock_guard<std::mutex> lk(conn.out_mu);
-  while (!conn.outgoing.empty() && conn.outgoing.front().walseq <= durable) {
-    conn.outbuf += conn.outgoing.front().bytes;
-    conn.outgoing.pop_front();
-  }
-  return !conn.outgoing.empty();
-}
+// --- connection I/O --------------------------------------------------------
 
 bool SpaceServer::FlushConn(Conn& conn) {
   if (conn.shm != nullptr) return FlushShmConn(conn);
@@ -2401,9 +2070,9 @@ bool SpaceServer::FlushConn(Conn& conn) {
 
 void SpaceServer::UpdateConnEvents(Conn& conn) {
   // Shm connections never arm EPOLLOUT: the registered fd is a doorbell
-  // eventfd (always writable — arming would busy-loop the epoll), and
-  // ring-full backpressure is signalled by the armed writer flag instead:
-  // the client's next ring read rings our doorbell, whose read_ready pass
+  // (always writable — arming would busy-loop the epoll), and ring-full
+  // backpressure is signalled by the armed writer flag instead: the
+  // client's next ring read rings our doorbell, whose read pass
   // re-requests the flush.
   if (conn.shm != nullptr) return;
   const bool want_out = conn.outbuf_sent < conn.outbuf.size();
@@ -2419,7 +2088,7 @@ void SpaceServer::FoldShmSyscalls(Conn& conn) {
   if (conn.shm == nullptr) return;
   const uint64_t total = conn.shm->syscalls();
   if (total > conn.shm_sys_reported) {
-    transport_syscalls_.fetch_add(total - conn.shm_sys_reported);
+    transport_syscalls_ += total - conn.shm_sys_reported;
     conn.shm_sys_reported = total;
   }
 }
@@ -2435,12 +2104,12 @@ bool SpaceServer::ReadShmConn(Conn& conn) {
     wake_writer = wake_writer || wake;
     conn.reader.CommitWrite(n);
     if (n > 0) {
-      transport_bytes_.fetch_add(n);
+      transport_bytes_ += n;
       continue;
     }
     // Drained. Two-phase sleep handoff before going back to epoll: arm the
     // reader flag, re-check, and only then trust the doorbell — a client
-    // publish after the arm sees the flag and rings our eventfd. Without
+    // publish after the arm sees the flag and rings our doorbell. Without
     // this the client's steady-state writes (flag unarmed = no doorbell)
     // would never wake the epoll loop.
     shm.in().ArmReader();
@@ -2453,13 +2122,13 @@ bool SpaceServer::ReadShmConn(Conn& conn) {
   if (wake_writer) shm.WakePeer(/*data_on_out=*/false, /*space_on_in=*/true);
   // The doorbell also rings when the client consumed s2c bytes while our
   // writer flag was armed (ring-full backpressure): retry the flush.
-  if (conn.outbuf_sent < conn.outbuf.size()) RequestFlush(conn.fd);
+  if (conn.outbuf_sent < conn.outbuf.size()) flush_request_.insert(conn.fd);
   bool dead = false;
   // The handshake socket carries no data after setup — readable means EOF
   // (peer death) or a protocol violation; either way the connection is done.
   char probe[16];
   const ssize_t r = ::read(conn.fd, probe, sizeof(probe));
-  transport_syscalls_.fetch_add(1);
+  ++transport_syscalls_;
   if (r >= 0) dead = true;
   if (r < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
     dead = true;
@@ -2481,7 +2150,7 @@ bool SpaceServer::FlushShmConn(Conn& conn) {
     wake_reader = wake_reader || wake;
     if (w > 0) {
       conn.outbuf_sent += w;
-      transport_bytes_.fetch_add(w);
+      transport_bytes_ += w;
       continue;
     }
     if (shm.out().closed()) {
@@ -2491,8 +2160,8 @@ bool SpaceServer::FlushShmConn(Conn& conn) {
     // Ring full: arm the writer flag and re-check (two-phase, so a consume
     // between the check and the arm cannot be missed). If still full, leave
     // the flag armed and return with bytes pending — the client's next
-    // TryRead sees the flag and rings our doorbell, and that read_ready
-    // pass calls RequestFlush to land back here. The shm mirror of EPOLLOUT.
+    // TryRead sees the flag and rings our doorbell, and that read pass
+    // re-requests the flush to land back here. The shm mirror of EPOLLOUT.
     shm.out().ArmWriter();
     if (shm.out().WriteSpace() > 0 || shm.out().closed()) {
       shm.out().DisarmWriter();
@@ -2504,135 +2173,6 @@ bool SpaceServer::FlushShmConn(Conn& conn) {
   TrimFlushed(&conn.outbuf, &conn.outbuf_sent);
   FoldShmSyscalls(conn);
   return ok;
-}
-
-void SpaceServer::WorkerLoop() {
-  std::vector<std::string> frames;
-  for (;;) {
-    Conn* conn = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(sched_mu_);
-      sched_cv_.wait(lk, [&] { return workers_stop_ || !runnable_.empty(); });
-      if (runnable_.empty()) break;  // workers_stop_ and nothing to drain
-      conn = runnable_.front();
-      runnable_.pop_front();
-    }
-    // Strand discipline: this worker owns `conn` (scheduled == true) until
-    // its inbox drains, so one connection's frames always dispatch in
-    // arrival order and never on two workers at once.
-    for (;;) {
-      frames.clear();
-      {
-        std::lock_guard<std::mutex> lk(sched_mu_);
-        if (conn->inbox.empty() || stop_) {
-          conn->scheduled = false;
-          break;
-        }
-        while (!conn->inbox.empty()) {
-          frames.push_back(std::move(conn->inbox.front()));
-          conn->inbox.pop_front();
-        }
-      }
-      for (const std::string& payload : frames) {
-        // The expensive part — parsing tuple text out of the frame — runs
-        // outside every lock; only the apply itself serializes.
-        Request request;
-        std::string error;
-        const bool ok = DecodeRequest(payload, &request, &error);
-        std::vector<size_t> scope;
-        tls_satisfy_deferred = false;
-        if (ComputeScope(request, ok, &scope)) {
-          // Fast path: the request names a known stripe subset, so it runs
-          // concurrently with requests on disjoint stripes. The client_mu_
-          // slot serializes this pid's ClientState (dedup window, last_seq,
-          // txn log) against a resent duplicate racing in on a second
-          // connection after a reconnect.
-          StateLock lock(this, scope);
-          std::unique_lock<std::mutex> client_lk;
-          if (conn->pid >= 0) {
-            client_lk = std::unique_lock<std::mutex>(
-                client_mu_[static_cast<size_t>(conn->pid) % client_mu_.size()]);
-          }
-          tls_partial_scope = true;
-          DispatchRequest(*conn, request, ok, error);
-          tls_partial_scope = false;
-        } else {
-          StateLock lock(this);
-          DispatchRequest(*conn, request, ok, error);
-        }
-        if (tls_satisfy_deferred) {
-          // A fast-path publish may unblock a waiter parked on any stripe
-          // (formal-first templates match across stripes), so the wakeup
-          // scan escalates to the full scope — but only when someone is
-          // actually parked.
-          tls_satisfy_deferred = false;
-          if (waiter_count_.load(std::memory_order_relaxed) > 0) {
-            stripe_conflicts_.fetch_add(1, std::memory_order_relaxed);
-            StateLock full(this);
-            SatisfyAllWaiters();
-          }
-        }
-        if (!stop_.load() && ops_since_checkpoint_.load() >=
-                                 options_.checkpoint_every_ops) {
-          // Checkpoint outside the dispatch scope: re-check under the full
-          // lock since a concurrent worker may have just taken one.
-          StateLock full(this);
-          if (ops_since_checkpoint_.load() >= options_.checkpoint_every_ops &&
-              !TakeCheckpoint() && log_fd_ < 0) {
-            wal_failed_ = true;
-            stop_ = true;
-          }
-        }
-        if (stop_.load()) break;
-      }
-      RequestFlush(conn->fd);
-    }
-  }
-}
-
-void SpaceServer::LogWriterLoop() {
-  std::vector<PendingWal> batch;
-  std::vector<iovec> iov;
-  for (;;) {
-    std::unique_lock<std::mutex> lk(log_mu_);
-    log_cv_.wait(lk, [&] { return log_stop_ || !wal_pending_.empty(); });
-    if (wal_pending_.empty()) break;  // log_stop_ and fully drained
-    batch.clear();
-    while (!wal_pending_.empty()) {
-      batch.push_back(std::move(wal_pending_.front()));
-      wal_pending_.pop_front();
-    }
-    // The group commit: everything that queued while the previous batch
-    // was syncing goes out in one writev + one fdatasync. log_mu_ stays
-    // held across the write so a concurrent checkpoint can't rotate
-    // log_fd_ mid-batch.
-    iov.clear();
-    size_t bytes = 0;
-    for (PendingWal& p : batch) {
-      iov.push_back(iovec{p.frame.data(), p.frame.size()});
-      bytes += p.frame.size();
-    }
-    bool ok = log_fd_ >= 0 && WritevAll(log_fd_, &iov);
-    if (ok && wal_sync_) ok = ::fdatasync(log_fd_) == 0;
-    if (!ok) {
-      // Durability lost mid-run. Replies gated on this batch are never
-      // released, so nothing unlogged was acknowledged; stop serving.
-      wal_failed_ = true;
-      stop_ = true;
-      lk.unlock();
-      WakeIo();
-      break;
-    }
-    wal_durable_seq_.store(batch.back().seq);
-    wal_group_commits_.fetch_add(1);
-    wal_synced_bytes_.fetch_add(bytes);
-    for (PendingWal& p : batch) {
-      p.frame.clear();
-      wal_buf_pool_.push_back(std::move(p.frame));
-    }
-    lk.unlock();
-    WakeIo();  // release the replies this batch made durable
-  }
 }
 
 // --- the serve loop -------------------------------------------------------
@@ -2683,44 +2223,32 @@ int SpaceServer::Serve() {
   }
 
   epoll_fd_ = ::epoll_create1(0);
-  wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
-  if (epoll_fd_ < 0 || wake_fd_ < 0) return 1;
+  if (epoll_fd_ < 0) return 1;
   {
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = listen_fd_;
     if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) return 1;
-    ev.data.fd = wake_fd_;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) return 1;
-  }
-
-  if (Threaded()) {
-    live_threaded_ = true;
-    log_thread_ = std::thread(&SpaceServer::LogWriterLoop, this);
-    workers_.reserve(static_cast<size_t>(threads_));
-    for (int i = 0; i < threads_; ++i) {
-      workers_.emplace_back(&SpaceServer::WorkerLoop, this);
-    }
   }
 
   std::vector<epoll_event> events(256);
   std::vector<int> read_ready;
-  std::vector<int> write_ready;
   std::vector<size_t> peer_read;
-  std::vector<int> to_drop;
+  std::vector<int> to_drop;  // EOF / socket error, or closing and flushed
+  std::set<int> closing;     // close_after_flush seen: drop once flushed
   std::set<int> flush;
-  std::set<int> defunct;  // EOF / socket error: drop once the inbox drains
-  std::set<int> closing;  // close_after_flush seen: drop once fully flushed
-  std::set<int> gated;    // outgoing head still waiting on WAL durability
-  std::vector<std::string> frames;
   while (!stop_) {
+    // Zero timeout while replies wait: one queued after the last flush
+    // phase (a parked in woken by a crash-abort in the drop phase) must not
+    // sit out the idle tick.
+    const int timeout_ms = flush_request_.empty() ? 200 : 0;
     const int nev = ::epoll_wait(epoll_fd_, events.data(),
-                                 static_cast<int>(events.size()), 200);
+                                 static_cast<int>(events.size()), timeout_ms);
     if (nev < 0 && errno != EINTR) break;
     bool accept_ready = false;
     read_ready.clear();
-    write_ready.clear();
     peer_read.clear();
+    to_drop.clear();
     for (int i = 0; i < nev; ++i) {
       const int fd = events[i].data.fd;
       const uint32_t ev = events[i].events;
@@ -2728,17 +2256,11 @@ int SpaceServer::Serve() {
         accept_ready = true;
         continue;
       }
-      if (fd == wake_fd_) {
-        uint64_t drained = 0;
-        while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
-        }
-        continue;
-      }
       if (conns_.count(fd) != 0) {
         if ((ev & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0) {
           read_ready.push_back(fd);
         }
-        if ((ev & EPOLLOUT) != 0) write_ready.push_back(fd);
+        if ((ev & EPOLLOUT) != 0) flush_request_.insert(fd);
         continue;
       }
       for (size_t k = 0; k < peers_.size(); ++k) {
@@ -2750,10 +2272,31 @@ int SpaceServer::Serve() {
       }
     }
 
-    // Read phase — no state lock: the frame reader and outbuf belong to
-    // this thread, and conns_ is only ever mutated here. read(2) lands
-    // directly in the reader's buffer (FrameReader::WriteBuffer), so the
-    // single-threaded path hands frames to the decoder without a copy.
+    if (accept_ready) {
+      for (;;) {
+        const int fd = ::accept(listen_fd_, nullptr, nullptr);
+        if (fd < 0) break;
+        SetNonBlocking(fd);
+        ApplySndbuf(fd, options_.sndbuf_bytes);
+        if (tcp_listener_) ApplyTcpSocketOptions(fd);
+        auto conn = std::make_unique<Conn>();
+        conn->fd = fd;
+        if (shm_listener_) {
+          // First-read classification: a shm handshake, or plain frames
+          // (peer links and probes share the listener).
+          conn->shm_accept = std::make_unique<ShmAcceptReader>();
+        }
+        epoll_event ev{};
+        ev.events = EPOLLIN;
+        ev.data.fd = fd;
+        ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+        conns_.emplace(fd, std::move(conn));
+      }
+    }
+
+    // Read phase: read(2) lands directly in the reader's buffer
+    // (FrameReader::WriteBuffer), and every complete frame is handled in
+    // place, in arrival order.
     for (int fd : read_ready) {
       auto it = conns_.find(fd);
       if (it == conns_.end()) continue;
@@ -2768,11 +2311,11 @@ int SpaceServer::Serve() {
         std::string hs_error;
         const ShmAcceptReader::Result res =
             conn.shm_accept->Step(fd, &prefix, &handshake, &hs_error);
-        transport_syscalls_.fetch_add(1);
+        ++transport_syscalls_;
         if (res == ShmAcceptReader::Result::kPending) continue;
         if (res == ShmAcceptReader::Result::kClosed ||
             res == ShmAcceptReader::Result::kError) {
-          defunct.insert(fd);
+          to_drop.push_back(fd);
           continue;
         }
         if (res == ShmAcceptReader::Result::kShm) {
@@ -2783,10 +2326,10 @@ int SpaceServer::Serve() {
           std::string err;
           conn.shm = ShmConn::ServerAccept(fd, handshake, &err);
           if (conn.shm == nullptr) {
-            defunct.insert(fd);
+            to_drop.push_back(fd);
             continue;
           }
-          // The doorbell eventfd joins epoll under the SAME data.fd as the
+          // The doorbell joins epoll under the SAME data.fd as the
           // handshake socket, so either one waking classifies as this
           // connection; fall through into the ring drain below (the client
           // may already have written HELLO without ringing).
@@ -2794,9 +2337,9 @@ int SpaceServer::Serve() {
           ev.events = EPOLLIN;
           ev.data.fd = fd;
           ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn.shm->wake_fd(), &ev);
-          transport_syscalls_.fetch_add(1);
+          ++transport_syscalls_;
         } else {  // kStream: plain framed protocol (peer link or probe)
-          transport_bytes_.fetch_add(prefix.size());
+          transport_bytes_ += prefix.size();
           conn.reader.Feed(prefix.data(), prefix.size());
           conn.shm_accept.reset();
         }
@@ -2807,10 +2350,10 @@ int SpaceServer::Serve() {
         for (;;) {
           char* dst = conn.reader.WriteBuffer(65536);
           const ssize_t n = ::read(fd, dst, 65536);
-          transport_syscalls_.fetch_add(1);
+          ++transport_syscalls_;
           if (n > 0) {
             conn.reader.CommitWrite(static_cast<size_t>(n));
-            transport_bytes_.fetch_add(static_cast<uint64_t>(n));
+            transport_bytes_ += static_cast<uint64_t>(n);
             continue;
           }
           conn.reader.CommitWrite(0);
@@ -2822,216 +2365,95 @@ int SpaceServer::Serve() {
           break;
         }
       }
-      if (Threaded()) {
-        // Hand the reassembled frames to the connection's strand. The one
-        // copy into the inbox buys cross-thread ownership; everything
-        // downstream decodes in place.
-        frames.clear();
-        std::string payload;
-        bool corrupt = false;
-        for (;;) {
-          const FrameReader::Result result = conn.reader.Next(&payload);
-          if (result == FrameReader::Result::kFrame) {
-            frames.push_back(std::move(payload));
-            payload.clear();
-            continue;
-          }
-          if (result == FrameReader::Result::kError) corrupt = true;
-          break;
+      std::string_view payload;
+      for (;;) {
+        const FrameReader::Result result = conn.reader.NextView(&payload);
+        if (result == FrameReader::Result::kFrame) {
+          HandleFrame(conn, payload);
+          if (stop_) break;
+          continue;
         }
-        if (!frames.empty()) {
-          std::lock_guard<std::mutex> lk(sched_mu_);
-          for (std::string& f : frames) conn.inbox.push_back(std::move(f));
-          ScheduleConnLocked(&conn);
-        }
-        if (corrupt) {
+        if (result == FrameReader::Result::kError) {
           SendError(conn, conn.reader.error());
-          conn.close_after_flush = true;  // stream unrecoverable
+          dead = true;  // the byte stream is unrecoverable
         }
-      } else {
-        std::string_view payload;
-        for (;;) {
-          const FrameReader::Result result = conn.reader.NextView(&payload);
-          if (result == FrameReader::Result::kFrame) {
-            HandleFrame(conn, payload);
-            if (stop_) break;
-            continue;
-          }
-          if (result == FrameReader::Result::kError) {
-            SendError(conn, conn.reader.error());
-            dead = true;  // the byte stream is unrecoverable
-          }
-          break;
-        }
+        break;
       }
-      if (dead) defunct.insert(fd);
+      if (dead) to_drop.push_back(fd);
+    }
+    for (size_t k : peer_read) {
+      if (peers_[k].fd >= 0) ReadPeerAcks(k);
     }
 
-    // Flush phase: fds with replies appended since the last pass (both
-    // modes go through RequestFlush), re-checked durability gates, and
-    // EPOLLOUT-ready sockets with a partial flush pending.
-    {
-      std::lock_guard<std::mutex> lk(flush_mu_);
-      flush.swap(flush_request_);
-    }
-    for (int fd : write_ready) flush.insert(fd);
-    flush.insert(gated.begin(), gated.end());
-    gated.clear();
+    // Group commit: one fdatasync covers every entry this pass appended,
+    // before any of its replies or peer frames leave. If it fails they are
+    // dropped unsent.
+    if (options_.wal_sync && !SyncWal()) break;
+
+    // Flush phase: replies queued this pass, and sockets with a partial
+    // flush pending that became writable.
+    flush.swap(flush_request_);
     for (int fd : flush) {
       auto it = conns_.find(fd);
       if (it == conns_.end()) continue;
       Conn& conn = *it->second;
-      if (DrainOutgoing(conn)) gated.insert(fd);
       if (!FlushConn(conn)) {
-        defunct.insert(fd);
+        to_drop.push_back(fd);
         continue;
       }
       UpdateConnEvents(conn);
       if (conn.close_after_flush) closing.insert(fd);
     }
     flush.clear();
+    // Connect/resend/flush the peer links: a commit this pass queued its
+    // foreign outs, so they go out before we sleep.
+    PumpPeers();
 
-    // State phase: everything that touches the shared tables.
-    to_drop.clear();
-    const auto state_phase = [&] {
-      if (accept_ready) {
-        for (;;) {
-          const int fd = ::accept(listen_fd_, nullptr, nullptr);
-          if (fd < 0) break;
-          SetNonBlocking(fd);
-          ApplySndbuf(fd, options_.sndbuf_bytes);
-          if (tcp_listener_) ApplyTcpSocketOptions(fd);
-          auto conn = std::make_unique<Conn>();
-          conn->fd = fd;
-          if (shm_listener_) {
-            // First-read classification: a shm handshake, or plain frames
-            // (peer links and probes share the listener).
-            conn->shm_accept = std::make_unique<ShmAcceptReader>();
-          }
-          epoll_event ev{};
-          ev.events = EPOLLIN;
-          ev.data.fd = fd;
-          ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-          conns_.emplace(fd, std::move(conn));
-        }
+    // Drop phase: dead connections, and closing ones whose last reply is
+    // out. A crash-abort here can wake a parked in, whose reply then
+    // leaves on the next pass.
+    for (int fd : closing) {
+      auto it = conns_.find(fd);
+      if (it != conns_.end() && it->second->outbuf.empty()) {
+        to_drop.push_back(fd);
       }
+    }
+    DropConns(to_drop);
+    // Forget dropped fds: the kernel recycles fd numbers, so a stale entry
+    // could condemn an unrelated new connection.
+    for (auto it = closing.begin(); it != closing.end();) {
+      it = conns_.count(*it) == 0 ? closing.erase(it) : std::next(it);
+    }
 
-      for (size_t k : peer_read) {
-        if (peers_[k].fd >= 0) ReadPeerAcks(k);
-      }
-
-      // Drop checks. A connection leaves only when no worker owns it and
-      // its inbox is drained (a worker may still hold a pointer to it
-      // otherwise); close_after_flush additionally waits for the reply
-      // queue and outbuf to empty so the final reply gets out.
-      const auto droppable = [&](int fd, bool force) {
-        auto it = conns_.find(fd);
-        if (it == conns_.end()) return false;
-        Conn& c = *it->second;
-        {
-          std::lock_guard<std::mutex> lk(sched_mu_);
-          if (c.scheduled || !c.inbox.empty()) return false;
-        }
-        if (force) return true;
-        if (!c.close_after_flush) return false;
-        {
-          std::lock_guard<std::mutex> lk(c.out_mu);
-          if (!c.outgoing.empty()) return false;
-        }
-        return c.outbuf.empty();
-      };
-      for (int fd : defunct) {
-        if (droppable(fd, /*force=*/true)) to_drop.push_back(fd);
-      }
-      for (int fd : closing) {
-        if (defunct.count(fd) != 0) continue;
-        if (droppable(fd, /*force=*/false)) to_drop.push_back(fd);
-      }
-      DropConns(to_drop);
-      // Forget dropped fds everywhere: the kernel recycles fd numbers, so
-      // a stale tracking entry could condemn an unrelated new connection.
-      const auto sweep = [&](std::set<int>& s) {
-        for (auto it = s.begin(); it != s.end();) {
-          it = conns_.count(*it) == 0 ? s.erase(it) : std::next(it);
-        }
-      };
-      sweep(defunct);
-      sweep(closing);
-      sweep(gated);
-
-      // Connect/resend/flush the peer forward links once per pass: a
-      // commit this pass queued its foreign outs, so they go out (durable
-      // prefix only, in threaded mode) before we sleep.
-      PumpPeers();
-
-      // Checkpoint at a quiescent point: every logged entry is applied, so
-      // the snapshot and the fresh log form a consistent cut. (Threaded
-      // mode also checkpoints worker-side; this pass picks up entries
-      // appended on the I/O thread — drops, peer acks.)
-      if (!stop_ && ops_since_checkpoint_ >= options_.checkpoint_every_ops &&
-          !TakeCheckpoint() && log_fd_ < 0) {
-        // The rename committed but the fresh log would not open: any
-        // further mutation would be acknowledged yet lost from durable
-        // state. Stop serving. (A failure before the rename keeps the old
-        // checkpoint + log pair and the open log fd, so it is safe to
-        // retry next pass.)
-        wal_failed_ = true;
-        stop_ = true;
-      }
-    };
-    if (Threaded()) {
-      // The phase mutates conns_/peers_ structure and may checkpoint, so it
-      // needs the full scope (all stripes + ctrl) — but only when it has
-      // work to do. Gating keeps an idle epoll pass (200ms tick, pure
-      // read/flush traffic) from quiescing the whole worker pool.
-      const bool state_work =
-          accept_ready || !peer_read.empty() || !defunct.empty() ||
-          !closing.empty() || placement_.size() > 1 || partitioned_.load() ||
-          ops_since_checkpoint_.load() >= options_.checkpoint_every_ops;
-      if (state_work) {
-        StateLock state_lock(this);
-        state_phase();
-      }
-    } else {
-      state_phase();
+    // Checkpoint at a quiescent point: every logged entry is applied, so
+    // the snapshot and the fresh log form a consistent cut.
+    if (!stop_ && ops_since_checkpoint_ >= options_.checkpoint_every_ops &&
+        !TakeCheckpoint() && log_fd_ < 0) {
+      // The rename committed but the fresh log would not open: any
+      // further mutation would be acknowledged yet lost from durable
+      // state. Stop serving. (A failure before the rename keeps the old
+      // checkpoint + log pair and the open log fd, so it is safe to
+      // retry next pass.)
+      wal_failed_ = true;
+      stop_ = true;
     }
   }
 
-  if (Threaded()) {
-    {
-      std::lock_guard<std::mutex> lk(sched_mu_);
-      workers_stop_ = true;
-    }
-    sched_cv_.notify_all();
-    for (std::thread& w : workers_) w.join();
-    workers_.clear();
-    {
-      std::lock_guard<std::mutex> lk(log_mu_);
-      log_stop_ = true;
-    }
-    log_cv_.notify_all();
-    log_thread_.join();  // drains wal_pending_ (unless the WAL failed)
-    live_threaded_ = false;
-    // Final release: everything the last batch (or checkpoint) made
-    // durable moves to the outbufs. Replies still gated behind a failed
-    // WAL are discarded — they were never acknowledged.
-    for (auto& [fd, conn] : conns_) DrainOutgoing(*conn);
-  }
-
-  // Best-effort blocking flush of pending replies (the SHUTDOWN ack). Safe
-  // even on a WAL failure: every released reply's entry was durable before
-  // the release, so nothing unlogged can be acknowledged here.
+  // Best-effort blocking flush of pending replies (the SHUTDOWN ack). With
+  // wal_sync they leave only after a last group commit, and not at all once
+  // durability is lost, so nothing unsynced is ever acknowledged.
+  const bool release = !options_.wal_sync || SyncWal();
   for (auto& [fd, conn] : conns_) {
     if (conn->shm != nullptr) {
       // Push what fits into the ring (the SHUTDOWN ack is tiny); clearing
       // conns_ below runs the ShmConn destructor, whose Close() wakes the
       // client and closes the handshake socket + doorbells.
-      FlushShmConn(*conn);
+      if (release) FlushShmConn(*conn);
       continue;
     }
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
-    if (conn->outbuf_sent < conn->outbuf.size()) {
+    if (release && conn->outbuf_sent < conn->outbuf.size()) {
+      const int flags = ::fcntl(fd, F_GETFL, 0);
+      if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
       WriteAll(fd, conn->outbuf.data() + conn->outbuf_sent,
                conn->outbuf.size() - conn->outbuf_sent);
     }
@@ -3042,8 +2464,6 @@ int SpaceServer::Serve() {
   listen_fd_ = -1;
   ::close(epoll_fd_);
   epoll_fd_ = -1;
-  ::close(wake_fd_);
-  wake_fd_ = -1;
   // Remove the socket path only if we bound it ourselves: a supervisor's
   // pre-bound listener (listen_fd inheritance) must keep its path so a
   // restarted server is reachable at the same address.

@@ -1,19 +1,14 @@
 #ifndef FPDM_PLINDA_NET_SERVER_H_
 #define FPDM_PLINDA_NET_SERVER_H_
 
-#include <array>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <list>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -80,17 +75,19 @@ struct SpaceServerOptions {
   /// points this death is an *exit*, which the run supervisor must surface
   /// as a structured kServerDead error rather than retrying forever.
   int wal_fail_after = 0;
-  /// Worker threads for request decode/dispatch. 0 = auto: the
-  /// FPDM_SERVER_THREADS environment variable if set, else min(4, cores).
-  /// 1 = the legacy single-threaded serve loop (every frame handled inline
-  /// on the I/O thread, one WAL write per mutation) — bit-identical to the
-  /// pre-threading server and the reference for equivalence CI legs.
+  /// Ignored: the server always runs one serve loop on one thread. Kept
+  /// only so callers that still set it compile.
   int threads = 0;
-  /// Threaded mode only: fdatasync each group-commit WAL batch before the
-  /// replies it covers are released (durability against power loss, not
-  /// just process death). The single-threaded path keeps its historical
-  /// buffered-write-only behavior. Overridable via FPDM_WAL_SYNC=0.
-  bool wal_sync = true;
+  /// What an acknowledged op survives. false: every WAL entry is written
+  /// with write(2) before it is applied or acknowledged, so it survives the
+  /// death of the server process (the page cache outlives it), not of the
+  /// machine. true: each serve-loop pass also makes one fdatasync covering
+  /// all of its appends before its replies and peer frames leave (group
+  /// commit), and checkpoint rotation syncs the snapshot and the state
+  /// directory, so acknowledged ops survive machine death too. The
+  /// FPDM_WAL_SYNC environment variable overrides it (0 = false, any other
+  /// number = true).
+  bool wal_sync = false;
   /// Test hook: shrink SO_SNDBUF on accepted client fds and outbound peer
   /// fds to this many bytes (0 = leave the kernel default). Forces replies
   /// and peer forwards through many short writes to exercise the partial-
@@ -99,44 +96,25 @@ struct SpaceServerOptions {
 };
 
 /// The tuple-space server process of ExecutionMode::kDistributed: owns the
-/// sharded space and serves the wire protocol over a Unix-domain socket.
+/// striped space and serves the wire protocol on one endpoint.
 ///
-/// Threading (threads > 1, the default): an epoll-based I/O thread owns
-/// every socket and all frame reassembly; decoded client connections are
-/// scheduled strand-style onto a small worker pool (one connection is never
-/// on two workers at once, so its frames dispatch in arrival order).
-/// Workers decode request payloads outside any lock, compute which
-/// bucket stripes the request can touch, and apply under only those
-/// stripes' mutexes — an out/in/batch bound to one stripe runs in
-/// parallel with traffic on every other stripe. Mutable state is
-/// partitioned by the same (arity, first-field-key) bucket hash the
-/// placement layer uses: each stripe owns its slice of the space plus the
-/// parked waiters bound to its buckets. Control-plane state (client
-/// tables' structure, 2PC maps, peer links) sits behind ctrl_mu_, taken
-/// only by operations that already hold every stripe. Formal-first
-/// scatter probes, multi-stripe batches, 2PC, TakeAll, checkpoints and
-/// connection drops take all stripes in ascending index order — a brief
-/// quiesce that excludes every fast-path holder. The WAL keeps one global
-/// ticket (seq assigned under log_mu_ with the enqueue), so group-commit
-/// ordering and crash replay are unchanged; per-stripe apply order always
-/// matches log order because the stripe lock is held across
-/// append+apply, and entries on different stripes commute on replay.
-/// A dedicated log-writer thread group-commits the WAL: appends enqueue an
-/// encoded frame and the writer coalesces everything pending into one
-/// writev + fdatasync batch; a reply is released to its socket only once
-/// the batch containing its entry is durable. With threads == 1 the same
-/// epoll loop handles every frame inline, takes no locks, and writes the
-/// WAL one append at a time — the legacy single-threaded server,
-/// bit-identical by construction. Blocking in/rd requests park
-/// server-side in FIFO arrival order (a global ticket across the
-/// per-stripe deques) and are satisfied as soon as a publish makes a
-/// match available.
+/// Serve() is one epoll loop on one thread, like the paper's PLinda server.
+/// Each pass (one epoll_wait) accepts connections, reads every readable
+/// socket and handles each complete frame inline (so one connection's
+/// frames apply in arrival order), reads peer acks, then — with wal_sync —
+/// makes the pass's WAL appends durable with one fdatasync, then flushes
+/// replies and peer frames, and finally drops dead connections and
+/// checkpoints. A reply queued after the flush (a crash-abort in the drop
+/// phase waking a parked in) makes the next epoll_wait return at once.
+/// Stripes partition the space by the same (arity, first-field-key) bucket
+/// hash the placement layer uses; they are a data partition, not a unit of
+/// locking. Blocking in/rd requests park in one FIFO list and are satisfied,
+/// oldest first, as soon as a publish makes a match available.
 ///
-/// Durability follows the PR-1 fault model: every mutating request is
-/// appended (threads == 1) or enqueued (threaded) to the log before it is
-/// applied, and acknowledged only after the log write; a checksummed
-/// checkpoint every `checkpoint_every_ops` logged entries bounds replay and
-/// doubles as a durability barrier for still-unwritten queued entries.
+/// Durability (DESIGN.md, "Fault model"): every mutating request is
+/// appended to the log before it is applied, and acknowledged only after
+/// the append (and, with wal_sync, the pass's fdatasync); a checksummed
+/// checkpoint every `checkpoint_every_ops` logged entries bounds replay.
 /// Retried requests are deduplicated by (pid, seq) so a client that resends
 /// after a server crash gets the cached reply instead of a double-applied
 /// op (exactly-once effects).
@@ -174,18 +152,8 @@ class SpaceServer {
     std::vector<Tuple> txn_ins;  // tuples to restore if the txn aborts
   };
 
-  /// One reply (or error) framed for the wire, gated on WAL durability:
-  /// the I/O thread moves it to the connection's outbuf only once
-  /// wal_durable_seq_ has reached `walseq` (0 = no durability dependency,
-  /// but still FIFO behind earlier gated replies on the same connection).
-  struct PendingOut {
-    uint64_t walseq = 0;
-    std::string bytes;
-  };
-
   struct Conn {
     int fd = -1;
-    // --- I/O-thread-only state ---
     FrameReader reader;
     std::string outbuf;
     size_t outbuf_sent = 0;  // flushed prefix of outbuf (no front-erase)
@@ -197,30 +165,21 @@ class SpaceServer {
     /// Shm-listener conns only: the first-read state machine that decides
     /// handshake vs plain framed stream, then the established ring pair.
     /// While `shm` is set, fd is the handshake socket (liveness/teardown
-    /// only) and the doorbell eventfd is registered in epoll with
-    /// ev.data.fd = fd so both wake this connection.
+    /// only) and the doorbell is registered in epoll with ev.data.fd = fd so
+    /// both wake this connection.
     std::unique_ptr<ShmAcceptReader> shm_accept;
     std::unique_ptr<ShmConn> shm;
     uint64_t shm_sys_reported = 0;  // shm->syscalls() already folded
-    // --- written only on this connection's strand while it holds an
-    // all-stripes StateLock (HELLO / BYE / peer ops are all full-scope), so
-    // plain reads are safe both on the strand and under the full lock ---
     int32_t pid = -1;  // set by HELLO; control connections stay -1
     int32_t incarnation = 0;
-    /// Atomic: the partition blackhole path can set it from a fast-path
-    /// dispatch while the I/O thread reads it under the full lock.
-    std::atomic<bool> saw_bye{false};
+    /// A clean goodbye (or a partition cut): dropping the connection does
+    /// not crash-abort the client's open transaction.
+    bool saw_bye = false;
     /// True once a peer op (kForward/kPrepare/kDecide/kTxnQuery) arrived on
     /// this connection. Peer links carry no HELLO, so pid stays -1; this
     /// flag lets a chaos partition tell them apart from control conns.
     bool is_peer = false;
-    // --- scheduling state, guarded by sched_mu_ ---
-    std::deque<std::string> inbox;  // reassembled frames awaiting dispatch
-    bool scheduled = false;         // owned by (queued for) a worker
-    // --- reply queue, guarded by out_mu (leaf lock) ---
-    std::mutex out_mu;
-    std::deque<PendingOut> outgoing;
-    std::atomic<bool> close_after_flush{false};
+    bool close_after_flush = false;  // drop once outbuf is fully flushed
   };
 
   struct Waiter {
@@ -229,50 +188,6 @@ class SpaceServer {
     uint64_t seq = 0;
     Template tmpl;
     bool remove = false;
-    /// Global arrival ticket. Waiters are stored per stripe (plus one
-    /// formal-first list), and every scan that used to walk the old single
-    /// FIFO list now merges the per-stripe deques by ticket — same global
-    /// arrival order, observable in reply bytes, so it is load-bearing for
-    /// the threads=1 ↔ threads=4 byte-identity guarantee.
-    uint64_t ticket = 0;
-  };
-
-  /// One lock stripe of the mutable space state: a slice of the bucketed
-  /// tuple store plus the parked waiters whose template is pinned to a
-  /// bucket of this stripe. Guarded by `mu`; fast-path operations lock only
-  /// the stripes they touch. This is also the unit a future elastic
-  /// placement migration will drain and hand off.
-  struct Stripe {
-    std::mutex mu;
-    TupleSpace space;
-    std::list<Waiter> waiters;  // ticket-ordered (parks serialize on mu)
-  };
-
-  /// RAII scope over the striped state. Two shapes:
-  ///  - full: every stripe in ascending index order, then ctrl_mu_ — the
-  ///    quiesce used by control-plane ops, checkpoints, and the I/O thread;
-  ///  - subset: a sorted set of stripe indices, no ctrl_mu_ — the fast path.
-  /// No-op while !live_threaded_ (the single-threaded loop and recovery run
-  /// the same code lock-free, which keeps threads=1 bit-identical by
-  /// construction). Counts acquisitions that had to block into
-  /// state_lock_waits_. Debug builds assert the lock order (no nesting, no
-  /// ctrl without stripes).
-  class StateLock {
-   public:
-    /// Full scope: all stripes ascending + ctrl_mu_.
-    explicit StateLock(SpaceServer* server);
-    /// Subset scope: `stripe_indices` must be sorted and deduplicated.
-    StateLock(SpaceServer* server, const std::vector<size_t>& stripe_indices);
-    ~StateLock();
-    StateLock(const StateLock&) = delete;
-    StateLock& operator=(const StateLock&) = delete;
-
-   private:
-    void LockCounting(std::mutex& mu);
-    SpaceServer* server_;
-    bool engaged_ = false;  // live_threaded_ at construction
-    bool all_ = false;
-    std::vector<size_t> subset_;
   };
 
   /// One message queued on a peer link: a forwarded batch of commit outs
@@ -288,12 +203,6 @@ class SpaceServer {
     int32_t txn_incarnation = 0;
     uint64_t txn_seq = 0;
     uint8_t decision = 0;          // kDecide: kTxnCommit / kTxnAbort
-    /// Threaded mode: the WAL seq of the entry whose apply enqueued this
-    /// message. PumpPeers holds the message back until that entry is
-    /// durable, so a peer can never observe (and durably apply) effects of
-    /// a log record that a crash of this server would erase. 0 = no
-    /// dependency (replayed/restored messages are durable by definition).
-    uint64_t walseq = 0;
   };
 
   /// Outbound server-to-server forwarding state for one peer server (the
@@ -366,6 +275,11 @@ class SpaceServer {
   /// acknowledge the mutation in that case, or a recovered server would
   /// disagree with what clients were told.
   bool AppendLog(const LogEntry& entry);
+  /// wal_sync only: one fdatasync covering every append since the last one
+  /// (the group commit of a serve-loop pass). Returns false once durability
+  /// is lost; a failed fdatasync is never retried, because the kernel may
+  /// already have dropped the dirty pages it failed to write.
+  bool SyncWal();
   bool ReplayLog(const std::string& path);
 
   /// Applies a logged mutation to the space / client tables and returns the
@@ -383,45 +297,17 @@ class SpaceServer {
   Reply BatchReplyFor(const LogEntry& entry);
 
   // --- request handling --------------------------------------------------
+  /// Decodes one frame and applies it (or answers it with an error).
   void HandleFrame(Conn& conn, std::string_view payload);
-  /// The post-decode half of HandleFrame: dispatches one already-decoded
-  /// request. Workers run DecodeRequest outside any lock and call this
-  /// under a StateLock covering ComputeScope()'s stripe set; the
-  /// single-threaded path calls it inline with no locks.
-  void DispatchRequest(Conn& conn, const Request& request, bool decode_ok,
-                       const std::string& decode_error);
-  /// Decides which stripes `request` may touch. Returns true with a sorted,
-  /// deduplicated stripe set for the fast-path ops (out / single-bucket
-  /// in / all-single-bucket batch / single-bucket count); false means the
-  /// request needs the full scope (control-plane ops, formal-first
-  /// templates, 2PC, stats, or any traffic while partitioned). Called by
-  /// workers outside any lock — this is the scheduler's bucket affinity.
-  bool ComputeScope(const Request& request, bool decode_ok,
-                    std::vector<size_t>* stripes) const;
   void HandleHello(Conn& conn, const Request& request);
   void HandleIn(Conn& conn, const Request& request);
   void HandleBatch(Conn& conn, const Request& request);
-  /// Publish-side waiter wakeup. Under a full StateLock (or single-threaded)
-  /// it runs SatisfyAllWaiters() immediately; under a fast-path subset
-  /// scope it only marks the dispatch as needing a wakeup pass, and the
-  /// worker escalates to a full StateLock after releasing its stripes
-  /// (counted in stripe_conflicts_) — waiter satisfaction may consult and
-  /// mutate any stripe plus the client tables, so it never runs under a
-  /// partial scope.
+  /// Publish-side wakeup: scans the parked waiters in arrival order and
+  /// satisfies those whose template now matches.
   void SatisfyWaiters();
-  /// Scans every parked waiter in global ticket (arrival) order and
-  /// satisfies those whose template now matches. Requires the full scope.
-  void SatisfyAllWaiters();
-  /// Every parked waiter — per-stripe lists plus the formal list — as
-  /// (list, iterator) pairs sorted by ticket: the same global arrival order
-  /// the pre-striping server kept in one FIFO list. Requires the full scope
-  /// (or single-threaded); callers may erase the iterators they visit.
-  std::vector<std::pair<std::list<Waiter>*, std::list<Waiter>::iterator>>
-  WaitersByTicket();
-  /// Parks a blocking in/rd: on the template's stripe when it is pinned to
-  /// a single bucket, else on the formal list (caller then holds the full
-  /// scope by construction — formal templates never take the fast path).
+  /// Parks a blocking in/rd at the back of waiters_.
   void ParkWaiter(Conn& conn, const Request& request);
+  /// Queues a reply on conn.outbuf; the serve loop's flush phase sends it.
   void SendReply(Conn& conn, const Reply& reply);
   void SendEncoded(Conn& conn, const std::string& encoded_reply);
   void SendError(Conn& conn, const std::string& detail);
@@ -449,8 +335,9 @@ class SpaceServer {
   /// identical fseq, and the snapshot persists the queues and counters.
   void EnqueueForward(size_t target, std::vector<Tuple> outs);
   /// Connects / resends / flushes every peer link; called once per serve
-  /// loop pass. Transport errors drop the link — the unacked queue resends
-  /// on the next pass and the peer's watermark dedups.
+  /// loop pass, after the pass's group commit. Transport errors drop the
+  /// link — the unacked queue resends on the next pass and the peer's
+  /// watermark dedups.
   void PumpPeers();
   void DropPeer(PeerLink& peer);
   /// Drains ack replies from readable peer link `k`. Each ack retires the
@@ -482,76 +369,45 @@ class SpaceServer {
   /// already exists (the point already fired before a restart).
   void MaybeDieAt(const char* marker);
 
-  // --- threaded serve loop -------------------------------------------------
-  bool Threaded() const { return threads_ > 1; }
-  /// Worker pool body: pops a runnable connection, drains its inbox —
-  /// decode outside any lock, ComputeScope, dispatch under a StateLock over
-  /// exactly that stripe set — then handles deferred waiter wakeups and the
-  /// checkpoint check after releasing the scope. Repeats.
-  void WorkerLoop();
-  /// Log-writer body: coalesces queued WAL frames into one writev (+
-  /// fdatasync) batch, advances wal_durable_seq_, wakes the I/O thread.
-  void LogWriterLoop();
-  /// Queues `conn` for a worker if it has frames and is not already owned
-  /// by one. Caller holds sched_mu_.
-  void ScheduleConnLocked(Conn* conn);
-  void WakeIo();
-  /// Marks `fd` as needing a flush pass on the I/O thread (replies were
-  /// appended off-thread) and wakes it.
-  void RequestFlush(int fd);
-  /// I/O thread: moves durably-releasable replies from conn.outgoing to
-  /// conn.outbuf (FIFO; stops at the first reply whose WAL entry is not yet
-  /// durable). Returns true if anything is still gated.
-  bool DrainOutgoing(Conn& conn);
-  /// I/O thread: writes as much of conn.outbuf as the socket accepts,
-  /// advancing the sent-offset cursor. Returns false on a fatal error.
+  // --- connection I/O ----------------------------------------------------
+  /// Writes as much of conn.outbuf as the socket accepts, advancing the
+  /// sent-offset cursor. Returns false on a fatal error.
   bool FlushConn(Conn& conn);
   /// Arms / disarms EPOLLOUT to match whether conn has unflushed output.
-  /// No-op for shm connections: their doorbell eventfd is always writable,
-  /// and backpressure rides the ring's armed writer flag instead.
+  /// No-op for shm connections: their doorbell is always writable, and
+  /// backpressure rides the ring's armed writer flag instead.
   void UpdateConnEvents(Conn& conn);
-  /// I/O thread, shm conns: drains the c2s ring into conn.reader's
-  /// zero-copy write buffer and checks the handshake socket for peer death.
-  /// Returns false when the connection is gone (drop it).
+  /// Shm conns: drains the c2s ring into conn.reader's zero-copy write
+  /// buffer and checks the handshake socket for peer death. Returns false
+  /// when the connection is gone (drop it).
   bool ReadShmConn(Conn& conn);
-  /// I/O thread, shm conns: pushes conn.outbuf into the s2c ring. On a full
-  /// ring, arms the writer flag and returns with bytes still pending — the
-  /// client's next ring read wakes our doorbell, which re-requests a flush.
-  /// Returns false when the connection is gone.
+  /// Shm conns: pushes conn.outbuf into the s2c ring. On a full ring, arms
+  /// the writer flag and returns with bytes still pending — the client's
+  /// next ring read wakes our doorbell, which re-requests a flush. Returns
+  /// false when the connection is gone.
   bool FlushShmConn(Conn& conn);
   /// Folds conn.shm's syscall tally into transport_syscalls_ (delta since
-  /// the last fold, tracked by conn.shm_sys_reported). I/O thread only.
+  /// the last fold, tracked by conn.shm_sys_reported).
   void FoldShmSyscalls(Conn& conn);
 
-  SpaceServerOptions options_;
+  SpaceServerOptions options_;  // wal_sync already resolved against the env
   /// The striped space: stripes_.size() == options_.num_shards, routed by
-  /// BucketStripeIndex. unique_ptr keeps Stripe (which owns a mutex)
-  /// addresses stable. Each stripe's space + waiters are guarded by its mu;
-  /// a full StateLock (all stripes ascending) is the quiesce.
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  /// Formal-string-first blocking waiters: their template can match any
-  /// bucket of its arity, so they park globally. Guarded by the full scope
-  /// (parking a formal waiter is always a full-scope op). The count is
-  /// atomic so fast-path publishers can cheaply decide whether to escalate.
-  std::list<Waiter> formal_waiters_;
-  std::atomic<uint64_t> waiter_ticket_{0};  // global arrival order
-  std::atomic<uint64_t> waiter_count_{0};   // parked waiters, all lists
+  /// BucketStripeIndex.
+  std::vector<TupleSpace> stripes_;
+  /// Parked blocking in/rd requests, oldest first.
+  std::list<Waiter> waiters_;
   /// Endpoint string per server index; size 1 = single-server (no peers).
   std::vector<std::string> placement_;
   std::vector<PeerLink> peers_;  // indexed by server index; self unused
   /// pid -> (stamp, continuation): stamp = (incarnation<<32)|commit counter,
   /// so an XRecover scatter can pick the newest continuation across servers.
   std::map<int32_t, std::pair<uint64_t, Tuple>> continuations_;
-  /// Map *structure* (insert/erase) mutates only under the full scope
-  /// (HELLO and recovery); fast paths find() existing entries. A given
-  /// ClientState's contents are protected by the pid's client_mu_ slot,
-  /// which fast-path dispatches hold for their whole append+apply (see
-  /// WorkerLoop) — full-scope holders are excluded from fast paths by the
-  /// stripe mutexes themselves.
   std::map<int32_t, ClientState> clients_;
-  /// unique_ptr so Conn addresses stay stable while a worker holds one
-  /// across map mutations on the I/O thread.
+  /// unique_ptr so DropConns can detach a dying Conn from the map and
+  /// still read it during the crash-abort phase.
   std::map<int, std::unique_ptr<Conn>> conns_;
+  /// Connections with replies queued since the last flush phase.
+  std::set<int> flush_request_;
 
   /// Coordinator: in-doubt cross-server commits, keyed by pid (one open
   /// transaction per client at a time).
@@ -564,110 +420,50 @@ class SpaceServer {
   uint64_t epoch_ = 0;  // checkpoint epoch; the log file is log.<epoch>
   int log_fd_ = -1;
   int listen_fd_ = -1;
+  int epoll_fd_ = -1;
   /// True while serving on a TCP endpoint: accepted sockets and outbound
   /// peer connects get TCP_NODELAY + SO_KEEPALIVE.
   bool tcp_listener_ = false;
   /// True while serving on a shm endpoint: accepted sockets run the
   /// ShmAcceptReader first-read state machine (handshake vs plain frames).
   bool shm_listener_ = false;
-  /// Atomic: bumped by AppendLog from any dispatch scope; workers check it
-  /// after releasing their stripes and re-check under a full StateLock
-  /// before checkpointing (the quiesce protocol — see TakeCheckpoint).
-  std::atomic<int> ops_since_checkpoint_{0};
-  std::atomic<bool> cancelled_{false};
+  int ops_since_checkpoint_ = 0;
+  bool cancelled_ = false;
   /// Chaos partition (Op::kChaosPartition): while true, every registered
   /// client and peer connection is dropped (without crash-abort — the
   /// clients are alive, merely cut off) and their traffic is blackholed;
   /// control connections stay reachable as the out-of-band heal channel.
-  /// Atomic: read by ComputeScope outside any lock (a set flag forces new
-  /// dispatches onto the full scope, where the blackhole path runs).
-  std::atomic<bool> partitioned_{false};
-  std::atomic<bool> stop_{false};
-  // Durability lost: stop serving, exit nonzero.
-  std::atomic<bool> wal_failed_{false};
+  bool partitioned_ = false;
+  bool stop_ = false;
+  bool wal_failed_ = false;  // durability lost: stop serving, exit nonzero
+  std::string wal_frame_buf_;  // AppendLog frame reuse
+  /// wal_sync: log bytes written since the last fdatasync.
+  uint64_t wal_unsynced_bytes_ = 0;
+  /// Durable WAL groups (one per append without wal_sync, one per
+  /// fdatasync with it) and the log bytes they covered, reported in STATS.
+  uint64_t wal_group_commits_ = 0;
+  uint64_t wal_synced_bytes_ = 0;
+  /// Transport-level I/O counters, reported in STATS (per-conn shm deltas
+  /// are folded in via Conn::shm_sys_reported).
+  uint64_t transport_syscalls_ = 0;
+  uint64_t transport_bytes_ = 0;
 
-  // --- threading machinery (all unused when threads_ == 1) ----------------
-  int threads_ = 1;       // resolved worker count (options / env / auto)
-  bool wal_sync_ = true;  // resolved from options.wal_sync / FPDM_WAL_SYNC
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: workers / log writer wake the I/O thread
-  /// True once Serve() is live in threaded mode; Enqueue* tag peer messages
-  /// with the current WAL seq only then (replay-time messages are durable).
-  bool live_threaded_ = false;
-  /// Control-plane lock: clients_ map structure, continuations_, the 2PC
-  /// maps (coord_pending_ / prepared_ / decisions_), peers_, and
-  /// formal_waiters_. Only ever taken while holding every stripe (it is the
-  /// tail of a full StateLock), so "full scope" == all stripes + ctrl.
-  /// Lock order: stripe[i] ascending → ctrl_mu_ → client_mu_[slot] →
-  /// log_mu_ → (out_mu | sched_mu_ | flush_mu_ leaf locks).
-  std::mutex ctrl_mu_;
-  /// Per-client lock striping (slot = pid & 15): a fast-path dispatch for a
-  /// registered client holds its slot across the whole dedup-scan + append
-  /// + apply + reply-cache, so two connections carrying the same pid (the
-  /// reconnect-resend race) serialize their ClientState mutations in WAL
-  /// order even when their requests land on different stripes. Full-scope
-  /// holders don't need a slot — the stripe mutexes already exclude every
-  /// fast path.
-  std::array<std::mutex, 16> client_mu_;
-  /// Contention telemetry, reported in STATS: StateLock acquisitions that
-  /// had to block, and dispatches that could not stay on one stripe (full
-  /// scope with >1 stripe configured, multi-stripe batches, or a publish
-  /// that had to escalate to wake parked waiters).
-  std::atomic<uint64_t> state_lock_waits_{0};
-  std::atomic<uint64_t> stripe_conflicts_{0};
-  std::mutex sched_mu_;
-  std::condition_variable sched_cv_;
-  std::deque<Conn*> runnable_;  // conns with frames, not owned by a worker
-  bool workers_stop_ = false;   // guarded by sched_mu_
-  struct PendingWal {
-    uint64_t seq = 0;
-    std::string frame;  // fully framed: [len][hash][payload]
-  };
-  std::mutex log_mu_;
-  std::condition_variable log_cv_;
-  std::deque<PendingWal> wal_pending_;     // guarded by log_mu_
-  std::vector<std::string> wal_buf_pool_;  // recycled frames, log_mu_
-  bool log_stop_ = false;                  // guarded by log_mu_
-  /// Last WAL seq handed out at enqueue (assigned under log_mu_ together
-  /// with the push, so wal_pending_ is always seq-ordered even with
-  /// concurrent stripe-parallel appenders) and last seq the log writer has
-  /// made durable. A reply/peer message tagged S is held until
-  /// wal_durable_seq_ >= S.
-  std::atomic<uint64_t> wal_enqueued_seq_{0};
-  std::atomic<uint64_t> wal_durable_seq_{0};
-  std::mutex flush_mu_;
-  std::set<int> flush_request_;  // fds with replies appended off-thread
-  std::vector<std::thread> workers_;
-  std::thread log_thread_;
-  std::string wal_frame_buf_;  // single-threaded AppendLog frame reuse
-  std::atomic<uint64_t> wal_group_commits_{0};
-  std::atomic<uint64_t> wal_synced_bytes_{0};
-  /// Transport-level I/O counters, reported in STATS. Atomic because the
-  /// I/O thread updates them lock-free while workers read them under
-  /// state_mu_ — the shm pointers themselves are never touched off the I/O
-  /// thread (per-conn deltas are folded in via Conn::shm_sys_reported).
-  std::atomic<uint64_t> transport_syscalls_{0};
-  std::atomic<uint64_t> transport_bytes_{0};
-
-  // Telemetry counters, atomic because fast-path dispatches on different
-  // stripes bump them concurrently (relaxed: they are statistics, ordered
-  // for the snapshot by the full scope every encoder holds).
-  std::atomic<uint64_t> publish_epoch_{0};
-  std::atomic<uint64_t> tuple_ops_{0};
-  std::atomic<uint64_t> commits_{0};
-  std::atomic<uint64_t> aborts_{0};
-  std::atomic<uint64_t> checkpoints_{0};
-  std::atomic<uint64_t> ops_replayed_{0};
-  std::atomic<uint64_t> cross_shard_ops_{0};
-  std::atomic<uint64_t> batch_frames_{0};  // kBatch frames (live + replay)
-  std::atomic<uint64_t> batched_ops_{0};   // sub-ops carried by those frames
-  std::atomic<uint64_t> txn_prepares_{0};  // PREPARE messages fanned out
-  std::atomic<uint64_t> txn_cross_server_{0};  // cross-server commits coord'd
+  uint64_t publish_epoch_ = 0;
+  uint64_t tuple_ops_ = 0;
+  uint64_t commits_ = 0;
+  uint64_t aborts_ = 0;
+  uint64_t checkpoints_ = 0;
+  uint64_t ops_replayed_ = 0;
+  uint64_t cross_shard_ops_ = 0;
+  uint64_t batch_frames_ = 0;  // kBatch frames (live + replay)
+  uint64_t batched_ops_ = 0;   // sub-ops carried by those frames
+  uint64_t txn_prepares_ = 0;  // PREPARE messages fanned out
+  uint64_t txn_cross_server_ = 0;  // cross-server commits coord'd
   // Volatile chaos-kill-point progress (reset on restart; the marker file
   // written by MaybeDieAt keeps each point one-shot per state_dir).
   int votes_received_ = 0;          // PREPARE votes seen as coordinator
   int prepared_votes_logged_ = 0;   // PREPARED records logged as participant
-  std::atomic<int> wal_appends_attempted_{0};  // wal_fail_after injection
+  int wal_appends_attempted_ = 0;   // wal_fail_after injection
 };
 
 }  // namespace fpdm::plinda::net

@@ -303,9 +303,9 @@ struct Reply {
   /// cross-server transactions this server coordinated.
   uint64_t txn_prepares = 0;
   uint64_t txn_cross_server = 0;
-  /// kStats: WAL group-commit observability — durable batches flushed
-  /// (writev + fdatasync; one per append in single-threaded mode) and the
-  /// log bytes those batches made durable.
+  /// kStats: WAL group-commit observability — durable groups (one per
+  /// append without wal_sync, one per fdatasync with it) and the log bytes
+  /// those groups covered.
   uint64_t wal_group_commits = 0;
   uint64_t wal_synced_bytes = 0;
   /// kStats: transport-level I/O — syscalls the server spent moving bytes
@@ -314,10 +314,8 @@ struct Reply {
   /// op in steady state.
   uint64_t transport_syscalls = 0;
   uint64_t transport_bytes = 0;
-  /// kStats: striped-lock observability — times a worker found a stripe or
-  /// control mutex contended (state_lock_waits), times a fast-path request
-  /// had to escalate to the all-stripes scope or collide on the full lock
-  /// (stripe_conflicts), and the server's stripe count.
+  /// kStats: two lock counters that always read 0 (the server takes no
+  /// locks; they keep the wire layout), and the server's stripe count.
   uint64_t state_lock_waits = 0;
   uint64_t stripe_conflicts = 0;
   uint64_t stripes = 0;

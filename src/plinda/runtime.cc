@@ -889,8 +889,13 @@ bool Runtime::RunReal() {
       // matching publish already bumped its shard's generation, so it will
       // consume the tuple once scheduled) — common on oversubscribed
       // single-core hosts. Only an all-parked, epoch-stable, no-match
-      // state can never resolve itself.
-      if (prev_all_blocked && epoch == prev_epoch && !AnyRealWaiterCanMatch()) {
+      // state can never resolve itself. The scan is not atomic with the
+      // reads above: a starved waiter may wake and take its tuple in
+      // between, and then no longer counts as parked when the scan reaches
+      // it. So cancel only if both values still read the same afterwards.
+      if (prev_all_blocked && epoch == prev_epoch &&
+          !AnyRealWaiterCanMatch() && rspace_->waiters() == blocked &&
+          rspace_->publish_epoch() == epoch) {
         deadlocked_ = true;
         closed_for_deadlock = true;
         lock.unlock();  // Close() takes shard locks; never under mu_

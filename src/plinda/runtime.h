@@ -138,10 +138,8 @@ struct RuntimeOptions {
   /// write, so the server process exits fatally (exit code 1). The
   /// supervisor must fail the run with a structured kServerDead error.
   int distributed_wal_fail_after = 0;
-  /// kDistributed: worker threads per shard server. 0 = server default
-  /// (FPDM_SERVER_THREADS env, else min(4, hardware cores)); 1 = the
-  /// single-threaded serve loop (bit-identical legacy path); N > 1 = epoll
-  /// I/O thread + N strand workers + a group-commit WAL writer.
+  /// Ignored: every shard server runs one serve loop on one thread. Kept
+  /// only so callers that still set it compile.
   int distributed_server_threads = 0;
   /// kDistributed transport between workers and shard servers: "unix"
   /// (default; sockets under distributed_dir), "tcp" (loopback TCP; the
@@ -295,11 +293,11 @@ struct RuntimeStats {
   /// ins shared its coordinator (the fast path skips the prepare round).
   uint64_t dist_txn_prepares = 0;
   uint64_t dist_txn_cross_server = 0;
-  /// kDistributed: group-commit WAL batches the shard servers wrote and the
-  /// WAL bytes they made durable, summed over the servers.
-  /// wal_synced_bytes / wal_group_commits is the mean batch size; with one
-  /// thread each batch is a single entry (the legacy write-per-mutation
-  /// path), with workers it measures how well group commit coalesces.
+  /// kDistributed: durable WAL groups the shard servers made and the WAL
+  /// bytes those groups covered, summed over the servers. Without wal_sync
+  /// each append is its own group; with it each group is one fdatasync per
+  /// serve-loop pass, so wal_synced_bytes / wal_group_commits measures how
+  /// many bytes one sync coalesced.
   uint64_t wal_group_commits = 0;
   uint64_t wal_synced_bytes = 0;
   /// kDistributed: transport-level I/O summed over the shard servers —
@@ -309,12 +307,8 @@ struct RuntimeStats {
   /// shm transport exists to drive toward zero.
   uint64_t transport_syscalls = 0;
   uint64_t transport_bytes = 0;
-  /// kDistributed: striped-lock contention summed over the shard servers —
-  /// times a worker found a stripe or control mutex already held
-  /// (state_lock_waits) and times a request escalated to or collided on the
-  /// all-stripes scope (stripe_conflicts). Both stay 0 with one stripe or
-  /// one worker thread; under load they measure how much of the apply path
-  /// actually ran in parallel.
+  /// Always 0: the shard servers run one serve loop and take no locks.
+  /// Kept only because existing benchmark reports read them.
   uint64_t state_lock_waits = 0;
   uint64_t stripe_conflicts = 0;
 };

@@ -540,7 +540,6 @@ bool Runtime::RunDistributed() {
     sopts.die_in_doubt_after = options_.distributed_die_in_doubt_after;
     sopts.die_after_prepared = options_.distributed_die_after_prepared;
     sopts.wal_fail_after = options_.distributed_wal_fail_after;
-    sopts.threads = options_.distributed_server_threads;
     return sopts;
   };
 
@@ -1258,8 +1257,6 @@ bool Runtime::RunDistributed() {
       stats_.wal_synced_bytes += server_stats.wal_synced_bytes;
       stats_.transport_syscalls += server_stats.transport_syscalls;
       stats_.transport_bytes += server_stats.transport_bytes;
-      stats_.state_lock_waits += server_stats.state_lock_waits;
-      stats_.stripe_conflicts += server_stats.stripe_conflicts;
       for (Tuple& tuple : leg_take[static_cast<size_t>(k)].tuples) {
         space_.Out(std::move(tuple));
       }

@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -392,9 +393,14 @@ class RawClient {
     }
   }
 
-  bool Send(const Request& request) {
+  bool Send(const Request& request) { return SendAll({request}); }
+
+  /// Sends every request in one write, so the server reads them together.
+  bool SendAll(const std::vector<Request>& requests) {
     std::string framed;
-    AppendFrame(EncodeRequest(request), &framed);
+    for (const Request& request : requests) {
+      AppendFrame(EncodeRequest(request), &framed);
+    }
     size_t off = 0;
     while (off < framed.size()) {
       const ssize_t w = ::send(fd_, framed.data() + off, framed.size() - off,
@@ -407,23 +413,17 @@ class RawClient {
 
   bool Receive(Reply* reply) {
     std::string payload;
-    if (!ReceiveRaw(&payload)) return false;
-    std::string error;
-    return DecodeReply(payload, reply, &error);
-  }
-
-  /// Like Receive, but hands back the undecoded frame payload — for tests
-  /// that compare reply streams byte for byte.
-  bool ReceiveRaw(std::string* payload) {
     char buf[4096];
     for (;;) {
-      const FrameReader::Result result = reader_.Next(payload);
-      if (result == FrameReader::Result::kFrame) return true;
+      const FrameReader::Result result = reader_.Next(&payload);
+      if (result == FrameReader::Result::kFrame) break;
       if (result == FrameReader::Result::kError) return false;
       const ssize_t n = ::read(fd_, buf, sizeof(buf));
       if (n <= 0) return false;
       reader_.Feed(buf, static_cast<size_t>(n));
     }
+    std::string error;
+    return DecodeReply(payload, reply, &error);
   }
 
  private:
@@ -2292,7 +2292,8 @@ TEST_F(ShardedNetIntegrationTest, XRecoverScatterReturnsNewestContinuation) {
 }
 
 // ---------------------------------------------------------------------------
-// Short-write stress (tiny SO_SNDBUF) and threaded-serve equivalence
+// Short-write stress (tiny SO_SNDBUF), many-client stress, and the serve
+// loop's group commit and wakeup latency
 // ---------------------------------------------------------------------------
 
 TEST_F(NetIntegrationTest, TinySndbufShortWritesLoseNoReplyBytes) {
@@ -2385,205 +2386,14 @@ TEST_F(ShortWriteShardedNetTest, PeerForwardsSurviveShortWrites) {
   client.Bye();
 }
 
-TEST_F(NetIntegrationTest, ThreadedServeAnswersByteIdenticalToSingle) {
-  // One scripted client session, replayed against a single-threaded server
-  // and a 4-worker threaded server on fresh state: the raw reply streams
-  // must match byte for byte (the threaded loop keeps per-connection FIFO
-  // through the strand scheduler and the durability-gated release).
-  const auto run = [&](int threads, std::vector<std::string>* replies) {
-    StopServer();
-    sopts_.threads = threads;
-    sopts_.state_dir = dir_ + "/state.t" + std::to_string(threads);
-    StartServer();
-    RawClient c(sopts_.endpoint);
-    ASSERT_TRUE(c.ok());
-    const auto roundtrip = [&](const Request& req) {
-      ASSERT_TRUE(c.Send(req));
-      std::string raw;
-      ASSERT_TRUE(c.ReceiveRaw(&raw));
-      replies->push_back(std::move(raw));
-    };
-    Request hello;
-    hello.op = Op::kHello;
-    hello.pid = 9;
-    roundtrip(hello);
-    uint64_t seq = 0;
-    for (int i = 0; i < 3; ++i) {
-      Request out;
-      out.op = Op::kOut;
-      out.pid = 9;
-      out.seq = ++seq;
-      out.tuple = MakeTuple("job", i, std::string(2048, 'j'));
-      roundtrip(out);
-    }
-    const Template tmpl = MakeTemplate(A("job"), F(ValueType::kInt),
-                                       F(ValueType::kString));
-    Request rd;
-    rd.op = Op::kIn;
-    rd.pid = 9;
-    rd.seq = ++seq;
-    rd.tmpl = tmpl;
-    roundtrip(rd);  // non-destructive, non-blocking read
-    Request take;
-    take.op = Op::kIn;
-    take.pid = 9;
-    take.seq = ++seq;
-    take.flags = kInRemove;
-    take.tmpl = tmpl;
-    roundtrip(take);
-    Request cnt;
-    cnt.op = Op::kCount;
-    cnt.pid = 9;
-    cnt.seq = ++seq;
-    cnt.tmpl = tmpl;
-    roundtrip(cnt);
-    Request xstart;
-    xstart.op = Op::kXStart;
-    xstart.pid = 9;
-    xstart.seq = ++seq;
-    roundtrip(xstart);
-    Request txn_take = take;
-    txn_take.seq = ++seq;
-    roundtrip(txn_take);
-    Request commit;
-    commit.op = Op::kXCommit;
-    commit.pid = 9;
-    commit.seq = ++seq;
-    commit.outs = {MakeTuple("res", 1), MakeTuple("res", 2)};
-    roundtrip(commit);
-    Request miss;
-    miss.op = Op::kIn;
-    miss.pid = 9;
-    miss.seq = ++seq;
-    miss.tmpl = MakeTemplate(A("missing"), F(ValueType::kInt));
-    roundtrip(miss);  // kNotFound is part of the stream too
-  };
-  std::vector<std::string> single;
-  std::vector<std::string> threaded;
-  run(1, &single);
-  run(4, &threaded);
-  ASSERT_EQ(single.size(), threaded.size());
-  for (size_t i = 0; i < single.size(); ++i) {
-    EXPECT_EQ(single[i], threaded[i]) << "reply " << i;
-  }
-}
-
-TEST_F(NetIntegrationTest, StripedServeAnswersByteIdenticalToSingle) {
-  // The multi-stripe twin of the byte-identity gate above: 8 stripes, a
-  // scripted session whose ops land on many distinct stripes and whose
-  // formal-first templates cross all of them. threads=1 runs the identical
-  // algorithm with every StateLock a no-op, so the raw reply stream of the
-  // 4-worker striped server must match it byte for byte — per-conn FIFO and
-  // dedup survive cross-stripe interleaving.
-  const auto run = [&](int threads, std::vector<std::string>* replies) {
-    StopServer();
-    sopts_.threads = threads;
-    sopts_.num_shards = 8;
-    sopts_.state_dir = dir_ + "/state.s" + std::to_string(threads);
-    StartServer();
-    RawClient c(sopts_.endpoint);
-    ASSERT_TRUE(c.ok());
-    const auto roundtrip = [&](const Request& req) {
-      ASSERT_TRUE(c.Send(req));
-      std::string raw;
-      ASSERT_TRUE(c.ReceiveRaw(&raw));
-      replies->push_back(std::move(raw));
-    };
-    Request hello;
-    hello.op = Op::kHello;
-    hello.pid = 11;
-    roundtrip(hello);
-    uint64_t seq = 0;
-    // Outs spread over 8 distinct keys: distinct buckets, so on the
-    // threaded server most are fast-path single-stripe applies.
-    for (int i = 0; i < 8; ++i) {
-      Request out;
-      out.op = Op::kOut;
-      out.pid = 11;
-      out.seq = ++seq;
-      out.tuple = MakeTuple("k" + std::to_string(i), i);
-      roundtrip(out);
-    }
-    // A batch whose sub-ops span several stripes: one multi-stripe scope.
-    Request batch;
-    batch.op = Op::kBatch;
-    batch.pid = 11;
-    batch.seq = ++seq;
-    for (int i = 0; i < 4; ++i) {
-      BatchOp sub;
-      sub.op = Op::kOut;
-      sub.tuple = MakeTuple("k" + std::to_string(i), 100 + i);
-      batch.batch.push_back(sub);
-    }
-    for (int i = 0; i < 4; ++i) {
-      BatchOp sub;
-      sub.op = Op::kIn;
-      sub.flags = kInRemove;
-      sub.tmpl = MakeTemplate(A("k" + std::to_string(i)), F(ValueType::kInt));
-      batch.batch.push_back(sub);
-    }
-    roundtrip(batch);
-    // Formal-first count and takes: the all-stripes slow path, whose
-    // matching order must not depend on the worker count.
-    Request cnt;
-    cnt.op = Op::kCount;
-    cnt.pid = 11;
-    cnt.seq = ++seq;
-    cnt.tmpl = MakeTemplate(F(ValueType::kString), F(ValueType::kInt));
-    roundtrip(cnt);
-    for (int i = 0; i < 4; ++i) {
-      Request take;
-      take.op = Op::kIn;
-      take.pid = 11;
-      take.seq = ++seq;
-      take.flags = kInRemove;
-      take.tmpl = MakeTemplate(F(ValueType::kString), F(ValueType::kInt));
-      roundtrip(take);
-    }
-    // A transaction whose take and commit outs touch different stripes.
-    Request xstart;
-    xstart.op = Op::kXStart;
-    xstart.pid = 11;
-    xstart.seq = ++seq;
-    roundtrip(xstart);
-    Request take;
-    take.op = Op::kIn;
-    take.pid = 11;
-    take.seq = ++seq;
-    take.flags = kInRemove;
-    take.tmpl = MakeTemplate(A("k5"), F(ValueType::kInt));
-    roundtrip(take);
-    Request commit;
-    commit.op = Op::kXCommit;
-    commit.pid = 11;
-    commit.seq = ++seq;
-    commit.outs = {MakeTuple("r1", 1), MakeTuple("r2", 2)};
-    roundtrip(commit);
-    Request cnt2 = cnt;
-    cnt2.seq = ++seq;
-    roundtrip(cnt2);
-  };
-  std::vector<std::string> single;
-  std::vector<std::string> striped;
-  run(1, &single);
-  run(4, &striped);
-  ASSERT_EQ(single.size(), striped.size());
-  for (size_t i = 0; i < single.size(); ++i) {
-    EXPECT_EQ(single[i], striped[i]) << "reply " << i;
-  }
-}
-
 TEST_F(NetIntegrationTest, StripedStressManyClientsKeepFifoAndDrain) {
-  // Contention harness for the striped apply path: a 4-worker server with 8
-  // stripes and 8 client threads arranged in a ring. Each thread produces
-  // for its neighbour's key and blocking-takes from its own, so every
-  // wakeup crosses stripes; a pipelined multi-stripe batch and a small
-  // transaction ride along, and checkpoint_every_ops=4 forces constant
-  // full-scope quiesces between fast-path applies. Under TSan this is the
-  // data-race gate for the striped locks; the checks below are the
+  // Many clients against an 8-stripe server: 8 client threads arranged in
+  // a ring. Each thread produces for its neighbour's key and blocking-takes
+  // from its own, so every wakeup crosses stripes; a pipelined multi-stripe
+  // batch and a small transaction ride along, and checkpoint_every_ops=4
+  // forces constant checkpoints between applies. The checks below are the
   // functional gate (per-bucket FIFO + a fully drained space).
   StopServer();
-  sopts_.threads = 4;
   sopts_.num_shards = 8;
   sopts_.state_dir = dir_ + "/state.stress";
   StartServer();
@@ -2684,6 +2494,129 @@ TEST_F(NetIntegrationTest, StripedStressManyClientsKeepFifoAndDrain) {
   ASSERT_EQ(ctl.Stats(&stats), CallStatus::kOk);
   EXPECT_EQ(stats.stripes, 8u);
   ctl.Bye();
+}
+
+TEST_F(NetIntegrationTest, WalSyncGroupCommitsOncePerPassAndRecovers) {
+  // Three pipelined mutating frames arrive in one write, so the serve loop
+  // handles them in one pass. With wal_sync that pass makes one fdatasync
+  // (one group commit); without it every append is its own group.
+  if (std::getenv("FPDM_WAL_SYNC") != nullptr) {
+    GTEST_SKIP() << "FPDM_WAL_SYNC overrides SpaceServerOptions::wal_sync";
+  }
+  for (const bool sync : {true, false}) {
+    SCOPED_TRACE(sync ? "wal_sync" : "no wal_sync");
+    StopServer();
+    sopts_.wal_sync = sync;
+    sopts_.checkpoint_every_ops = 1000;  // recovery replays the log
+    sopts_.state_dir = dir_ + (sync ? "/state.sync" : "/state.nosync");
+    StartServer();
+    Request hello;
+    hello.op = Op::kHello;
+    hello.pid = 5;
+    Request stats;
+    stats.op = Op::kStats;
+    std::vector<Request> outs(3);
+    for (int i = 0; i < 3; ++i) {
+      outs[i].op = Op::kOut;
+      outs[i].seq = static_cast<uint64_t>(i + 1);
+      outs[i].tuple = MakeTuple("wal", i);
+    }
+    Reply reply;
+    Reply before;
+    Reply after;
+    {
+      RawClient c(sopts_.endpoint);
+      ASSERT_TRUE(c.ok());
+      ASSERT_TRUE(c.Send(hello));
+      ASSERT_TRUE(c.Receive(&reply));
+      ASSERT_TRUE(c.Send(stats));
+      ASSERT_TRUE(c.Receive(&before));
+      ASSERT_TRUE(c.SendAll(outs));
+      for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(c.Receive(&reply));
+        EXPECT_EQ(reply.status, WireStatus::kOk);
+      }
+      ASSERT_TRUE(c.Send(stats));
+      ASSERT_TRUE(c.Receive(&after));
+    }
+    EXPECT_EQ(after.wal_group_commits - before.wal_group_commits,
+              sync ? 1u : 3u);
+
+    // SIGKILL + restart on the same state dir: replay restores all three
+    // outs, and resending the frames gets the cached replies instead of a
+    // second apply.
+    StopServer();
+    StartServer();
+    RawClient c(sopts_.endpoint);
+    ASSERT_TRUE(c.ok());
+    ASSERT_TRUE(c.Send(hello));  // same incarnation: a reconnect
+    ASSERT_TRUE(c.Receive(&reply));
+    ASSERT_TRUE(c.SendAll(outs));
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(c.Receive(&reply));
+      EXPECT_EQ(reply.status, WireStatus::kOk);
+    }
+    Request count;
+    count.op = Op::kCount;
+    count.tmpl = MakeTemplate(A("wal"), F(ValueType::kInt));
+    ASSERT_TRUE(c.Send(count));
+    ASSERT_TRUE(c.Receive(&reply));
+    EXPECT_EQ(reply.count, 3u);
+    ASSERT_TRUE(c.Send(stats));
+    ASSERT_TRUE(c.Receive(&reply));
+    EXPECT_EQ(reply.ops_replayed, 4u);  // the HELLO and the three outs
+  }
+}
+
+TEST_F(NetIntegrationTest, CrashAbortWakeupIsNotHeldForTheIdleTick) {
+  // A reply queued after the serve loop's flush phase — here a parked in
+  // woken by the crash-abort of a client that vanished without BYE — must
+  // leave at once, not when the loop's 200 ms epoll_wait times out.
+  RemoteTupleSpace ctl(ClientOptions(-1));
+  ASSERT_TRUE(ctl.Connect());
+  ASSERT_EQ(ctl.Out(MakeTuple("job", 1)), CallStatus::kOk);
+  ctl.Bye();
+  const Template job = MakeTemplate(A("job"), F(ValueType::kInt));
+  Reply reply;
+  RawClient a(sopts_.endpoint);
+  ASSERT_TRUE(a.ok());
+  Request hello;
+  hello.op = Op::kHello;
+  hello.pid = 2;
+  ASSERT_TRUE(a.Send(hello));
+  ASSERT_TRUE(a.Receive(&reply));
+  Request xstart;
+  xstart.op = Op::kXStart;
+  xstart.seq = 1;
+  ASSERT_TRUE(a.Send(xstart));
+  ASSERT_TRUE(a.Receive(&reply));
+  Request take;
+  take.op = Op::kIn;
+  take.seq = 2;
+  take.flags = kInRemove;
+  take.tmpl = job;
+  ASSERT_TRUE(a.Send(take));
+  ASSERT_TRUE(a.Receive(&reply));
+  ASSERT_TRUE(reply.has_tuple);
+
+  RawClient b(sopts_.endpoint);
+  ASSERT_TRUE(b.ok());
+  hello.pid = 3;
+  ASSERT_TRUE(b.Send(hello));
+  ASSERT_TRUE(b.Receive(&reply));
+  Request park = take;
+  park.seq = 1;
+  park.flags = kInRemove | kInBlocking;
+  ASSERT_TRUE(b.Send(park));
+  // No reply: the in parks. Give the server a moment, then drop A.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto t0 = std::chrono::steady_clock::now();
+  a.Close();
+  ASSERT_TRUE(b.Receive(&reply));
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  ASSERT_TRUE(reply.has_tuple);
+  EXPECT_EQ(GetInt(reply.tuple, 1), 1);
+  EXPECT_LT(waited, std::chrono::milliseconds(50));
 }
 
 // ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@
 #                        series (BM_ScalingDistributedApriori/<workers>/<servers>
 #                        sweeps 1/2/4 shard servers at the largest fleet)
 #                        and the server-saturation series
-#                        (BM_ServerSaturation/<clients>/<server-threads>,
-#                        items/s + p99 + WAL group-commit counters; the
-#                        speedup curves are only visible on a multicore
-#                        host — check the hw_threads counter)
+#                        (BM_ServerSaturation/<clients>, items/s + p99 +
+#                        WAL group-commit counters; the speedup curves are
+#                        only visible on a multicore host — check the
+#                        hw_threads counter)
 # Usage: tools/run_benches.sh [--quick] [build-dir] [out-dir]
 #   --quick    shrink per-benchmark min time for a CI smoke run; the numbers
 #              are noisy and only prove the binaries run end to end
