@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -80,7 +81,10 @@ BENCHMARK(BM_ScalingApriori)
     ->Unit(benchmark::kMillisecond);
 
 // Sequence motif discovery (§4.2): the per-task motif-matching DP is the
-// dominant cost and runs concurrently on the worker threads.
+// dominant cost and runs concurrently on the worker threads. The problem
+// memoizes Goodness and TaskCost, so each iteration mines a fresh one —
+// built, and the previous one destroyed, outside the timed region — or
+// every iteration after the first would time a warm memo.
 void BM_ScalingSeqmine(benchmark::State& state) {
   seqmine::ProteinSetConfig config;
   config.num_sequences = 16;
@@ -88,17 +92,23 @@ void BM_ScalingSeqmine(benchmark::State& state) {
   config.max_length = 70;
   config.seed = 321;
   config.planted = {{"MKWVTFISLLFL", 9, 0.0}, {"HKSEVAHRFK", 7, 0.0}};
-  const seqmine::SequenceMiningProblem problem(
-      seqmine::GenerateProteinSet(config),
-      seqmine::SequenceMiningConfig{/*min_length=*/4, /*min_occurrence=*/6,
-                                    /*max_mutations=*/1});
+  const std::vector<std::string> sequences =
+      seqmine::GenerateProteinSet(config);
+  seqmine::SequenceMiningConfig mining;
+  mining.min_length = 4;
+  mining.min_occurrence = 6;
+  mining.max_mutations = 1;
   core::ParallelOptions options;
   options.strategy = core::Strategy::kLoadBalanced;
   options.execution_mode = plinda::ExecutionMode::kRealParallel;
   options.num_workers = static_cast<int>(state.range(0));
   core::ParallelResult result;
+  std::optional<seqmine::SequenceMiningProblem> problem;
   for (auto _ : state) {
-    result = core::MineParallel(problem, options);
+    state.PauseTiming();
+    problem.emplace(sequences, mining);
+    state.ResumeTiming();
+    result = core::MineParallel(*problem, options);
     if (!result.ok) state.SkipWithError("parallel run failed");
     benchmark::DoNotOptimize(result.mining.good_patterns.size());
   }
@@ -162,8 +172,6 @@ void FillWireCounters(benchmark::State& state,
       static_cast<double>(stats.wal_synced_bytes);
   // Transport-level observability, summed across the shard servers:
   // read/write/accept syscalls on the data path and payload bytes moved.
-  // Across the transport matrix the bytes stay flat (same frames) while
-  // the shm rows' syscall count collapses to doorbell wakes.
   state.counters["transport_syscalls"] =
       static_cast<double>(stats.transport_syscalls);
   state.counters["transport_bytes"] =
@@ -289,11 +297,10 @@ BENCHMARK(BM_ScatterGatherDistributed)
 // round trip per burst. Rows sweep the client count; the 8-client row is
 // the single serve loop under load. p99 burst latency (µs) rides along so a
 // throughput change bought with a latency collapse shows up.
-enum class SaturationTransport { kUnix, kTcp, kShm };
+enum class SaturationTransport { kUnix, kTcp };
 
 void ServerSaturationImpl(benchmark::State& state,
-                          SaturationTransport transport,
-                          int num_stripes = 1) {
+                          SaturationTransport transport) {
   using namespace plinda;
   const bool tcp = transport == SaturationTransport::kTcp;
   const int clients = static_cast<int>(state.range(0));
@@ -301,13 +308,10 @@ void ServerSaturationImpl(benchmark::State& state,
   constexpr int kRounds = 48;  // bursts per client per iteration
   const std::string dir = net::MakeStateDir();
   net::SpaceServerOptions sopts;
-  std::string endpoint = transport == SaturationTransport::kShm
-                             ? "shm:" + dir + "/space.sock"
-                             : dir + "/space.sock";
+  std::string endpoint = dir + "/space.sock";
   sopts.endpoint = tcp ? "tcp:127.0.0.1:0" : endpoint;
   if (tcp) sopts.resolved_endpoint_file = dir + "/endpoint";
   sopts.state_dir = dir + "/state";
-  sopts.num_shards = num_stripes;
   const pid_t server_pid = net::ForkServerProcess(sopts);
   if (server_pid <= 0) {
     state.SkipWithError("server start failed");
@@ -398,7 +402,6 @@ void ServerSaturationImpl(benchmark::State& state,
           static_cast<double>(stats.transport_syscalls);
       state.counters["transport_bytes"] =
           static_cast<double>(stats.transport_bytes);
-      state.counters["stripes"] = static_cast<double>(stats.stripes);
     }
     ctl.Bye();
   }
@@ -426,20 +429,6 @@ BENCHMARK(BM_ServerSaturation)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// The same saturation load against 8 stripes, so the per-client keys
-// ("w0".."w7") hash to mostly-distinct stripes: the items/s ratio against
-// the matching single-stripe BM_ServerSaturation row prices the stripe
-// partition itself. The stripes counter proves the striped layout flowed
-// end to end from the server's STATS reply.
-void BM_ServerSaturationStriped(benchmark::State& state) {
-  ServerSaturationImpl(state, SaturationTransport::kUnix, /*num_stripes=*/8);
-}
-BENCHMARK(BM_ServerSaturationStriped)
-    ->Arg(8)
-    ->Iterations(3)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 // The transport axis: the same saturation workload over loopback TCP. The
 // delta against the matching BM_ServerSaturation rows is pure transport
 // cost; the 8-client row doubles as the multi-client TCP soak.
@@ -447,22 +436,6 @@ void BM_ServerSaturationTcp(benchmark::State& state) {
   ServerSaturationImpl(state, SaturationTransport::kTcp);
 }
 BENCHMARK(BM_ServerSaturationTcp)
-    ->Arg(1)
-    ->Arg(8)
-    ->Iterations(3)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The same saturation workload over the shared-memory rings: 8 client
-// threads hammering one server through per-connection memfd rings, with
-// the epoll loop woken only by doorbell eventfds. Saturation is where
-// shm earns its keep even without spare cores — ring copies replace
-// socket reads/writes in the server's hot loop, which shows up as
-// items/s and p99 wins over the matching unix/tcp rows.
-void BM_ServerSaturationShm(benchmark::State& state) {
-  ServerSaturationImpl(state, SaturationTransport::kShm);
-}
-BENCHMARK(BM_ServerSaturationShm)
     ->Arg(1)
     ->Arg(8)
     ->Iterations(3)

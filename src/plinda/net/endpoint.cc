@@ -71,17 +71,13 @@ bool ParseEndpoint(const std::string& text, Endpoint* endpoint,
     endpoint->path.clear();
     return true;
   }
-  // "shm:<path>": the path names the Unix-domain handshake socket.
+  // Read as a bare path, "shm:<path>" would name a relative socket that no
+  // server ever binds, and a client would spend its whole reconnect window
+  // on it.
   if (text.rfind("shm:", 0) == 0) {
-    std::string path = text.substr(4);
-    if (path.empty()) {
-      return Fail(error, "bad endpoint \"" + text + "\": empty socket path");
-    }
-    endpoint->kind = Endpoint::Kind::kShm;
-    endpoint->path = std::move(path);
-    endpoint->host.clear();
-    endpoint->port = 0;
-    return true;
+    return Fail(error, "bad endpoint \"" + text +
+                           "\": the shm transport is retired; use unix: or "
+                           "tcp:");
   }
   // "unix:<path>", or a bare path for backward compatibility.
   std::string path = text;
@@ -100,17 +96,13 @@ std::string FormatEndpoint(const Endpoint& endpoint) {
   if (endpoint.kind == Endpoint::Kind::kTcp) {
     return "tcp:" + endpoint.host + ":" + std::to_string(endpoint.port);
   }
-  if (endpoint.kind == Endpoint::Kind::kShm) {
-    return "shm:" + endpoint.path;
-  }
   return "unix:" + endpoint.path;
 }
 
 bool EndpointUsable(const std::string& text, std::string* error) {
   Endpoint endpoint;
   if (!ParseEndpoint(text, &endpoint, error)) return false;
-  if (endpoint.kind == Endpoint::Kind::kUnix ||
-      endpoint.kind == Endpoint::Kind::kShm) {
+  if (endpoint.kind == Endpoint::Kind::kUnix) {
     sockaddr_un addr;
     return FillUnixAddr(endpoint.path, &addr, error);
   }
@@ -124,10 +116,7 @@ void ApplyTcpSocketOptions(int fd) {
 }
 
 int ConnectEndpoint(const Endpoint& endpoint, std::string* error) {
-  // An shm endpoint connects like a Unix one: the path is its handshake
-  // socket. What flows over the fd afterwards differs, not the connect.
-  if (endpoint.kind == Endpoint::Kind::kUnix ||
-      endpoint.kind == Endpoint::Kind::kShm) {
+  if (endpoint.kind == Endpoint::Kind::kUnix) {
     sockaddr_un addr;
     if (!FillUnixAddr(endpoint.path, &addr, error)) return -1;
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -174,8 +163,7 @@ int ConnectEndpoint(const Endpoint& endpoint, std::string* error) {
 }
 
 int ListenEndpoint(Endpoint* endpoint, int backlog, std::string* error) {
-  if (endpoint->kind == Endpoint::Kind::kUnix ||
-      endpoint->kind == Endpoint::Kind::kShm) {
+  if (endpoint->kind == Endpoint::Kind::kUnix) {
     sockaddr_un addr;
     if (!FillUnixAddr(endpoint->path, &addr, error)) return -1;
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);

@@ -15,37 +15,32 @@ inline constexpr int kListenBacklog = 128;
 ///   tcp:<host>:<port>    TCP stream socket; host is a name or numeric
 ///                        address, port 0 asks the kernel for a free port
 ///                        (ListenEndpoint resolves it back)
-///   shm:<path>           shared-memory transport for same-host peers;
-///                        <path> is a Unix-domain *handshake* socket over
-///                        which clients pass memfd ring segments via
-///                        SCM_RIGHTS (see net/shm.h). Frames themselves
-///                        move through the rings, not the socket.
 ///
 /// A bare string with no scheme prefix is read as a Unix-domain path — the
-/// pre-endpoint "socket_path" strings keep working unchanged. Every
+/// pre-endpoint "socket_path" strings keep working unchanged. The retired
+/// "shm:" scheme is rejected rather than read as a relative path. Every
 /// endpoint-bearing string in the system (options structs, the placement
 /// vector in HELLO replies, state files) uses this grammar.
 struct Endpoint {
-  enum class Kind { kUnix, kTcp, kShm };
+  enum class Kind { kUnix, kTcp };
   Kind kind = Kind::kUnix;
-  std::string path;   // kUnix / kShm (handshake-socket path)
+  std::string path;   // kUnix
   std::string host;   // kTcp
   uint16_t port = 0;  // kTcp; 0 = kernel-assigned at bind
 };
 
 /// Parses `text` into `*endpoint`. Returns false on a malformed string
 /// (empty path, "tcp:" without a host or port, a non-numeric or
-/// out-of-range port) with a human-readable reason in `*error`.
+/// out-of-range port, the retired "shm:" scheme) with a human-readable
+/// reason in `*error`.
 bool ParseEndpoint(const std::string& text, Endpoint* endpoint,
                    std::string* error);
 
-/// Canonical textual form
-/// ("unix:<path>" / "tcp:<host>:<port>" / "shm:<path>").
+/// Canonical textual form ("unix:<path>" / "tcp:<host>:<port>").
 std::string FormatEndpoint(const Endpoint& endpoint);
 
-/// True if `text` parses and — for a Unix-domain or shm endpoint — the
-/// path fits sockaddr_un::sun_path. The structured-error twin of
-/// SocketPathFits.
+/// True if `text` parses and — for a Unix-domain endpoint — the path fits
+/// sockaddr_un::sun_path. The structured-error twin of SocketPathFits.
 bool EndpointUsable(const std::string& text, std::string* error);
 
 /// Sets TCP_NODELAY + SO_KEEPALIVE on a connected or accepted TCP socket.
@@ -55,10 +50,7 @@ bool EndpointUsable(const std::string& text, std::string* error);
 void ApplyTcpSocketOptions(int fd);
 
 /// Blocking connect to `endpoint`. TCP endpoints resolve via getaddrinfo
-/// and get ApplyTcpSocketOptions on success. Shm endpoints connect the
-/// Unix-domain handshake socket at the path — the caller then runs the
-/// ring handshake (ShmConn::ClientConnect) or speaks plain frames over it
-/// (peer links and probes). Returns the connected fd, or
+/// and get ApplyTcpSocketOptions on success. Returns the connected fd, or
 /// -1 with the reason in `*error` (optional). A refused/unreachable
 /// connect is an *error return*, not a structural failure — callers with a
 /// reconnect window retry; ParseEndpoint-level failures should be caught
@@ -69,8 +61,8 @@ int ConnectEndpoint(const Endpoint& endpoint, std::string* error = nullptr);
 /// 0 is resolved: the kernel-assigned port is written back into
 /// endpoint->port, so the caller can publish the concrete address before
 /// anyone connects (the supervisor pre-binds every shard server this way —
-/// tests never race on ports). Unix and shm endpoints unlink a stale path
-/// first. Returns the listening fd, or -1 with the reason in `*error`.
+/// tests never race on ports). Unix endpoints unlink a stale path first.
+/// Returns the listening fd, or -1 with the reason in `*error`.
 int ListenEndpoint(Endpoint* endpoint, int backlog, std::string* error);
 
 }  // namespace fpdm::plinda::net

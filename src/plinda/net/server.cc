@@ -21,10 +21,11 @@ namespace fpdm::plinda::net {
 
 namespace {
 
-// v4: 2PC state — typed peer messages, coordinator/participant transaction
-// tables, decision outcomes, txn counters (v3 added continuation stamps +
-// per-peer forward queues for multi-server placement).
-constexpr char kSnapshotMagic[] = "fpdmsrv4:";
+// v5: one tuple space instead of a stripe vector (v4 added 2PC state —
+// typed peer messages, coordinator/participant transaction tables, decision
+// outcomes, txn counters; v3 continuation stamps + per-peer forward queues
+// for multi-server placement).
+constexpr char kSnapshotMagic[] = "fpdmsrv5:";
 
 /// An all-actuals template matching exactly one tuple value. Replaying an
 /// IN log entry removes the oldest tuple equal to the logged one, which is
@@ -105,18 +106,6 @@ bool FlushCursor(int fd, std::string* buf, size_t* sent, uint64_t* syscalls,
   return true;
 }
 
-/// Trims the flushed prefix of an outbuf exactly like FlushCursor does (the
-/// shm flush path advances the cursor by ring writes instead of write(2)).
-void TrimFlushed(std::string* buf, size_t* sent) {
-  if (*sent == buf->size()) {
-    buf->clear();
-    *sent = 0;
-  } else if (*sent > (1u << 20)) {
-    buf->erase(0, *sent);
-    *sent = 0;
-  }
-}
-
 /// Patches the [u32 len][u64 fnv1a] WAL record header into the first 12
 /// bytes of `frame`, whose payload was encoded in place after them.
 void PatchWalHeader(std::string* frame) {
@@ -139,7 +128,6 @@ void ApplySndbuf(int fd, int sndbuf_bytes) {
 
 SpaceServer::SpaceServer(SpaceServerOptions options)
     : options_(std::move(options)) {
-  if (options_.num_shards < 1) options_.num_shards = 1;
   if (options_.checkpoint_every_ops < 1) options_.checkpoint_every_ops = 1;
   placement_ = options_.placement.empty()
                    ? std::vector<std::string>{options_.endpoint}
@@ -158,55 +146,14 @@ SpaceServer::~SpaceServer() {
   if (log_fd_ >= 0) ::close(log_fd_);
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  for (auto& [fd, conn] : conns_) {
-    if (conn->fd_owned) ::close(fd);  // ShmConn dtors close their own fds
-  }
+  for (auto& [fd, conn] : conns_) ::close(fd);
   for (PeerLink& peer : peers_) {
     if (peer.fd >= 0) ::close(peer.fd);
   }
 }
 
-// --- striped space --------------------------------------------------------
-
-size_t SpaceServer::ShardIndexFor(const BucketKeyView& key) const {
-  // Deterministic across restarts (unlike std::hash), so a recovered server
-  // routes every tuple to the stripe its checkpoint put it in. Shared with
-  // PlacementIndex and ShardedTupleSpace (tuple_space.h).
-  return BucketStripeIndex(key, stripes_.size());
-}
-
-bool SpaceServer::FindMatch(const Template& tmpl, Tuple* result, bool remove) {
-  BucketKeyView key;
-  if (SingleBucketKeyFor(tmpl, &key)) {
-    TupleSpace& space = stripes_[ShardIndexFor(key)];
-    return remove ? space.TryIn(tmpl, result) : space.TryRd(tmpl, result);
-  }
-  // Formal-string-first template: scan stripes in index order. With one
-  // stripe (the default) matching is exactly global-FIFO; with more, FIFO
-  // holds within each stripe only.
-  if (stripes_.size() > 1) ++cross_shard_ops_;
-  for (TupleSpace& space : stripes_) {
-    if (remove ? space.TryIn(tmpl, result) : space.TryRd(tmpl, result)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-size_t SpaceServer::CountAcrossShards(const Template& tmpl) {
-  BucketKeyView key;
-  if (SingleBucketKeyFor(tmpl, &key)) {
-    return stripes_[ShardIndexFor(key)].CountMatches(tmpl);
-  }
-  if (stripes_.size() > 1) ++cross_shard_ops_;
-  size_t count = 0;
-  for (const TupleSpace& space : stripes_) count += space.CountMatches(tmpl);
-  return count;
-}
-
 void SpaceServer::PublishTuple(Tuple tuple) {
-  const BucketKeyView key = BucketKeyFor(tuple);
-  stripes_[ShardIndexFor(key)].Out(std::move(tuple));
+  space_.Out(std::move(tuple));
   ++publish_epoch_;
 }
 
@@ -215,10 +162,7 @@ void SpaceServer::PublishTuple(Tuple tuple) {
 std::string SpaceServer::EncodeSnapshot() const {
   std::string payload;
   PutU64(epoch_, &payload);
-  PutU32(static_cast<uint32_t>(stripes_.size()), &payload);
-  for (const TupleSpace& space : stripes_) {
-    PutString(space.Checkpoint(), &payload);
-  }
+  PutString(space_.Checkpoint(), &payload);
   PutU32(static_cast<uint32_t>(continuations_.size()), &payload);
   for (const auto& [pid, cont] : continuations_) {
     PutI32(pid, &payload);
@@ -244,7 +188,6 @@ std::string SpaceServer::EncodeSnapshot() const {
   PutU64(commits_, &payload);
   PutU64(aborts_, &payload);
   PutU64(checkpoints_, &payload);
-  PutU64(cross_shard_ops_, &payload);
   PutU64(batch_frames_, &payload);
   PutU64(batched_ops_, &payload);
   // Peer forward state: fseq counters, unacked queues, and watermarks.
@@ -331,13 +274,9 @@ bool SpaceServer::LoadSnapshot(const std::string& path) {
   if (Fnv1a64(payload) != want_hash) return false;
 
   ByteReader r{payload};
-  uint32_t num_shards = 0;
-  if (!r.TakeU64(&epoch_) || !r.TakeU32(&num_shards)) return false;
-  if (num_shards != static_cast<uint32_t>(options_.num_shards)) return false;
-  stripes_.assign(num_shards, TupleSpace{});
-  for (TupleSpace& space : stripes_) {
-    std::string ckpt;
-    if (!r.TakeString(&ckpt) || !space.Restore(ckpt)) return false;
+  std::string ckpt;
+  if (!r.TakeU64(&epoch_) || !r.TakeString(&ckpt) || !space_.Restore(ckpt)) {
+    return false;
   }
   uint32_t n = 0;
   if (!r.TakeU32(&n)) return false;
@@ -381,8 +320,8 @@ bool SpaceServer::LoadSnapshot(const std::string& path) {
   }
   if (!r.TakeU64(&publish_epoch_) || !r.TakeU64(&tuple_ops_) ||
       !r.TakeU64(&commits_) || !r.TakeU64(&aborts_) ||
-      !r.TakeU64(&checkpoints_) || !r.TakeU64(&cross_shard_ops_) ||
-      !r.TakeU64(&batch_frames_) || !r.TakeU64(&batched_ops_)) {
+      !r.TakeU64(&checkpoints_) || !r.TakeU64(&batch_frames_) ||
+      !r.TakeU64(&batched_ops_)) {
     return false;
   }
   uint32_t num_servers = 0;
@@ -657,7 +596,6 @@ bool SpaceServer::ReplayLog(const std::string& path) {
 
 bool SpaceServer::Recover() {
   ::mkdir(options_.state_dir.c_str(), 0755);
-  stripes_.assign(static_cast<size_t>(options_.num_shards), TupleSpace{});
   const std::string ckpt_path = options_.state_dir + "/ckpt";
   struct stat st;
   if (::stat(ckpt_path.c_str(), &st) == 0) {
@@ -729,8 +667,7 @@ std::string SpaceServer::ApplyEntry(const LogEntry& entry) {
       ++tuple_ops_;
       break;
     case LogKind::kIn: {
-      Tuple removed;
-      FindMatch(ExactTemplate(entry.tuple), &removed, /*remove=*/true);
+      space_.TryIn(ExactTemplate(entry.tuple), nullptr);
       ++tuple_ops_;
       if (entry.in_txn && entry.pid >= 0) {
         clients_[entry.pid].txn_ins.push_back(entry.tuple);
@@ -906,8 +843,7 @@ std::string SpaceServer::ApplyEntry(const LogEntry& entry) {
             PublishTuple(effect.tuple);
             break;
           case BatchEffectKind::kTook: {
-            Tuple removed;
-            FindMatch(ExactTemplate(effect.tuple), &removed, /*remove=*/true);
+            space_.TryIn(ExactTemplate(effect.tuple), nullptr);
             if (effect.in_txn && entry.pid >= 0) {
               clients_[entry.pid].txn_ins.push_back(effect.tuple);
             }
@@ -986,7 +922,7 @@ void SpaceServer::SendError(Conn& conn, const std::string& detail) {
 void SpaceServer::SatisfyWaiters() {
   for (auto it = waiters_.begin(); it != waiters_.end();) {
     Tuple t;
-    if (!FindMatch(it->tmpl, &t, /*remove=*/false)) {
+    if (!space_.TryRd(it->tmpl, &t)) {
       ++it;
       continue;
     }
@@ -1082,7 +1018,7 @@ void SpaceServer::HandleIn(Conn& conn, const Request& request) {
   const bool remove = (request.flags & kInRemove) != 0;
   const bool blocking = (request.flags & kInBlocking) != 0;
   Tuple t;
-  if (FindMatch(request.tmpl, &t, /*remove=*/false)) {
+  if (space_.TryRd(request.tmpl, &t)) {
     if (remove) {
       bool in_txn = false;
       if (conn.pid >= 0) {
@@ -1160,7 +1096,7 @@ void SpaceServer::HandleBatch(Conn& conn, const Request& request) {
     } else {
       const bool remove = (op.flags & kInRemove) != 0;
       Tuple t;
-      if (FindMatch(op.tmpl, &t, remove)) {
+      if (remove ? space_.TryIn(op.tmpl, &t) : space_.TryRd(op.tmpl, &t)) {
         effect.kind = remove ? BatchEffectKind::kTook : BatchEffectKind::kRead;
         effect.in_txn = remove && in_txn;
         effect.tuple = std::move(t);
@@ -1372,24 +1308,20 @@ void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
     }
     case Op::kCount: {
       Reply reply;
-      reply.count = CountAcrossShards(request.tmpl);
+      reply.count = space_.CountMatches(request.tmpl);
       ++tuple_ops_;
       SendReply(conn, reply);
       break;
     }
     case Op::kTakeAll: {
       Reply reply;
-      for (TupleSpace& space : stripes_) {
-        for (Tuple& t : space.TakeAllInOrder()) {
-          reply.tuples.push_back(std::move(t));
-        }
-      }
+      reply.tuples = space_.TakeAllInOrder();
       const std::string encoded = EncodeReply(reply);
       if (encoded.size() > kMaxFramePayload) {
         // The peer's FrameReader would reject the reply as corrupt. Put the
-        // tuples back (per-shard FIFO order is preserved: the drain emitted
-        // each shard's tuples oldest-first) and fail with a structured
-        // error instead of durably draining a harvest nobody can receive.
+        // tuples back (FIFO order is preserved: the drain emitted them
+        // oldest-first) and fail with a structured error instead of durably
+        // draining a harvest nobody can receive.
         for (Tuple& t : reply.tuples) PublishTuple(std::move(t));
         SendError(conn, "takeall reply exceeds the frame payload limit");
         break;
@@ -1423,7 +1355,6 @@ void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
       reply.aborts = aborts_;
       reply.checkpoints = checkpoints_;
       reply.ops_replayed = ops_replayed_;
-      reply.cross_shard_ops = cross_shard_ops_;
       reply.batch_frames = batch_frames_;
       reply.batched_ops = batched_ops_;
       reply.publish_epoch = publish_epoch_;
@@ -1433,7 +1364,6 @@ void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
       reply.wal_synced_bytes = wal_synced_bytes_;
       reply.transport_syscalls = transport_syscalls_;
       reply.transport_bytes = transport_bytes_;
-      reply.stripes = stripes_.size();
       SendReply(conn, reply);
       break;
     }
@@ -1696,21 +1626,7 @@ void SpaceServer::DropConns(const std::vector<int>& fds) {
     for (auto& [pid, txn] : coord_pending_) {
       if (txn.reply_fd == fd) txn.reply_fd = -1;
     }
-    Conn& dying = *dropped.back();
-    if (dying.shm != nullptr) {
-      // Close the rings now so a client blocked in a ring wait wakes
-      // immediately; the ShmConn destructor (at `dropped` scope exit)
-      // unmaps and closes the handshake socket + doorbells, and the
-      // epoll registrations vanish with the fds.
-      FoldShmSyscalls(dying);
-      dying.shm->Close();
-      FoldShmSyscalls(dying);
-    } else if (dying.shm_accept != nullptr) {
-      transport_syscalls_ += dying.shm_accept->syscalls();
-      if (dying.fd_owned) ::close(fd);
-    } else if (dying.fd_owned) {
-      ::close(fd);
-    }
+    ::close(fd);
   }
   // Phase 2: a vanished client (no BYE) with an open transaction is a
   // crash: roll the transaction back so its tuples become visible again —
@@ -2062,19 +1978,7 @@ void SpaceServer::PumpPeers() {
 
 // --- connection I/O --------------------------------------------------------
 
-bool SpaceServer::FlushConn(Conn& conn) {
-  if (conn.shm != nullptr) return FlushShmConn(conn);
-  return FlushCursor(conn.fd, &conn.outbuf, &conn.outbuf_sent,
-                     &transport_syscalls_, &transport_bytes_);
-}
-
 void SpaceServer::UpdateConnEvents(Conn& conn) {
-  // Shm connections never arm EPOLLOUT: the registered fd is a doorbell
-  // (always writable — arming would busy-loop the epoll), and ring-full
-  // backpressure is signalled by the armed writer flag instead: the
-  // client's next ring read rings our doorbell, whose read pass
-  // re-requests the flush.
-  if (conn.shm != nullptr) return;
   const bool want_out = conn.outbuf_sent < conn.outbuf.size();
   if (want_out == conn.epoll_out || epoll_fd_ < 0) return;
   epoll_event ev{};
@@ -2082,97 +1986,6 @@ void SpaceServer::UpdateConnEvents(Conn& conn) {
   ev.data.fd = conn.fd;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
   conn.epoll_out = want_out;
-}
-
-void SpaceServer::FoldShmSyscalls(Conn& conn) {
-  if (conn.shm == nullptr) return;
-  const uint64_t total = conn.shm->syscalls();
-  if (total > conn.shm_sys_reported) {
-    transport_syscalls_ += total - conn.shm_sys_reported;
-    conn.shm_sys_reported = total;
-  }
-}
-
-bool SpaceServer::ReadShmConn(Conn& conn) {
-  ShmConn& shm = *conn.shm;
-  shm.DrainWake();
-  bool wake_writer = false;
-  for (;;) {
-    char* dst = conn.reader.WriteBuffer(65536);
-    bool wake = false;
-    const size_t n = shm.in().TryRead(dst, 65536, &wake);
-    wake_writer = wake_writer || wake;
-    conn.reader.CommitWrite(n);
-    if (n > 0) {
-      transport_bytes_ += n;
-      continue;
-    }
-    // Drained. Two-phase sleep handoff before going back to epoll: arm the
-    // reader flag, re-check, and only then trust the doorbell — a client
-    // publish after the arm sees the flag and rings our doorbell. Without
-    // this the client's steady-state writes (flag unarmed = no doorbell)
-    // would never wake the epoll loop.
-    shm.in().ArmReader();
-    if (shm.in().ReadAvailable() > 0) {
-      shm.in().DisarmReader();
-      continue;
-    }
-    break;
-  }
-  if (wake_writer) shm.WakePeer(/*data_on_out=*/false, /*space_on_in=*/true);
-  // The doorbell also rings when the client consumed s2c bytes while our
-  // writer flag was armed (ring-full backpressure): retry the flush.
-  if (conn.outbuf_sent < conn.outbuf.size()) flush_request_.insert(conn.fd);
-  bool dead = false;
-  // The handshake socket carries no data after setup — readable means EOF
-  // (peer death) or a protocol violation; either way the connection is done.
-  char probe[16];
-  const ssize_t r = ::read(conn.fd, probe, sizeof(probe));
-  ++transport_syscalls_;
-  if (r >= 0) dead = true;
-  if (r < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-    dead = true;
-  }
-  if (shm.closed() && shm.in().ReadAvailable() == 0) dead = true;
-  FoldShmSyscalls(conn);
-  return !dead;
-}
-
-bool SpaceServer::FlushShmConn(Conn& conn) {
-  ShmConn& shm = *conn.shm;
-  bool wake_reader = false;
-  bool ok = true;
-  while (conn.outbuf_sent < conn.outbuf.size()) {
-    bool wake = false;
-    const size_t w =
-        shm.out().TryWrite(conn.outbuf.data() + conn.outbuf_sent,
-                           conn.outbuf.size() - conn.outbuf_sent, &wake);
-    wake_reader = wake_reader || wake;
-    if (w > 0) {
-      conn.outbuf_sent += w;
-      transport_bytes_ += w;
-      continue;
-    }
-    if (shm.out().closed()) {
-      ok = false;
-      break;
-    }
-    // Ring full: arm the writer flag and re-check (two-phase, so a consume
-    // between the check and the arm cannot be missed). If still full, leave
-    // the flag armed and return with bytes pending — the client's next
-    // TryRead sees the flag and rings our doorbell, and that read pass
-    // re-requests the flush to land back here. The shm mirror of EPOLLOUT.
-    shm.out().ArmWriter();
-    if (shm.out().WriteSpace() > 0 || shm.out().closed()) {
-      shm.out().DisarmWriter();
-      continue;
-    }
-    break;
-  }
-  if (wake_reader) shm.WakePeer(/*data_on_out=*/true, /*space_on_in=*/false);
-  TrimFlushed(&conn.outbuf, &conn.outbuf_sent);
-  FoldShmSyscalls(conn);
-  return ok;
 }
 
 // --- the serve loop -------------------------------------------------------
@@ -2195,7 +2008,6 @@ int SpaceServer::Serve() {
     }
     ParseEndpoint(options_.endpoint, &listen_ep, nullptr);
     tcp_listener_ = listen_ep.kind == Endpoint::Kind::kTcp;
-    shm_listener_ = listen_ep.kind == Endpoint::Kind::kShm;
     if (options_.listen_fd >= 0) {
       // Supervisor-pre-bound socket (port-0 TCP): already listening; the
       // concrete port lives in the placement map, not in listen_ep.
@@ -2281,11 +2093,6 @@ int SpaceServer::Serve() {
         if (tcp_listener_) ApplyTcpSocketOptions(fd);
         auto conn = std::make_unique<Conn>();
         conn->fd = fd;
-        if (shm_listener_) {
-          // First-read classification: a shm handshake, or plain frames
-          // (peer links and probes share the listener).
-          conn->shm_accept = std::make_unique<ShmAcceptReader>();
-        }
         epoll_event ev{};
         ev.events = EPOLLIN;
         ev.data.fd = fd;
@@ -2302,68 +2109,22 @@ int SpaceServer::Serve() {
       if (it == conns_.end()) continue;
       Conn& conn = *it->second;
       bool dead = false;
-      if (conn.shm_accept != nullptr) {
-        // Shm-listener first read: exactly ONE Step per EPOLLIN pass —
-        // level-triggered epoll re-fires while bytes remain, and a
-        // would-block kPending must not spin here.
-        std::string prefix;
-        ShmHandshake handshake;
-        std::string hs_error;
-        const ShmAcceptReader::Result res =
-            conn.shm_accept->Step(fd, &prefix, &handshake, &hs_error);
+      for (;;) {
+        char* dst = conn.reader.WriteBuffer(65536);
+        const ssize_t n = ::read(fd, dst, 65536);
         ++transport_syscalls_;
-        if (res == ShmAcceptReader::Result::kPending) continue;
-        if (res == ShmAcceptReader::Result::kClosed ||
-            res == ShmAcceptReader::Result::kError) {
-          to_drop.push_back(fd);
+        if (n > 0) {
+          conn.reader.CommitWrite(static_cast<size_t>(n));
+          transport_bytes_ += static_cast<uint64_t>(n);
           continue;
         }
-        if (res == ShmAcceptReader::Result::kShm) {
-          conn.shm_accept.reset();
-          // ServerAccept consumes fd on success AND failure: from here on
-          // no teardown path may close it again.
-          conn.fd_owned = false;
-          std::string err;
-          conn.shm = ShmConn::ServerAccept(fd, handshake, &err);
-          if (conn.shm == nullptr) {
-            to_drop.push_back(fd);
-            continue;
-          }
-          // The doorbell joins epoll under the SAME data.fd as the
-          // handshake socket, so either one waking classifies as this
-          // connection; fall through into the ring drain below (the client
-          // may already have written HELLO without ringing).
-          epoll_event ev{};
-          ev.events = EPOLLIN;
-          ev.data.fd = fd;
-          ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn.shm->wake_fd(), &ev);
-          ++transport_syscalls_;
-        } else {  // kStream: plain framed protocol (peer link or probe)
-          transport_bytes_ += prefix.size();
-          conn.reader.Feed(prefix.data(), prefix.size());
-          conn.shm_accept.reset();
+        conn.reader.CommitWrite(0);
+        if (n == 0) dead = true;
+        if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
+            errno != EINTR) {
+          dead = true;
         }
-      }
-      if (conn.shm != nullptr) {
-        dead = !ReadShmConn(conn);
-      } else {
-        for (;;) {
-          char* dst = conn.reader.WriteBuffer(65536);
-          const ssize_t n = ::read(fd, dst, 65536);
-          ++transport_syscalls_;
-          if (n > 0) {
-            conn.reader.CommitWrite(static_cast<size_t>(n));
-            transport_bytes_ += static_cast<uint64_t>(n);
-            continue;
-          }
-          conn.reader.CommitWrite(0);
-          if (n == 0) dead = true;
-          if (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-              errno != EINTR) {
-            dead = true;
-          }
-          break;
-        }
+        break;
       }
       std::string_view payload;
       for (;;) {
@@ -2397,7 +2158,8 @@ int SpaceServer::Serve() {
       auto it = conns_.find(fd);
       if (it == conns_.end()) continue;
       Conn& conn = *it->second;
-      if (!FlushConn(conn)) {
+      if (!FlushCursor(fd, &conn.outbuf, &conn.outbuf_sent,
+                       &transport_syscalls_, &transport_bytes_)) {
         to_drop.push_back(fd);
         continue;
       }
@@ -2444,20 +2206,13 @@ int SpaceServer::Serve() {
   // durability is lost, so nothing unsynced is ever acknowledged.
   const bool release = !options_.wal_sync || SyncWal();
   for (auto& [fd, conn] : conns_) {
-    if (conn->shm != nullptr) {
-      // Push what fits into the ring (the SHUTDOWN ack is tiny); clearing
-      // conns_ below runs the ShmConn destructor, whose Close() wakes the
-      // client and closes the handshake socket + doorbells.
-      if (release) FlushShmConn(*conn);
-      continue;
-    }
     if (release && conn->outbuf_sent < conn->outbuf.size()) {
       const int flags = ::fcntl(fd, F_GETFL, 0);
       if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
       WriteAll(fd, conn->outbuf.data() + conn->outbuf_sent,
                conn->outbuf.size() - conn->outbuf_sent);
     }
-    if (conn->fd_owned) ::close(fd);
+    ::close(fd);
   }
   conns_.clear();
   ::close(listen_fd_);
@@ -2469,7 +2224,7 @@ int SpaceServer::Serve() {
   // restarted server is reachable at the same address.
   Endpoint ep;
   if (options_.listen_fd < 0 && ParseEndpoint(options_.endpoint, &ep, nullptr) &&
-      (ep.kind == Endpoint::Kind::kUnix || ep.kind == Endpoint::Kind::kShm)) {
+      ep.kind == Endpoint::Kind::kUnix) {
     ::unlink(ep.path.c_str());
   }
   return wal_failed_ ? 1 : 0;

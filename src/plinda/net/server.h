@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "plinda/net/shm.h"
 #include "plinda/net/wire.h"
 #include "plinda/tuple.h"
 #include "plinda/tuple_space.h"
@@ -47,8 +46,6 @@ struct SpaceServerOptions {
   /// recovers from whatever it finds there, so restarting with the same
   /// state_dir resumes the crashed server's space exactly.
   std::string state_dir;
-  /// Tuple-space shards, routed by the (arity, first-field-key) bucket hash.
-  int num_shards = 1;
   /// Logged operations between checkpoints (bounds replay work).
   int checkpoint_every_ops = 256;
   /// Multi-server placement: this server's index and the endpoint of
@@ -95,8 +92,8 @@ struct SpaceServerOptions {
   int sndbuf_bytes = 0;
 };
 
-/// The tuple-space server process of ExecutionMode::kDistributed: owns the
-/// striped space and serves the wire protocol on one endpoint.
+/// The tuple-space server process of ExecutionMode::kDistributed: owns one
+/// tuple space and serves the wire protocol on one endpoint.
 ///
 /// Serve() is one epoll loop on one thread, like the paper's PLinda server.
 /// Each pass (one epoll_wait) accepts connections, reads every readable
@@ -106,10 +103,9 @@ struct SpaceServerOptions {
 /// replies and peer frames, and finally drops dead connections and
 /// checkpoints. A reply queued after the flush (a crash-abort in the drop
 /// phase waking a parked in) makes the next epoll_wait return at once.
-/// Stripes partition the space by the same (arity, first-field-key) bucket
-/// hash the placement layer uses; they are a data partition, not a unit of
-/// locking. Blocking in/rd requests park in one FIFO list and are satisfied,
-/// oldest first, as soon as a publish makes a match available.
+/// Matching is oldest-first across the whole space. Blocking in/rd requests
+/// park in one FIFO list and are satisfied, oldest first, as soon as a
+/// publish makes a match available.
 ///
 /// Durability (DESIGN.md, "Fault model"): every mutating request is
 /// appended to the log before it is applied, and acknowledged only after
@@ -158,18 +154,6 @@ class SpaceServer {
     std::string outbuf;
     size_t outbuf_sent = 0;  // flushed prefix of outbuf (no front-erase)
     bool epoll_out = false;  // EPOLLOUT currently armed for this fd
-    /// False once fd's lifetime belongs elsewhere (an established ShmConn
-    /// owns its handshake socket; a failed ServerAccept already closed it):
-    /// every teardown path must then skip ::close(fd).
-    bool fd_owned = true;
-    /// Shm-listener conns only: the first-read state machine that decides
-    /// handshake vs plain framed stream, then the established ring pair.
-    /// While `shm` is set, fd is the handshake socket (liveness/teardown
-    /// only) and the doorbell is registered in epoll with ev.data.fd = fd so
-    /// both wake this connection.
-    std::unique_ptr<ShmAcceptReader> shm_accept;
-    std::unique_ptr<ShmConn> shm;
-    uint64_t shm_sys_reported = 0;  // shm->syscalls() already folded
     int32_t pid = -1;  // set by HELLO; control connections stay -1
     int32_t incarnation = 0;
     /// A clean goodbye (or a partition cut): dropping the connection does
@@ -323,10 +307,7 @@ class SpaceServer {
   /// peer links are torn down by PumpPeers while partitioned_ holds.
   void StartPartitionDrop();
 
-  // --- sharded space -----------------------------------------------------
-  size_t ShardIndexFor(const BucketKeyView& key) const;
-  bool FindMatch(const Template& tmpl, Tuple* result, bool remove);
-  size_t CountAcrossShards(const Template& tmpl);
+  /// Adds a tuple to the space and bumps publish_epoch_.
   void PublishTuple(Tuple tuple);
 
   // --- peer forwarding (multi-server placement) --------------------------
@@ -369,31 +350,11 @@ class SpaceServer {
   /// already exists (the point already fired before a restart).
   void MaybeDieAt(const char* marker);
 
-  // --- connection I/O ----------------------------------------------------
-  /// Writes as much of conn.outbuf as the socket accepts, advancing the
-  /// sent-offset cursor. Returns false on a fatal error.
-  bool FlushConn(Conn& conn);
   /// Arms / disarms EPOLLOUT to match whether conn has unflushed output.
-  /// No-op for shm connections: their doorbell is always writable, and
-  /// backpressure rides the ring's armed writer flag instead.
   void UpdateConnEvents(Conn& conn);
-  /// Shm conns: drains the c2s ring into conn.reader's zero-copy write
-  /// buffer and checks the handshake socket for peer death. Returns false
-  /// when the connection is gone (drop it).
-  bool ReadShmConn(Conn& conn);
-  /// Shm conns: pushes conn.outbuf into the s2c ring. On a full ring, arms
-  /// the writer flag and returns with bytes still pending — the client's
-  /// next ring read wakes our doorbell, which re-requests a flush. Returns
-  /// false when the connection is gone.
-  bool FlushShmConn(Conn& conn);
-  /// Folds conn.shm's syscall tally into transport_syscalls_ (delta since
-  /// the last fold, tracked by conn.shm_sys_reported).
-  void FoldShmSyscalls(Conn& conn);
 
   SpaceServerOptions options_;  // wal_sync already resolved against the env
-  /// The striped space: stripes_.size() == options_.num_shards, routed by
-  /// BucketStripeIndex.
-  std::vector<TupleSpace> stripes_;
+  TupleSpace space_;
   /// Parked blocking in/rd requests, oldest first.
   std::list<Waiter> waiters_;
   /// Endpoint string per server index; size 1 = single-server (no peers).
@@ -424,9 +385,6 @@ class SpaceServer {
   /// True while serving on a TCP endpoint: accepted sockets and outbound
   /// peer connects get TCP_NODELAY + SO_KEEPALIVE.
   bool tcp_listener_ = false;
-  /// True while serving on a shm endpoint: accepted sockets run the
-  /// ShmAcceptReader first-read state machine (handshake vs plain frames).
-  bool shm_listener_ = false;
   int ops_since_checkpoint_ = 0;
   bool cancelled_ = false;
   /// Chaos partition (Op::kChaosPartition): while true, every registered
@@ -443,8 +401,7 @@ class SpaceServer {
   /// fdatasync with it) and the log bytes they covered, reported in STATS.
   uint64_t wal_group_commits_ = 0;
   uint64_t wal_synced_bytes_ = 0;
-  /// Transport-level I/O counters, reported in STATS (per-conn shm deltas
-  /// are folded in via Conn::shm_sys_reported).
+  /// Transport-level I/O counters, reported in STATS.
   uint64_t transport_syscalls_ = 0;
   uint64_t transport_bytes_ = 0;
 
@@ -454,7 +411,6 @@ class SpaceServer {
   uint64_t aborts_ = 0;
   uint64_t checkpoints_ = 0;
   uint64_t ops_replayed_ = 0;
-  uint64_t cross_shard_ops_ = 0;
   uint64_t batch_frames_ = 0;  // kBatch frames (live + replay)
   uint64_t batched_ops_ = 0;   // sub-ops carried by those frames
   uint64_t txn_prepares_ = 0;  // PREPARE messages fanned out

@@ -361,7 +361,6 @@ void EncodeReplyInto(const Reply& reply, std::string* out_ptr) {
   PutU64(reply.aborts, &out);
   PutU64(reply.checkpoints, &out);
   PutU64(reply.ops_replayed, &out);
-  PutU64(reply.cross_shard_ops, &out);
   PutU64(reply.batch_frames, &out);
   PutU64(reply.batched_ops, &out);
   PutU64(reply.publish_epoch, &out);
@@ -392,7 +391,6 @@ void EncodeReplyInto(const Reply& reply, std::string* out_ptr) {
   PutU64(reply.transport_bytes, &out);
   PutU64(reply.state_lock_waits, &out);
   PutU64(reply.stripe_conflicts, &out);
-  PutU64(reply.stripes, &out);
 }
 
 bool DecodeReply(std::string_view payload, Reply* reply, std::string* error) {
@@ -420,7 +418,6 @@ bool DecodeReply(std::string_view payload, Reply* reply, std::string* error) {
   if (!r.TakeU64(&reply->count) || !r.TakeU64(&reply->tuple_ops) ||
       !r.TakeU64(&reply->commits) || !r.TakeU64(&reply->aborts) ||
       !r.TakeU64(&reply->checkpoints) || !r.TakeU64(&reply->ops_replayed) ||
-      !r.TakeU64(&reply->cross_shard_ops) ||
       !r.TakeU64(&reply->batch_frames) || !r.TakeU64(&reply->batched_ops) ||
       !r.TakeU64(&reply->publish_epoch)) {
     return Fail(error, "reply: truncated counters");
@@ -488,8 +485,8 @@ bool DecodeReply(std::string_view payload, Reply* reply, std::string* error) {
     return Fail(error, "reply: truncated transport counters");
   }
   if (!r.TakeU64(&reply->state_lock_waits) ||
-      !r.TakeU64(&reply->stripe_conflicts) || !r.TakeU64(&reply->stripes)) {
-    return Fail(error, "reply: truncated stripe counters");
+      !r.TakeU64(&reply->stripe_conflicts)) {
+    return Fail(error, "reply: truncated lock counters");
   }
   if (!r.AtEnd()) return Fail(error, "reply: trailing bytes");
   return true;

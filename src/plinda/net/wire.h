@@ -27,8 +27,8 @@ inline constexpr size_t kMaxFramePayload = 16u << 20;
 /// `num_servers` SpaceServer processes owns the (arity, key) bucket. Shared
 /// by the servers (to split commit outs into local vs forwarded), the client
 /// (to route every op), and the supervisor (to seed tuples at their homes).
-/// Deterministic across processes and restarts — it reuses the FNV-1a shard
-/// mix the in-server bucket sharding already pins down.
+/// Deterministic across processes and restarts — it is BucketStripeIndex,
+/// the FNV-1a mix ShardedTupleSpace also shards by.
 size_t PlacementIndex(const BucketKeyView& key, size_t num_servers);
 
 /// Appends the frame header + payload to `out`. Deliberately does not cap
@@ -271,7 +271,6 @@ struct Reply {
   uint64_t aborts = 0;
   uint64_t checkpoints = 0;
   uint64_t ops_replayed = 0;
-  uint64_t cross_shard_ops = 0;
   uint64_t batch_frames = 0;  // kBatch frames applied
   uint64_t batched_ops = 0;   // sub-ops carried by those frames
   // kStatus.
@@ -309,16 +308,13 @@ struct Reply {
   uint64_t wal_group_commits = 0;
   uint64_t wal_synced_bytes = 0;
   /// kStats: transport-level I/O — syscalls the server spent moving bytes
-  /// (read/write/sendmsg, shm futexes + doorbells) and payload bytes moved.
-  /// The shm transport's whole point shows up here: near-zero syscalls per
-  /// op in steady state.
+  /// (read/write/sendmsg) and payload bytes moved.
   uint64_t transport_syscalls = 0;
   uint64_t transport_bytes = 0;
   /// kStats: two lock counters that always read 0 (the server takes no
-  /// locks; they keep the wire layout), and the server's stripe count.
+  /// locks; they keep the wire layout).
   uint64_t state_lock_waits = 0;
   uint64_t stripe_conflicts = 0;
-  uint64_t stripes = 0;
 };
 
 std::string EncodeReply(const Reply& reply);

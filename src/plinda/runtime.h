@@ -88,9 +88,6 @@ struct RuntimeOptions {
   double server_restart_delay = 2.0;
   /// Safety valve: abort the simulation after this many scheduler steps.
   uint64_t max_steps = 200'000'000;
-  /// kDistributed: shard count inside the tuple-space server process
-  /// (single-threaded; sharding only bounds bucket-map sizes).
-  int distributed_shards = 1;
   /// kDistributed: number of tuple-space *server processes*. The (arity,
   /// first-key) buckets are statically placed across them by hash
   /// (net::PlacementIndex); each server keeps its own write-ahead log and
@@ -145,15 +142,10 @@ struct RuntimeOptions {
   /// (default; sockets under distributed_dir), "tcp" (loopback TCP; the
   /// supervisor pre-binds every listener with port 0 before forking, so the
   /// placement map carries concrete "tcp:127.0.0.1:<port>" endpoints and
-  /// nothing races on port numbers), or "shm" (same-host shared-memory
-  /// rings: a tiny unix handshake socket per connection passes a memfd +
-  /// doorbell eventfds, then frames flow through mmap'd SPSC rings with
-  /// futex blocking — syscall-free in steady state; the supervisor
-  /// pre-binds the handshake listeners before forking, like tcp). Any
-  /// other value fails the run with a structured kBadEndpoint error. The
-  /// distributed test suites read FPDM_TEST_TRANSPORT into this option for
-  /// the CI transport matrix; the runtime itself never consults the
-  /// environment.
+  /// nothing races on port numbers). Any other value fails the run with a
+  /// structured kBadEndpoint error. The distributed test suites read
+  /// FPDM_TEST_TRANSPORT into this option for the CI transport matrix; the
+  /// runtime itself never consults the environment.
   std::string distributed_transport = "unix";
   /// kDistributed: command template for launching worker processes (empty =
   /// fork them locally, the default). `{endpoint}`, `{placement}`, `{pid}`,
@@ -301,10 +293,9 @@ struct RuntimeStats {
   uint64_t wal_group_commits = 0;
   uint64_t wal_synced_bytes = 0;
   /// kDistributed: transport-level I/O summed over the shard servers —
-  /// syscalls spent moving bytes (read/write/sendmsg; for the shm
-  /// transport, futex wakes + doorbell eventfd I/O) and payload bytes
-  /// moved. transport_syscalls / tuple ops is the per-op syscall cost the
-  /// shm transport exists to drive toward zero.
+  /// syscalls spent moving bytes (read/write/sendmsg) and payload bytes
+  /// moved. transport_syscalls / tuple ops is the per-op syscall cost of the
+  /// server's socket I/O.
   uint64_t transport_syscalls = 0;
   uint64_t transport_bytes = 0;
   /// Always 0: the shard servers run one serve loop and take no locks.

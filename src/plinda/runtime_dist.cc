@@ -447,21 +447,19 @@ bool Runtime::RunDistributed() {
   };
   const std::string& transport = options_.distributed_transport;
   const bool tcp = transport == "tcp";
-  const bool shm = transport == "shm";
-  if (!tcp && !shm && transport != "unix") {
+  if (!tcp && transport != "unix") {
     return fail_structured(
         RuntimeError::Code::kBadEndpoint,
         "unsupported distributed_transport \"" + transport +
-            "\" (expected \"unix\", \"tcp\" or \"shm\")");
+            "\" (expected \"unix\" or \"tcp\")");
   }
   std::vector<std::string> placement;
   placement.reserve(static_cast<size_t>(num_servers));
-  // TCP and shm: pre-bound listeners, inherited through fork (FD_CLOEXEC
+  // TCP: pre-bound port-0 listeners, inherited through fork (FD_CLOEXEC
   // keeps them out of exec'ed launch-template commands). Bound BEFORE any
   // fork so the placement map is concrete from the first HELLO, and kept
   // open in the supervisor so a chaos restart re-inherits the same
-  // listener — for TCP that preserves the port-0 port, for shm the
-  // handshake-socket path stays bound across the restart.
+  // listener, and with it the same port.
   std::vector<int> listen_fds(static_cast<size_t>(num_servers), -1);
   auto close_listeners = [&] {
     for (int& fd : listen_fds) {
@@ -502,24 +500,7 @@ bool Runtime::RunDistributed() {
                 "RuntimeOptions::distributed_dir (or $TMPDIR) at a "
                 "shorter path");
       }
-      placement.push_back(shm ? "shm:" + path : path);
-    }
-    if (shm) {
-      for (int k = 0; k < num_servers; ++k) {
-        net::Endpoint ep;
-        net::ParseEndpoint(placement[static_cast<size_t>(k)], &ep, nullptr);
-        std::string error;
-        const int fd = net::ListenEndpoint(&ep, net::kListenBacklog, &error);
-        if (fd < 0) {
-          close_listeners();
-          return fail_structured(
-              RuntimeError::Code::kBadEndpoint,
-              "cannot bind a shm handshake listener for server " +
-                  std::to_string(k) + ": " + error);
-        }
-        ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-        listen_fds[static_cast<size_t>(k)] = fd;
-      }
+      placement.push_back(path);
     }
   }
   dist_socket_ = placement[0];
@@ -532,7 +513,6 @@ bool Runtime::RunDistributed() {
     // under FPDM_TEST_KEEP_STATE is debuggable from the CI artifact alone.
     sopts.stderr_file = dist_dir_ + "/server." + std::to_string(k) + ".stderr";
     sopts.state_dir = dist_dir_ + "/state." + std::to_string(k);
-    sopts.num_shards = std::max(1, options_.distributed_shards);
     sopts.checkpoint_every_ops =
         std::max(1, options_.distributed_checkpoint_ops);
     sopts.server_index = k;
@@ -1248,7 +1228,6 @@ bool Runtime::RunDistributed() {
       stats_.transactions_aborted += server_stats.aborts;
       stats_.server_checkpoints += server_stats.checkpoints;
       stats_.server_ops_replayed += server_stats.ops_replayed;
-      stats_.cross_shard_ops += server_stats.cross_shard_ops;
       stats_.batch_frames += server_stats.batch_frames;
       stats_.batched_tuple_ops += server_stats.batched_ops;
       stats_.dist_txn_prepares += server_stats.txn_prepares;

@@ -17,17 +17,17 @@ int DefaultShardCount() {
 
 }  // namespace
 
-ShardedTupleSpace::ShardedTupleSpace(int num_shards) {
-  const int n = num_shards > 0 ? num_shards : DefaultShardCount();
+ShardedTupleSpace::ShardedTupleSpace(int shard_count) {
+  const int n = shard_count > 0 ? shard_count : DefaultShardCount();
   shards_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
 }
 
 size_t ShardedTupleSpace::ShardIndex(const BucketKeyView& key) const {
   // Shared routing function (tuple_space.h): in-process shard striping uses
-  // the same deterministic mix as the server stripes and the multi-server
-  // placement. Any hash works semantically — matching is FIFO on a global
-  // sequence — but one function means one place to reason about skew.
+  // the same deterministic mix as the multi-server placement. Any hash works
+  // semantically — matching is FIFO on a global sequence — but one function
+  // means one place to reason about skew.
   return BucketStripeIndex(key, shards_.size());
 }
 

@@ -31,8 +31,8 @@ namespace fpdm::plinda {
 /// oldest matching tuple wins even when candidates span shards.
 class ShardedTupleSpace {
  public:
-  /// num_shards <= 0 picks a default based on hardware_concurrency.
-  explicit ShardedTupleSpace(int num_shards = 0);
+  /// shard_count <= 0 picks a default based on hardware_concurrency.
+  explicit ShardedTupleSpace(int shard_count = 0);
 
   ShardedTupleSpace(const ShardedTupleSpace&) = delete;
   ShardedTupleSpace& operator=(const ShardedTupleSpace&) = delete;
@@ -68,8 +68,6 @@ class ShardedTupleSpace {
   /// Removes and returns every tuple in global FIFO order. Callers must
   /// guarantee no concurrent mutators (used after the worker threads join).
   std::vector<Tuple> TakeAllInOrder();
-
-  int num_shards() const { return static_cast<int>(shards_.size()); }
 
   /// --- deadlock-watchdog instrumentation (see Runtime::RunReal) ---
   /// Number of threads currently parked inside WaitIn.

@@ -46,9 +46,8 @@ bool SingleBucketKeyFor(const Template& tmpl, BucketKeyView* key);
 
 /// Deterministic bucket→stripe index: FNV-1a over the key string mixed with
 /// the arity, reduced mod `n`. This is the one routing function shared by
-/// every striped layer — the in-process ShardedTupleSpace, the server's
-/// stripe map, and the multi-server PlacementIndex — so a bucket lands on
-/// the same stripe/server across restarts and across layers.
+/// the in-process ShardedTupleSpace and the multi-server PlacementIndex, so
+/// a bucket lands on the same shard/server across restarts and processes.
 size_t BucketStripeIndex(const BucketKeyView& key, size_t n);
 
 /// The associative shared memory of Linda. Not thread-safe by itself: the

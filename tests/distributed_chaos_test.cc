@@ -46,8 +46,8 @@ int TestServers() {
   return n > 0 ? n : 1;
 }
 
-/// Wire transport: FPDM_TEST_TRANSPORT in the environment ("unix", "tcp"
-/// or "shm"; CI re-runs the whole suite at tcp and at shm), default unix.
+/// Wire transport: FPDM_TEST_TRANSPORT in the environment ("unix" or "tcp";
+/// CI re-runs the whole suite at tcp), default unix.
 std::string TestTransport() {
   const char* env = std::getenv("FPDM_TEST_TRANSPORT");
   if (env == nullptr || *env == '\0') return "unix";

@@ -24,7 +24,6 @@
 #include "plinda/net/client.h"
 #include "plinda/net/endpoint.h"
 #include "plinda/net/server.h"
-#include "plinda/net/shm.h"
 #include "plinda/net/supervisor.h"
 #include "plinda/net/wire.h"
 #include "plinda/runtime.h"
@@ -94,14 +93,12 @@ TEST(WireCodecTest, ReplyRoundTrip) {
   reply.aborts = 2;
   reply.checkpoints = 3;
   reply.ops_replayed = 8;
-  reply.cross_shard_ops = 1;
   reply.publish_epoch = 99;
   reply.parked = {{2, true, "(\"task\", ?int)"}, {5, false, "(\"x\")"}};
   reply.wal_group_commits = 41;
   reply.wal_synced_bytes = 12345;
   reply.state_lock_waits = 7;
   reply.stripe_conflicts = 9;
-  reply.stripes = 8;
   reply.error = "";
   std::string error;
   Reply back;
@@ -123,7 +120,6 @@ TEST(WireCodecTest, ReplyRoundTrip) {
   EXPECT_EQ(back.wal_synced_bytes, 12345u);
   EXPECT_EQ(back.state_lock_waits, 7u);
   EXPECT_EQ(back.stripe_conflicts, 9u);
-  EXPECT_EQ(back.stripes, 8u);
 }
 
 TEST(WireCodecTest, LogEntryRoundTrip) {
@@ -323,7 +319,6 @@ class NetIntegrationTest : public ::testing::Test {
     ASSERT_FALSE(dir_.empty());
     sopts_.endpoint = dir_ + "/space.sock";
     sopts_.state_dir = dir_ + "/state";
-    sopts_.num_shards = 2;
     sopts_.checkpoint_every_ops = 4;  // force checkpoints in short tests
     StartServer();
   }
@@ -461,6 +456,39 @@ TEST_F(NetIntegrationTest, BasicOpsAndFifoOrder) {
   EXPECT_EQ(client.In(MakeTemplate(A("task"), F(ValueType::kInt)),
                       /*blocking=*/false, /*remove=*/true, &tuple),
             CallStatus::kNotFound);
+  client.Bye();
+}
+
+TEST_F(NetIntegrationTest, FormalFirstMatchesAreOldestFirstAcrossTheSpace) {
+  // Two tuples of one arity in different (arity, first-key) buckets, the
+  // older one in the bucket a two-way BucketStripeIndex split puts second.
+  // A formal-first template may match either bucket, and the server must
+  // answer oldest-first across the whole space — the TupleSpace and
+  // ShardedTupleSpace rule — not bucket by bucket in hash order.
+  auto key_in = [](size_t half) {
+    for (int i = 0;; ++i) {
+      const std::string key = "k" + std::to_string(i);
+      if (BucketStripeIndex({2, key}, 2) == half) return key;
+    }
+  };
+  const std::string older_key = key_in(1);
+  const std::string newer_key = key_in(0);
+  RemoteTupleSpace client(ClientOptions(1));
+  ASSERT_TRUE(client.Connect());
+  ASSERT_EQ(client.Out(MakeTuple(older_key, 1)), CallStatus::kOk);
+  ASSERT_EQ(client.Out(MakeTuple(newer_key, 2)), CallStatus::kOk);
+
+  Tuple tuple;
+  ASSERT_EQ(client.In(MakeTemplate(F(ValueType::kString), F(ValueType::kInt)),
+                      /*blocking=*/false, /*remove=*/false, &tuple),
+            CallStatus::kOk);
+  EXPECT_EQ(ToString(tuple), ToString(MakeTuple(older_key, 1)));
+
+  std::vector<Tuple> all;
+  ASSERT_EQ(client.TakeAll(&all), CallStatus::kOk);
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(ToString(all[0]), ToString(MakeTuple(older_key, 1)));
+  EXPECT_EQ(ToString(all[1]), ToString(MakeTuple(newer_key, 2)));
   client.Bye();
 }
 
@@ -1376,7 +1404,6 @@ TEST_F(NetIntegrationTest, BatchedMutationsSurviveServerCrashRecovery) {
 RuntimeOptions DistOptions() {
   RuntimeOptions options;
   options.mode = ExecutionMode::kDistributed;
-  options.distributed_shards = 2;
   return options;
 }
 
@@ -2386,17 +2413,14 @@ TEST_F(ShortWriteShardedNetTest, PeerForwardsSurviveShortWrites) {
   client.Bye();
 }
 
-TEST_F(NetIntegrationTest, StripedStressManyClientsKeepFifoAndDrain) {
-  // Many clients against an 8-stripe server: 8 client threads arranged in
-  // a ring. Each thread produces for its neighbour's key and blocking-takes
-  // from its own, so every wakeup crosses stripes; a pipelined multi-stripe
-  // batch and a small transaction ride along, and checkpoint_every_ops=4
-  // forces constant checkpoints between applies. The checks below are the
-  // functional gate (per-bucket FIFO + a fully drained space).
-  StopServer();
-  sopts_.num_shards = 8;
-  sopts_.state_dir = dir_ + "/state.stress";
-  StartServer();
+TEST_F(NetIntegrationTest, StressManyClientsKeepFifoAndDrain) {
+  // Many clients against one server: 8 client threads arranged in a ring.
+  // Each thread produces for its neighbour's key and blocking-takes from its
+  // own, so most takes park until another client's publish wakes them; a
+  // pipelined multi-key batch and a small transaction ride along, and
+  // checkpoint_every_ops=4 forces constant checkpoints between applies. The
+  // checks below are the functional gate (per-bucket FIFO + a fully drained
+  // space).
   constexpr int kClients = 8;
   constexpr int kRounds = 24;
   std::vector<std::thread> fleet;
@@ -2424,13 +2448,13 @@ TEST_F(NetIntegrationTest, StripedStressManyClientsKeepFifoAndDrain) {
           return;
         }
         // Ring FIFO: this key's single producer outs values in order, and
-        // the striped server must preserve per-bucket FIFO matching.
+        // the server must preserve per-bucket FIFO matching.
         if (std::get<int64_t>(got.fields[1]) != expect++) {
           ++failures;
           return;
         }
       }
-      // Pipelined multi-stripe batch: 4 outs on distinct keys + 4 takes.
+      // Pipelined multi-key batch: 4 outs on distinct keys + 4 takes.
       for (int i = 0; i < 4; ++i) {
         if (client.BatchOut(MakeTuple(self + "b" + std::to_string(i), i)) !=
             CallStatus::kOk) {
@@ -2450,7 +2474,7 @@ TEST_F(NetIntegrationTest, StripedStressManyClientsKeepFifoAndDrain) {
         ++failures;
         return;
       }
-      // A transaction: tentative take on one stripe, commit outs landing on
+      // A transaction: tentative take on one key, commit outs landing on
       // another, then consume the committed tuple.
       if (client.Out(MakeTuple(self + "t", 0)) != CallStatus::kOk ||
           client.XStart() != CallStatus::kOk) {
@@ -2481,8 +2505,7 @@ TEST_F(NetIntegrationTest, StripedStressManyClientsKeepFifoAndDrain) {
   }
   for (std::thread& t : fleet) t.join();
   EXPECT_EQ(failures.load(), 0);
-  // The space must be fully drained, and STATS must report the stripe count
-  // end to end over the wire.
+  // The space must be fully drained.
   RemoteTupleSpace ctl(ClientOptions(99));
   ASSERT_TRUE(ctl.Connect());
   uint64_t leftovers = 0;
@@ -2490,9 +2513,6 @@ TEST_F(NetIntegrationTest, StripedStressManyClientsKeepFifoAndDrain) {
                       &leftovers),
             CallStatus::kOk);
   EXPECT_EQ(leftovers, 0u);
-  Reply stats;
-  ASSERT_EQ(ctl.Stats(&stats), CallStatus::kOk);
-  EXPECT_EQ(stats.stripes, 8u);
   ctl.Bye();
 }
 
@@ -2651,15 +2671,8 @@ TEST(EndpointTest, GrammarParsesAndFormatsCanonically) {
   EXPECT_EQ(ep.host, "localhost");
   EXPECT_EQ(ep.port, 0);
 
-  // shm endpoints: the path names the unix-domain handshake socket.
-  ASSERT_TRUE(ParseEndpoint("shm:/run/s0.sock", &ep, &error)) << error;
-  EXPECT_EQ(ep.kind, Endpoint::Kind::kShm);
-  EXPECT_EQ(ep.path, "/run/s0.sock");
-  EXPECT_EQ(FormatEndpoint(ep), "shm:/run/s0.sock");
-
   // FormatEndpoint(ParseEndpoint(x)) is a fixed point.
-  for (const char* text :
-       {"unix:/a/b.sock", "tcp:10.0.0.7:80", "shm:/a/b.sock"}) {
+  for (const char* text : {"unix:/a/b.sock", "tcp:10.0.0.7:80"}) {
     ASSERT_TRUE(ParseEndpoint(text, &ep, &error)) << text;
     EXPECT_EQ(FormatEndpoint(ep), text);
   }
@@ -2669,11 +2682,15 @@ TEST(EndpointTest, MalformedStringsFailWithAReason) {
   Endpoint ep;
   for (const char* bad : {"", "unix:", "tcp:", "tcp:host", "tcp:host:",
                           "tcp::80", "tcp:host:nan", "tcp:host:70000",
-                          "tcp:host:-1", "shm:"}) {
+                          "tcp:host:-1", "shm:/a.sock"}) {
     std::string error;
     EXPECT_FALSE(ParseEndpoint(bad, &ep, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }
+  // The retired shm scheme is refused by name, not read as a relative path.
+  std::string error;
+  EXPECT_FALSE(ParseEndpoint("shm:/a.sock", &ep, &error));
+  EXPECT_NE(error.find("shm transport is retired"), std::string::npos) << error;
 }
 
 TEST(EndpointTest, UsableRejectsOverlongUnixPathsButNotTcp) {
@@ -2684,9 +2701,6 @@ TEST(EndpointTest, UsableRejectsOverlongUnixPathsButNotTcp) {
   const std::string long_path = "/tmp/" + std::string(200, 'x') + ".sock";
   EXPECT_FALSE(EndpointUsable(long_path, &error));
   EXPECT_FALSE(error.empty());
-  // ...and the shm handshake socket has the same limit.
-  EXPECT_TRUE(EndpointUsable("shm:/tmp/ok.sock", &error)) << error;
-  EXPECT_FALSE(EndpointUsable("shm:" + long_path, &error));
   // ...but length never disqualifies a TCP endpoint.
   const std::string long_host =
       "tcp:" + std::string(200, 'h') + ".example:80";
@@ -2780,7 +2794,6 @@ class TcpIntegrationTest : public ::testing::Test {
     sopts_.endpoint = "tcp:127.0.0.1:0";
     sopts_.resolved_endpoint_file = dir_ + "/endpoint";
     sopts_.state_dir = dir_ + "/state";
-    sopts_.num_shards = 2;
     sopts_.checkpoint_every_ops = 4;
     server_pid_ = ForkServerProcess(sopts_);
     ASSERT_GT(server_pid_, 0);
@@ -2893,317 +2906,27 @@ TEST(TcpClientTest, MalformedEndpointFailsFastWithoutAReconnectWindow) {
   EXPECT_FALSE(client.last_error().empty());
 }
 
-// ---------------------------------------------------------------------------
-// Shared-memory transport: rings, handshake classification, live integration
-// ---------------------------------------------------------------------------
-
-/// In-process SPSC ring over plain heap memory: producer and consumer are
-/// views onto the same buffer, exactly as the mmap'd segment would be —
-/// the futex words live inside the header, so even the blocking protocol
-/// works between two threads of this process.
-struct LocalRing {
-  std::vector<char> mem;
-  ShmRing ring;
-  explicit LocalRing(uint32_t capacity) : mem(kShmHeaderBytes + capacity) {
-    ring.Attach(reinterpret_cast<ShmRingHeader*>(mem.data()),
-                mem.data() + kShmHeaderBytes, capacity);
-    ring.Initialize();
-  }
-};
-
-TEST(ShmRingTest, FramesLargerThanTheRingTailWrapIntact) {
-  // Frames repeatedly straddle the wrap point of a minimum-size ring: each
-  // 700-byte frame lands at a different offset mod 4096, so over 64 frames
-  // every wrap phase is exercised. The copy is physically split in two;
-  // the FrameReader on the consumer side must never notice.
-  LocalRing lr(kShmMinRingBytes);
-  FrameReader reader;
-  std::string expect_payload(688, '\0');
-  char buf[1024];
-  int delivered = 0;
-  for (int i = 0; i < 64; ++i) {
-    for (size_t b = 0; b < expect_payload.size(); ++b) {
-      expect_payload[b] = static_cast<char>((i * 31 + b) & 0xff);
-    }
-    std::string frame;
-    AppendFrame(expect_payload, &frame);
-    size_t off = 0;
-    while (off < frame.size()) {
-      bool wake = false;
-      const size_t w =
-          lr.ring.TryWrite(frame.data() + off, frame.size() - off, &wake);
-      off += w;
-      if (w == 0) {
-        // Ring full mid-frame: drain into the reader and keep writing —
-        // the partially written frame must reassemble seamlessly.
-        bool wake_writer = false;
-        const size_t r = lr.ring.TryRead(buf, sizeof(buf), &wake_writer);
-        ASSERT_GT(r, 0u) << "ring full AND empty — accounting broke";
-        reader.Feed(buf, r);
-      }
-    }
-    for (;;) {
-      bool wake_writer = false;
-      const size_t r = lr.ring.TryRead(buf, sizeof(buf), &wake_writer);
-      if (r == 0) break;
-      reader.Feed(buf, r);
-    }
-    std::string payload;
-    while (reader.Next(&payload) == FrameReader::Result::kFrame) {
-      ++delivered;
-      EXPECT_EQ(payload, expect_payload) << "frame " << i << " corrupted";
-    }
-    EXPECT_EQ(delivered, i + 1) << "frame " << i << " did not reassemble";
-  }
-  EXPECT_EQ(delivered, 64);
-}
-
-TEST(ShmRingTest, FullRingBackpressureDropsNothingReordersNothing) {
-  // A reply burst far exceeding ring capacity, pushed through the real
-  // blocking protocol (two-phase arm + futex wait) between two threads:
-  // every frame must come out exactly once, in order — the shm mirror of
-  // the PR-7 short-write tests.
-  LocalRing lr(kShmMinRingBytes);
-  constexpr int kFrames = 512;  // ~180KiB through a 4KiB ring
-  std::thread producer([&] {
-    std::string frame;
-    for (int i = 0; i < kFrames; ++i) {
-      frame.clear();
-      std::string payload = "reply-" + std::to_string(i) + "-" +
-                            std::string(static_cast<size_t>(i % 317), 'x');
-      AppendFrame(payload, &frame);
-      size_t off = 0;
-      while (off < frame.size()) {
-        bool wake = false;
-        off += lr.ring.TryWrite(frame.data() + off, frame.size() - off,
-                                &wake);
-        if (off == frame.size()) break;
-        const uint32_t seen = lr.ring.space_seq();
-        lr.ring.ArmWriter();
-        if (lr.ring.WriteSpace() > 0) {
-          lr.ring.DisarmWriter();
-          continue;
-        }
-        lr.ring.WaitSpace(seen, 50);
-      }
-    }
-  });
-  FrameReader reader;
-  std::vector<std::string> got;
-  char buf[2048];
-  while (got.size() < kFrames) {
-    bool wake = false;
-    const size_t r = lr.ring.TryRead(buf, sizeof(buf), &wake);
-    if (r > 0) {
-      reader.Feed(buf, r);
-      std::string payload;
-      while (reader.Next(&payload) == FrameReader::Result::kFrame) {
-        got.push_back(payload);
-      }
-      continue;
-    }
-    const uint32_t seen = lr.ring.data_seq();
-    lr.ring.ArmReader();
-    if (lr.ring.ReadAvailable() > 0) {
-      lr.ring.DisarmReader();
-      continue;
-    }
-    lr.ring.WaitData(seen, 50);
-  }
-  producer.join();
-  ASSERT_EQ(got.size(), static_cast<size_t>(kFrames));
-  for (int i = 0; i < kFrames; ++i) {
-    const std::string prefix = "reply-" + std::to_string(i) + "-";
-    EXPECT_EQ(got[static_cast<size_t>(i)].substr(0, prefix.size()), prefix)
-        << "frame " << i << " out of order or corrupt";
-  }
-}
-
-TEST(WireFuzzTest, FramesReadOutOfARingSurviveTruncationAndBitFlips) {
-  // The ring is a byte pipe, so stream corruption (a crashed writer, a
-  // truncated segment) surfaces to the consumer exactly like socket
-  // garbage: whatever comes out of the ring must fail structurally in the
-  // FrameReader/decoders, never crash. Sweep truncations and bit flips of
-  // a valid framed request, each pushed through a fresh ring first.
-  uint64_t state = 0x51ed0d1ce5c0ffeeull;
-  auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  std::string full;
-  AppendFrame(EncodeRequest(SampleCommitRequest()), &full);
-  char buf[4096];
-  auto through_ring = [&](const std::string& bytes) {
-    LocalRing lr(kShmMinRingBytes);
-    FrameReader reader;
-    size_t off = 0;
-    while (off < bytes.size()) {
-      bool wake = false;
-      const size_t w =
-          lr.ring.TryWrite(bytes.data() + off, bytes.size() - off, &wake);
-      off += w;
-      bool wake_writer = false;
-      size_t r;
-      while ((r = lr.ring.TryRead(buf, sizeof(buf), &wake_writer)) > 0) {
-        reader.Feed(buf, r);
-      }
-      if (w == 0) {
-        ASSERT_GT(off, 0u);
-      }
-    }
-    std::string payload;
-    Request request;
-    std::string error;
-    for (int i = 0; i < 64; ++i) {
-      const FrameReader::Result result = reader.Next(&payload);
-      if (result != FrameReader::Result::kFrame) break;
-      // Decoding the (possibly corrupt) payload must terminate cleanly.
-      DecodeRequest(payload, &request, &error);
-    }
-  };
-  // Every truncation length.
-  for (size_t len = 0; len < full.size(); ++len) {
-    through_ring(full.substr(0, len));
-  }
-  // Random bit flips, deterministic seed.
-  for (int round = 0; round < 200; ++round) {
-    std::string mutated = full;
-    const int flips = 1 + static_cast<int>(next() % 4);
-    for (int f = 0; f < flips; ++f) {
-      mutated[next() % mutated.size()] ^= static_cast<char>(next() & 0xff);
-    }
-    through_ring(mutated);
-  }
-}
-
-class ShmIntegrationTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = MakeStateDir();
-    ASSERT_FALSE(dir_.empty());
-    sopts_.endpoint = "shm:" + dir_ + "/space.sock";
-    sopts_.state_dir = dir_ + "/state";
-    sopts_.num_shards = 2;
-    sopts_.checkpoint_every_ops = 4;
-    StartServer();
-  }
-
-  void TearDown() override {
-    StopServer();
-    RemoveTree(dir_);
-  }
-
-  void StartServer() {
-    server_pid_ = ForkServerProcess(sopts_);
-    ASSERT_GT(server_pid_, 0);
-    // Framed-probe wait: with shm the bare unix connect of WaitForSocket
-    // would pass while the server is still recovering.
-    ASSERT_TRUE(WaitForEndpoint(sopts_.endpoint, 10.0));
-  }
-
-  void StopServer() {
-    if (server_pid_ <= 0) return;
-    KillProcess(server_pid_);
-    ExitInfo info;
-    WaitForExit(server_pid_, 5.0, &info);
-    server_pid_ = -1;
-  }
-
-  RemoteSpaceOptions ClientOptions(int32_t pid, int32_t incarnation = 0) {
-    RemoteSpaceOptions opts;
-    opts.endpoint = sopts_.endpoint;
-    opts.pid = pid;
-    opts.incarnation = incarnation;
-    opts.reconnect_timeout_s = 10.0;
-    return opts;
-  }
-
-  std::string dir_;
-  SpaceServerOptions sopts_;
-  pid_t server_pid_ = -1;
-};
-
-TEST_F(ShmIntegrationTest, BasicOpsAndFifoOverRings) {
-  RemoteTupleSpace client(ClientOptions(1));
-  ASSERT_TRUE(client.Connect()) << client.last_error();
-  ASSERT_EQ(client.Out(MakeTuple("task", 1)), CallStatus::kOk);
-  ASSERT_EQ(client.Out(MakeTuple("task", 2)), CallStatus::kOk);
-  Tuple got;
-  ASSERT_EQ(client.In(MakeTemplate(A("task"), F(ValueType::kInt)),
-                      /*blocking=*/false, /*remove=*/true, &got),
-            CallStatus::kOk);
-  EXPECT_EQ(GetInt(got, 1), 1);  // FIFO within a bucket holds over rings
-  ASSERT_EQ(client.In(MakeTemplate(A("task"), F(ValueType::kInt)),
-                      /*blocking=*/false, /*remove=*/true, &got),
-            CallStatus::kOk);
-  EXPECT_EQ(GetInt(got, 1), 2);
-  // The server-side STATS counters saw the traffic: payload bytes moved,
-  // and (being shm) far fewer transport syscalls than bytes.
-  Reply stats;
-  ASSERT_EQ(client.Stats(&stats), CallStatus::kOk);
-  EXPECT_GT(stats.transport_bytes, 0u);
-  client.Bye();
-}
-
-TEST_F(ShmIntegrationTest, BlockingInParksOnTheDoorbellUntilAPublish) {
-  // A parked blocking in over shm waits on the doorbell eventfd (the
-  // client's poll fd), not on a socket: the reply written into the s2c
-  // ring by another client's publish must wake and satisfy it.
-  std::thread publisher([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    RemoteTupleSpace side(ClientOptions(2));
-    ASSERT_TRUE(side.Connect()) << side.last_error();
-    EXPECT_EQ(side.Out(MakeTuple("wake", 99)), CallStatus::kOk);
-    side.Bye();
-  });
-  RemoteTupleSpace client(ClientOptions(1));
-  ASSERT_TRUE(client.Connect()) << client.last_error();
-  Tuple got;
-  ASSERT_EQ(client.In(MakeTemplate(A("wake"), F(ValueType::kInt)),
-                      /*blocking=*/true, /*remove=*/true, &got),
-            CallStatus::kOk);
-  EXPECT_EQ(GetInt(got, 1), 99);
-  publisher.join();
-  client.Bye();
-}
-
-TEST_F(ShmIntegrationTest, ReconnectAfterServerRestartResendsExactlyOnce) {
-  // SIGKILL the server mid-session: the client detects peer death through
-  // the handshake socket EOF, reconnects with a FRESH handshake (new
-  // segment, new rings), and the dedup window makes the retried call
-  // exactly-once — the shm twin of the socket crash-recovery tests.
-  RemoteTupleSpace client(ClientOptions(1));
-  ASSERT_TRUE(client.Connect()) << client.last_error();
-  ASSERT_EQ(client.Out(MakeTuple("persist", 7)), CallStatus::kOk);
-
-  StopServer();
-  StartServer();
-
-  Tuple got;
-  ASSERT_EQ(client.In(MakeTemplate(A("persist"), F(ValueType::kInt)),
-                      /*blocking=*/false, /*remove=*/true, &got),
-            CallStatus::kOk);
-  EXPECT_EQ(GetInt(got, 1), 7);
-  client.Bye();
-}
-
 TEST(DistributedRuntimeTest, UnsupportedTransportFailsStructurally) {
   // The runtime-level twin of kBadSocketPath: an unsupported transport
-  // string must fail the run up front with a structured kBadEndpoint error
-  // naming the option, before any server is forked.
-  RuntimeOptions options;
-  options.mode = ExecutionMode::kDistributed;
-  options.distributed_transport = "carrier-pigeon";
-  Runtime runtime(1, options);
-  runtime.SpawnOn("idle", 0, [](ProcessContext&) {});
-  EXPECT_FALSE(runtime.Run());
-  ASSERT_FALSE(runtime.errors().empty());
-  EXPECT_EQ(runtime.errors()[0].code, RuntimeError::Code::kBadEndpoint);
-  EXPECT_NE(runtime.errors()[0].detail.find("distributed_transport"),
-            std::string::npos)
-      << runtime.errors()[0].detail;
+  // string — including the retired "shm" — must fail the run up front with
+  // a structured kBadEndpoint error naming the option and the two supported
+  // transports, before any server is forked.
+  for (const char* transport : {"carrier-pigeon", "shm"}) {
+    RuntimeOptions options;
+    options.mode = ExecutionMode::kDistributed;
+    options.distributed_transport = transport;
+    Runtime runtime(1, options);
+    runtime.SpawnOn("idle", 0, [](ProcessContext&) {});
+    EXPECT_FALSE(runtime.Run()) << transport;
+    ASSERT_FALSE(runtime.errors().empty()) << transport;
+    const RuntimeError& error = runtime.errors()[0];
+    EXPECT_EQ(error.code, RuntimeError::Code::kBadEndpoint) << transport;
+    EXPECT_NE(error.detail.find("distributed_transport"), std::string::npos)
+        << error.detail;
+    EXPECT_NE(error.detail.find("(expected \"unix\" or \"tcp\")"),
+              std::string::npos)
+        << error.detail;
+  }
 }
 
 }  // namespace

@@ -4,10 +4,8 @@
 CI's bench-smoke job runs the benchmark binaries with --quick and feeds the
 resulting JSONs through this script. The numbers themselves are noise at
 smoke timings; what this guards is the *shape* of the output — that every
-benchmark actually ran, reported a real_time, that the scaling rows carry
-the hw_threads counter the analysis scripts key on, and that the striped
-server-saturation rows carry the stripe count, proving it flowed end to
-end from the server's STATS reply.
+benchmark actually ran, reported a real_time, and that the scaling rows
+carry the hw_threads counter the analysis scripts key on.
 
 Usage: check_bench_json.py BENCH_micro.json BENCH_scaling.json ...
 Exits non-zero with a per-file message on the first malformed file.
@@ -90,15 +88,6 @@ def check_file(path):
             hw_threads = bench.get("hw_threads")
             if not isinstance(hw_threads, (int, float)) or hw_threads <= 0:
                 fail(path, f"{name}: missing 'hw_threads' counter")
-        # Striped saturation rows must carry the stripe count pulled over
-        # the wire from the server's STATS reply — its absence means the
-        # striped layout (or its observability) fell out of the bench
-        # without anyone noticing.
-        if name.startswith("BM_ServerSaturationStriped"):
-            stripes = bench.get("stripes")
-            if not isinstance(stripes, (int, float)) or stripes < 2:
-                fail(path, f"{name}: missing or non-striped 'stripes' "
-                           "counter")
 
     print(f"{path}: ok ({len(benchmarks)} benchmark rows)")
 
