@@ -1,6 +1,6 @@
 // Wall-clock scaling benchmarks of ExecutionMode::kRealParallel: the same
 // mining programs the virtual-time benches simulate, executed for real on
-// OS threads against the sharded tuple space, swept over worker counts.
+// OS threads against the in-process tuple space, swept over worker counts.
 // On a multicore host the 4-worker rows run >2x faster than the 1-worker
 // rows (the acceptance curve of the real backend); on a single-core host
 // the sweep still runs and documents the flat curve. Emit JSON with
@@ -36,14 +36,12 @@ using namespace fpdm;
 
 // Shared counters: elapsed wall seconds reported by the runtime itself,
 // cores visible to the process (to interpret flat curves on small hosts),
-// and the cross-shard slow-path share of tuple operations.
-void FillCounters(benchmark::State& state, double wall_time, uint64_t ops,
-                  uint64_t cross_shard) {
+// and the tuple operations the run made.
+void FillCounters(benchmark::State& state, double wall_time, uint64_t ops) {
   state.counters["wall_time_s"] = wall_time;
   state.counters["hw_threads"] =
       static_cast<double>(std::thread::hardware_concurrency());
   state.counters["tuple_ops"] = static_cast<double>(ops);
-  state.counters["cross_shard_ops"] = static_cast<double>(cross_shard);
 }
 
 // Frequent-itemset mining (§2.2) under the load-balanced E-tree strategy:
@@ -67,8 +65,7 @@ void BM_ScalingApriori(benchmark::State& state) {
     if (!result.ok) state.SkipWithError("parallel run failed");
     benchmark::DoNotOptimize(result.mining.good_patterns.size());
   }
-  FillCounters(state, result.wall_time, result.stats.tuple_ops,
-               result.stats.cross_shard_ops);
+  FillCounters(state, result.wall_time, result.stats.tuple_ops);
   state.counters["patterns_tested"] =
       static_cast<double>(result.mining.patterns_tested);
 }
@@ -112,8 +109,7 @@ void BM_ScalingSeqmine(benchmark::State& state) {
     if (!result.ok) state.SkipWithError("parallel run failed");
     benchmark::DoNotOptimize(result.mining.good_patterns.size());
   }
-  FillCounters(state, result.wall_time, result.stats.tuple_ops,
-               result.stats.cross_shard_ops);
+  FillCounters(state, result.wall_time, result.stats.tuple_ops);
   state.counters["patterns_tested"] =
       static_cast<double>(result.mining.patterns_tested);
 }
@@ -128,7 +124,7 @@ BENCHMARK(BM_ScalingSeqmine)
 // The same Apriori workload in ExecutionMode::kDistributed: every worker
 // is a forked OS process and the tuple space is a separate server process
 // behind a Unix-domain socket, so this row prices the wire protocol + WAL
-// against the in-process sharded space of BM_ScalingApriori. Iterations are
+// against the in-process space of BM_ScalingApriori. Iterations are
 // pinned: each one forks a server and a full worker fleet, so letting the
 // harness auto-scale the count would make the bench needlessly slow.
 arm::ItemsetProblem DistributedAprioriProblem() {
@@ -193,8 +189,7 @@ void RunScalingDistributedApriori(benchmark::State& state, bool batching,
     if (!result.ok) state.SkipWithError("distributed run failed");
     benchmark::DoNotOptimize(result.mining.good_patterns.size());
   }
-  FillCounters(state, result.wall_time, result.stats.tuple_ops,
-               result.stats.cross_shard_ops);
+  FillCounters(state, result.wall_time, result.stats.tuple_ops);
   FillWireCounters(state, result.stats);
   state.counters["patterns_tested"] =
       static_cast<double>(result.mining.patterns_tested);
@@ -460,8 +455,7 @@ void BM_ScalingNyuMinerCV(benchmark::State& state) {
     if (!result.ok) state.SkipWithError("parallel run failed");
     benchmark::DoNotOptimize(result.tree.num_nodes());
   }
-  FillCounters(state, result.wall_time, result.stats.tuple_ops,
-               result.stats.cross_shard_ops);
+  FillCounters(state, result.wall_time, result.stats.tuple_ops);
   state.counters["tree_nodes"] = static_cast<double>(result.tree.num_nodes());
 }
 BENCHMARK(BM_ScalingNyuMinerCV)

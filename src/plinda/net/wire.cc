@@ -5,9 +5,10 @@
 namespace fpdm::plinda::net {
 
 size_t PlacementIndex(const BucketKeyView& key, size_t num_servers) {
-  // The shared deterministic mix (tuple_space.h), so the placement survives
-  // restarts and is computed identically by every process and layer.
-  return BucketStripeIndex(key, num_servers);
+  if (num_servers <= 1) return 0;
+  uint64_t h = Fnv1a64(key.second);
+  h ^= key.first + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  return static_cast<size_t>(h % num_servers);
 }
 
 void PutU8(uint8_t v, std::string* out) {

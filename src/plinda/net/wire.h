@@ -27,8 +27,8 @@ inline constexpr size_t kMaxFramePayload = 16u << 20;
 /// `num_servers` SpaceServer processes owns the (arity, key) bucket. Shared
 /// by the servers (to split commit outs into local vs forwarded), the client
 /// (to route every op), and the supervisor (to seed tuples at their homes).
-/// Deterministic across processes and restarts — it is BucketStripeIndex,
-/// the FNV-1a mix ShardedTupleSpace also shards by.
+/// FNV-1a over the key string mixed with the arity, reduced mod
+/// `num_servers`: deterministic across processes and restarts.
 size_t PlacementIndex(const BucketKeyView& key, size_t num_servers);
 
 /// Appends the frame header + payload to `out`. Deliberately does not cap

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <limits>
+#include <utility>
 
 // Complete type for the dclient_ unique_ptr destroyed in ~Runtime.
 #include "plinda/net/client.h"
@@ -855,58 +856,29 @@ bool Runtime::RunReal() {
     return false;
   }
 
-  rspace_ = std::make_unique<ShardedTupleSpace>(options_.real_shards);
-  rspace_->OutBatch(space_.TakeAllInOrder());
+  rspace_ = std::make_unique<ConcurrentTupleSpace>(
+      std::exchange(space_, TupleSpace()));
   real_start_ = std::chrono::steady_clock::now();
   started_real_ = true;
   for (auto& proc : procs_) proc->cv.notify_all();
 
-  // Watchdog: waits for every process to finish, detecting true deadlocks
-  // along the way. "Every live process is parked inside a blocking in/rd and
-  // the publish epoch did not move" observed twice in a row means nobody can
-  // ever wake anybody: cancel by closing the space, which unwinds the
+  // Watchdog: waits for every process to finish. A stalled waiter has no
+  // match in the space, and holding mu_ keeps RealSpawn from adding a
+  // process, so once the space counts every live process as stalled none
+  // can ever run again: cancel by closing the space, which unwinds the
   // waiters through ProcessKilledException.
-  bool prev_all_blocked = false;
-  uint64_t prev_epoch = 0;
-  bool closed_for_deadlock = false;
   for (;;) {
     sched_cv_.wait_for(lock, std::chrono::milliseconds(20));
-    const int total = static_cast<int>(procs_.size());
-    int finished = 0;
+    size_t live = 0;
     for (auto& up : procs_) {
-      if (up->state == ProcState::kDone || up->state == ProcState::kDead) {
-        ++finished;
+      if (up->state != ProcState::kDone && up->state != ProcState::kDead) {
+        ++live;
       }
     }
-    if (finished == total) break;
-    if (closed_for_deadlock) continue;  // cancellation in flight
-    const int live = total - finished;
-    const int blocked = rspace_->waiters();
-    const uint64_t epoch = rspace_->publish_epoch();
-    if (blocked >= live) {
-      // Final confirmation before cancelling: a parked waiter whose
-      // template has a match in the space is merely starved of CPU (the
-      // matching publish already bumped its shard's generation, so it will
-      // consume the tuple once scheduled) — common on oversubscribed
-      // single-core hosts. Only an all-parked, epoch-stable, no-match
-      // state can never resolve itself. The scan is not atomic with the
-      // reads above: a starved waiter may wake and take its tuple in
-      // between, and then no longer counts as parked when the scan reaches
-      // it. So cancel only if both values still read the same afterwards.
-      if (prev_all_blocked && epoch == prev_epoch &&
-          !AnyRealWaiterCanMatch() && rspace_->waiters() == blocked &&
-          rspace_->publish_epoch() == epoch) {
-        deadlocked_ = true;
-        closed_for_deadlock = true;
-        lock.unlock();  // Close() takes shard locks; never under mu_
-        rspace_->Close();
-        lock.lock();
-        continue;
-      }
-      prev_all_blocked = true;
-      prev_epoch = epoch;
-    } else {
-      prev_all_blocked = false;
+    if (live == 0) break;
+    if (!deadlocked_ && rspace_->stalled() >= live) {
+      deadlocked_ = true;
+      rspace_->Close();
     }
   }
 
@@ -920,35 +892,14 @@ bool Runtime::RunReal() {
   }
   lock.lock();
   // Every process thread joined: the atomics and per-process counters are
-  // final, and the sharded space is quiescent.
+  // final, and the concurrent space is quiescent.
   stats_.tuple_ops += real_tuple_ops_.exchange(0);
   stats_.transactions_committed += real_commits_.exchange(0);
   stats_.transactions_aborted += real_aborts_.exchange(0);
-  stats_.cross_shard_ops += rspace_->cross_shard_ops();
   for (auto& up : procs_) stats_.total_work += up->work_done;
-  // Drain the sharded space back so space() harvesting works identically in
-  // both modes (FIFO order preserved).
-  for (Tuple& tuple : rspace_->TakeAllInOrder()) space_.Out(std::move(tuple));
+  space_ = rspace_->TakeSpace();
   if (deadlocked_ || !errors_.empty()) BuildDiagnosticLocked();
   return !deadlocked_ && errors_.empty();
-}
-
-bool Runtime::AnyRealWaiterCanMatch() {
-  for (auto& up : procs_) {
-    Proc* proc = up.get();
-    if (proc->state == ProcState::kDone || proc->state == ProcState::kDead) {
-      continue;
-    }
-    Template tmpl;
-    bool parked = false;
-    {
-      std::lock_guard<std::mutex> guard(proc->real_mu);
-      parked = proc->real_blocked;
-      if (parked) tmpl = proc->blocked_tmpl;
-    }
-    if (parked && rspace_->TryRd(tmpl, nullptr)) return true;
-  }
-  return false;
 }
 
 void Runtime::RunProcessReal(Proc* proc) {
@@ -1040,20 +991,15 @@ bool Runtime::RealIn(Proc* proc, const Template& tmpl, Tuple* result,
   }
   Tuple found;
   if (blocking) {
-    {
-      std::lock_guard<std::mutex> guard(proc->real_mu);
+    if (!rspace_->WaitIn(tmpl, &found, remove)) {
+      // Space closed while we waited: deadlock cancellation. Record what
+      // we waited for, for the post-mortem diagnostic.
       proc->block_reason = BlockReason::kTemplate;
       proc->blocked_tmpl = tmpl;
       proc->blocked_remove = remove;
       proc->real_blocked = true;
-    }
-    if (!rspace_->WaitIn(tmpl, &found, remove)) {
-      // Space closed while we waited: deadlock cancellation or shutdown.
-      // real_blocked stays set for the post-mortem diagnostic.
       throw ProcessKilledException{};
     }
-    std::lock_guard<std::mutex> guard(proc->real_mu);
-    proc->real_blocked = false;
   } else {
     const bool ok = remove ? rspace_->TryIn(tmpl, &found)
                            : rspace_->TryRd(tmpl, &found);
@@ -1106,7 +1052,6 @@ bool Runtime::RealXRecover(Proc* proc, Tuple* continuation) {
 
 int Runtime::RealSpawn(Proc* proc, const std::string& name, ProcessFn fn) {
   if (rspace_->closed()) throw ProcessKilledException{};
-  real_tuple_ops_.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock<std::mutex> lock(mu_);
   int machine = PickMachineLocked();
   assert(machine >= 0 && "machines never fail in real mode");

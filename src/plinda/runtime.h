@@ -14,7 +14,7 @@
 #include <thread>
 #include <vector>
 
-#include "plinda/sharded_space.h"
+#include "plinda/concurrent_space.h"
 #include "plinda/tuple.h"
 #include "plinda/tuple_space.h"
 
@@ -41,10 +41,11 @@ enum class ExecutionMode {
   /// failures); bit-for-bit reproducible, including virtual times.
   kSimulated,
   /// Real parallel execution: all runnable processes run concurrently on
-  /// their OS threads against a sharded, thread-safe tuple space
-  /// (ShardedTupleSpace). Wall-clock fast, scales with cores; virtual time
-  /// does not advance (Compute only accrues work statistics) and fault
-  /// injection is unsupported — scheduling any fault makes Run() fail with
+  /// their OS threads against the simulator's TupleSpace behind one mutex
+  /// (ConcurrentTupleSpace), where an out wakes only the blocked in/rd
+  /// calls it matches. Wall-clock fast; virtual time does not advance
+  /// (Compute only accrues work statistics) and fault injection is
+  /// unsupported — scheduling any fault makes Run() fail with
   /// RuntimeError::Code::kFaultInjectionUnsupported. Mining protocols whose
   /// results are scheduling-independent (all of core/ and classify/)
   /// produce bit-identical results in either mode.
@@ -68,9 +69,6 @@ enum class ExecutionMode {
 struct RuntimeOptions {
   /// Execution backend: deterministic simulator or real multicore threads.
   ExecutionMode mode = ExecutionMode::kSimulated;
-  /// Shard count of the concurrent tuple space in kRealParallel mode
-  /// (<= 0: derived from hardware_concurrency).
-  int real_shards = 0;
   /// Cost of one tuple-space operation (out/in/rd/...): models the LAN round
   /// trip to the PLinda server.
   double tuple_op_latency = 0.02;
@@ -256,8 +254,8 @@ struct RuntimeStats {
   /// Sum over processes of Compute() work units actually performed
   /// (including work later lost to failures).
   double total_work = 0;
-  /// kRealParallel only: tuple-space operations that took the all-shard
-  /// slow path (formal-first-field templates).
+  /// Always 0: the kRealParallel space has no shards. Kept only because
+  /// perfbench/ reads it.
   uint64_t cross_shard_ops = 0;
   /// kDistributed only: wire-level counters summed over every worker
   /// incarnation plus the supervisor's control connection. rpc_calls counts
@@ -324,13 +322,13 @@ struct RuntimeStats {
 /// ScheduleServerFailure and DESIGN.md "Fault model".
 ///
 /// **Real-parallel (ExecutionMode::kRealParallel).** All processes run
-/// concurrently against a sharded, thread-safe tuple space; wall-clock
-/// speed scales with cores. Fault injection is unsupported in this mode
+/// concurrently against one thread-safe tuple space; wall-clock speed
+/// scales with cores. Fault injection is unsupported in this mode
 /// (Run() fails fast with kFaultInjectionUnsupported), virtual time does
 /// not advance, and CompletionTime() returns elapsed wall seconds. A
-/// deadlock (every live process blocked on in/rd with nothing left to
-/// publish) is detected by a watchdog, cancelled, and reported through
-/// deadlocked()/diagnostic() exactly like the simulator.
+/// deadlock (every live process blocked on an in/rd that nothing in the
+/// space matches) is detected exactly, cancelled, and reported through
+/// deadlocked()/diagnostic() like the simulator.
 ///
 /// **Distributed (ExecutionMode::kDistributed).** Each process is a forked
 /// OS process; the tuple space lives in a separate server process reached
@@ -426,10 +424,10 @@ class Runtime {
   /// Empty after a successful run.
   const std::string& diagnostic() const { return diagnostic_; }
 
-  /// The tuple space. In real-parallel mode the live tuples reside in the
-  /// sharded concurrent space while Run() is in flight and are drained back
-  /// here when it returns, so pre-seeding tuples before Run() and
-  /// harvesting results after Run() work identically in both modes.
+  /// The tuple space. In real-parallel mode Run() moves it into the
+  /// concurrent space while the processes run and moves it back when it
+  /// returns, so pre-seeding tuples before Run() and harvesting results
+  /// after Run() work identically in both modes.
   TupleSpace& space() { return space_; }
   const RuntimeStats& stats() const { return stats_; }
   int num_machines() const { return static_cast<int>(machines_.size()); }
@@ -463,11 +461,10 @@ class Runtime {
     BlockReason block_reason = BlockReason::kNone;
     Template blocked_tmpl;  // meaningful when block_reason == kTemplate
     bool blocked_remove = false;  // in/inp vs rd/rdp
-    // Real mode: true while parked in (or cancelled out of) a blocking
-    // in/rd. Guarded by real_mu together with the blocked_* fields above,
-    // so the watchdog's liveness probe can read them mid-run.
+    // Real mode: set, with the blocked_* fields above, when a deadlock
+    // cancels the process out of a blocking in/rd. Written by the process's
+    // own thread; the post-mortem reads them only after the join.
     bool real_blocked = false;
-    std::mutex real_mu;
 
     // Open transaction state.
     bool txn_active = false;
@@ -563,14 +560,11 @@ class Runtime {
   int OpSpawn(Proc* proc, const std::string& name, ProcessFn fn);
 
   // --- real-parallel backend (ExecutionMode::kRealParallel) ---
-  /// Driver: transfers the seeded space into the sharded space, releases
-  /// every process thread, watches for completion/deadlock, joins, and
-  /// drains the sharded space back.
+  /// Driver: moves the seeded space into the concurrent space, releases
+  /// every process thread, and waits for them to finish. It declares
+  /// deadlock, under mu_ (which keeps RealSpawn out), once the space counts
+  /// every live process as stalled. Then it joins and moves the space back.
   bool RunReal();
-  /// Watchdog liveness probe: true if any parked waiter's template matches
-  /// a tuple currently in the sharded space — that waiter is merely starved
-  /// of CPU (its wakeup is already pending), not deadlocked. Requires mu_.
-  bool AnyRealWaiterCanMatch();
   /// Elapsed wall seconds since RunReal() released the processes.
   double NowReal() const;
   void RunProcessReal(Proc* proc);
@@ -650,10 +644,10 @@ class Runtime {
   double completion_time_ = 0;
   double wall_time_ = 0;
 
-  // Real-parallel state. The sharded space exists only during/after a
+  // Real-parallel state. The concurrent space exists only during/after a
   // real-mode Run(); per-op counters are atomics so processes never
-  // serialize on mu_ for bookkeeping.
-  std::unique_ptr<ShardedTupleSpace> rspace_;
+  // serialize on mu_ for bookkeeping. Lock order: mu_, then rspace_'s mutex.
+  std::unique_ptr<ConcurrentTupleSpace> rspace_;
   bool started_real_ = false;  // start gate (guarded by mu_)
   std::chrono::steady_clock::time_point real_start_;
   std::atomic<uint64_t> real_tuple_ops_{0};

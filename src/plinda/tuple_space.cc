@@ -41,13 +41,6 @@ bool SingleBucketKeyFor(const Template& tmpl, BucketKeyView* key) {
   return false;
 }
 
-size_t BucketStripeIndex(const BucketKeyView& key, size_t n) {
-  if (n <= 1) return 0;
-  uint64_t h = Fnv1a64(key.second);
-  h ^= key.first + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return static_cast<size_t>(h % n);
-}
-
 void TupleSpace::Out(Tuple tuple) {
   const BucketKeyView key = BucketKeyFor(tuple);
   auto it = buckets_.find(key);

@@ -35,8 +35,7 @@ struct BucketKeyLess {
 };
 
 /// Returns the bucket key of a tuple as a view into its first field (valid
-/// while the tuple lives). Shared with the sharded concurrent space so both
-/// index tuples identically.
+/// while the tuple lives). The multi-server placement routes by it too.
 BucketKeyView BucketKeyFor(const Tuple& tuple);
 
 /// Returns the single bucket key a template with an actual first field can
@@ -44,16 +43,11 @@ BucketKeyView BucketKeyFor(const Tuple& tuple);
 /// formal (the template may match any bucket of its arity).
 bool SingleBucketKeyFor(const Template& tmpl, BucketKeyView* key);
 
-/// Deterministic bucket→stripe index: FNV-1a over the key string mixed with
-/// the arity, reduced mod `n`. This is the one routing function shared by
-/// the in-process ShardedTupleSpace and the multi-server PlacementIndex, so
-/// a bucket lands on the same shard/server across restarts and processes.
-size_t BucketStripeIndex(const BucketKeyView& key, size_t n);
-
-/// The associative shared memory of Linda. Not thread-safe by itself: the
-/// simulated NOW runtime serializes all access (simulated processes run one
-/// at a time), and unit tests exercise it directly. The thread-safe sibling
-/// used by ExecutionMode::kRealParallel is ShardedTupleSpace.
+/// The associative shared memory of Linda, and the one storage and matching
+/// engine of every backend. Not thread-safe by itself: the simulated NOW
+/// runtime serializes all access (simulated processes run one at a time),
+/// ExecutionMode::kRealParallel wraps it in ConcurrentTupleSpace (one mutex),
+/// and each distributed shard server owns one on its single serve thread.
 ///
 /// Matching is FIFO among matching tuples (oldest `out` wins), which keeps
 /// the simulated executions deterministic.
@@ -61,9 +55,12 @@ class TupleSpace {
  public:
   TupleSpace() = default;
 
-  // Copyable so transactions / checkpoints can snapshot it.
+  // Copyable so transactions / checkpoints can snapshot it; movable so a
+  // backend can take the space over with its sequence numbers intact.
   TupleSpace(const TupleSpace&) = default;
   TupleSpace& operator=(const TupleSpace&) = default;
+  TupleSpace(TupleSpace&&) = default;
+  TupleSpace& operator=(TupleSpace&&) = default;
 
   /// Adds a tuple (Linda `out`).
   void Out(Tuple tuple);
@@ -85,9 +82,8 @@ class TupleSpace {
   /// Removes every tuple.
   void Clear();
 
-  /// Removes and returns every tuple in FIFO (`out`) order. Used to hand the
-  /// space over to / back from the real-parallel backend without disturbing
-  /// the matching order.
+  /// Removes and returns every tuple in FIFO (`out`) order: the server's
+  /// TAKEALL, and the distributed supervisor's seeding of its shard servers.
   std::vector<Tuple> TakeAllInOrder();
 
   /// Serializes the whole space (checkpoint-protected tuple space, §2.4.6).

@@ -1,7 +1,7 @@
-// Tests for the thread-safe sharded tuple space and the kRealParallel
+// Tests for the thread-safe concurrent tuple space and the kRealParallel
 // runtime backend. This file is part of fpdm_plinda_tests, so every tier-1
 // run also executes it under ThreadSanitizer (see run_tsan.cmake): the
-// concurrent stress tests double as the race detectors for the sharded
+// concurrent stress tests double as the race detectors for the concurrent
 // space and the real-mode op paths.
 
 #include <atomic>
@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "plinda/concurrent_space.h"
 #include "plinda/runtime.h"
-#include "plinda/sharded_space.h"
 #include "plinda/tuple.h"
 
 namespace fpdm::plinda {
@@ -22,13 +22,13 @@ Template WorkTemplate() {
   return MakeTemplate(A("work"), F(ValueType::kInt));
 }
 
-// Formal string first field: forces the cross-shard slow path.
+// Formal string first field: may match a tuple of any bucket of arity 2.
 Template AnyPairTemplate() {
   return MakeTemplate(F(ValueType::kString), F(ValueType::kInt));
 }
 
-TEST(ShardedSpaceTest, FifoWithinBucket) {
-  ShardedTupleSpace space;
+TEST(ConcurrentSpaceTest, FifoWithinBucket) {
+  ConcurrentTupleSpace space;
   space.Out(MakeTuple("work", int64_t{1}));
   space.Out(MakeTuple("work", int64_t{2}));
   Tuple t;
@@ -40,10 +40,10 @@ TEST(ShardedSpaceTest, FifoWithinBucket) {
   EXPECT_EQ(space.size(), 0u);
 }
 
-TEST(ShardedSpaceTest, CrossShardMatchingPicksGloballyOldest) {
-  ShardedTupleSpace space;
-  space.Out(MakeTuple("alpha", int64_t{1}));  // oldest, some shard
-  space.Out(MakeTuple("beta", int64_t{2}));   // newer, likely another shard
+TEST(ConcurrentSpaceTest, FormalFirstMatchingPicksOldestAcrossBuckets) {
+  ConcurrentTupleSpace space;
+  space.Out(MakeTuple("alpha", int64_t{1}));  // oldest, one bucket
+  space.Out(MakeTuple("beta", int64_t{2}));   // newer, another bucket
   Tuple t;
   ASSERT_TRUE(space.TryRd(AnyPairTemplate(), &t));
   EXPECT_EQ(GetString(t, 0), "alpha");
@@ -54,8 +54,8 @@ TEST(ShardedSpaceTest, CrossShardMatchingPicksGloballyOldest) {
   EXPECT_EQ(space.size(), 0u);
 }
 
-TEST(ShardedSpaceTest, TryRdDoesNotRemove) {
-  ShardedTupleSpace space;
+TEST(ConcurrentSpaceTest, TryRdDoesNotRemove) {
+  ConcurrentTupleSpace space;
   space.Out(MakeTuple("work", int64_t{7}));
   Tuple t;
   ASSERT_TRUE(space.TryRd(WorkTemplate(), &t));
@@ -64,11 +64,11 @@ TEST(ShardedSpaceTest, TryRdDoesNotRemove) {
   EXPECT_EQ(space.size(), 0u);
 }
 
-TEST(ShardedSpaceTest, CloseWakesBlockedWaiters) {
-  ShardedTupleSpace space;
+TEST(ConcurrentSpaceTest, CloseWakesBlockedWaiters) {
+  ConcurrentTupleSpace space;
   std::atomic<int> woken{0};
   std::vector<std::thread> waiters;
-  // One waiter on the single-shard path, one on the cross-shard path.
+  // One actual-first waiter, one formal-first waiter.
   waiters.emplace_back([&] {
     Tuple t;
     EXPECT_FALSE(space.WaitIn(WorkTemplate(), &t, /*remove=*/true));
@@ -88,29 +88,60 @@ TEST(ShardedSpaceTest, CloseWakesBlockedWaiters) {
   EXPECT_FALSE(space.WaitIn(WorkTemplate(), &t, true));
 }
 
-TEST(ShardedSpaceTest, TakeAllInOrderPreservesOutOrder) {
-  ShardedTupleSpace space;
-  for (int i = 0; i < 10; ++i) {
+// The space moves in and back out with its sequence numbers: tuples seeded
+// before the hand-over stay older than tuples added after it.
+TEST(ConcurrentSpaceTest, HandOverByMovePreservesOutOrder) {
+  TupleSpace seeded;
+  for (int i = 0; i < 5; ++i) {
+    seeded.Out(MakeTuple("k" + std::to_string(i % 3), int64_t{i}));
+  }
+  ConcurrentTupleSpace space(std::move(seeded));
+  for (int i = 5; i < 10; ++i) {
     space.Out(MakeTuple("k" + std::to_string(i % 3), int64_t{i}));
   }
-  std::vector<Tuple> all = space.TakeAllInOrder();
-  ASSERT_EQ(all.size(), 10u);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(GetInt(all[static_cast<size_t>(i)], 1), i);
+  TupleSpace back = space.TakeSpace();
   EXPECT_EQ(space.size(), 0u);
+  std::vector<Tuple> all = back.TakeAllInOrder();
+  ASSERT_EQ(all.size(), 10u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(GetInt(all[static_cast<size_t>(i)], 1), i);
+  }
+}
+
+// The wake rule behind stalled(): an out marks only the parked waiters whose
+// template it matches, and a marked waiter stops counting as stalled as
+// soon as the out returns, before the waiter itself runs.
+TEST(ConcurrentSpaceTest, OutMarksOnlyMatchingWaiters) {
+  ConcurrentTupleSpace space;
+  Tuple got;
+  std::thread waiter([&] {
+    EXPECT_TRUE(space.WaitIn(MakeTemplate(A("a"), F(ValueType::kInt)), &got,
+                             /*remove=*/true));
+  });
+  while (space.stalled() != 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  space.Out(MakeTuple("b", int64_t{1}));
+  EXPECT_EQ(space.stalled(), 1u);
+  space.Out(MakeTuple("a", int64_t{2}));
+  EXPECT_EQ(space.stalled(), 0u);
+  waiter.join();
+  EXPECT_EQ(ToString(got), ToString(MakeTuple("a", int64_t{2})));
+  EXPECT_EQ(space.size(), 1u);
 }
 
 // Concurrent stress: producers publish into many buckets while consumers
-// drain through both the single-shard path (actual first field) and the
-// cross-shard path (formal string first field). Every tuple must be
+// drain through both actual-first templates (one bucket each) and
+// formal-first templates (every bucket of the arity). Every tuple must be
 // consumed exactly once.
-TEST(ShardedSpaceTest, ConcurrentProducersAndMixedConsumers) {
+TEST(ConcurrentSpaceTest, ConcurrentProducersAndMixedConsumers) {
   constexpr int kProducers = 4;
   constexpr int kConsumersFast = 3;
   constexpr int kConsumersSlow = 2;
   constexpr int kPerProducer = 500;
   constexpr int kTotal = kProducers * kPerProducer;
 
-  ShardedTupleSpace space;
+  ConcurrentTupleSpace space;
   std::atomic<int> consumed{0};
   std::atomic<long long> value_sum{0};
 
@@ -119,7 +150,7 @@ TEST(ShardedSpaceTest, ConcurrentProducersAndMixedConsumers) {
     threads.emplace_back([&, p] {
       for (int j = 0; j < kPerProducer; ++j) {
         const int value = p * kPerProducer + j;
-        // Several distinct string keys spread the load across shards.
+        // Several distinct string keys spread the load across buckets.
         space.Out(MakeTuple("work" + std::to_string(value % 7),
                             int64_t{value}));
       }
@@ -141,7 +172,7 @@ TEST(ShardedSpaceTest, ConcurrentProducersAndMixedConsumers) {
     threads.emplace_back([&] { consume(AnyPairTemplate()); });
   }
 
-  // The slow-path consumers can drain every bucket, so all tuples get
+  // The formal-first consumers can drain every bucket, so all tuples get
   // consumed; close once the space is empty to release the waiters.
   while (consumed.load() < kTotal) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -153,7 +184,6 @@ TEST(ShardedSpaceTest, ConcurrentProducersAndMixedConsumers) {
   EXPECT_EQ(value_sum.load(),
             static_cast<long long>(kTotal) * (kTotal - 1) / 2);
   EXPECT_EQ(space.size(), 0u);
-  EXPECT_GT(space.cross_shard_ops(), 0u);
 }
 
 // --- kRealParallel runtime backend ---------------------------------------
@@ -215,7 +245,7 @@ TEST(RealParallelRuntimeTest, DeadlockIsDetectedAndDiagnosed) {
   });
   runtime.Spawn("stuck-b", [](ProcessContext& ctx) {
     Tuple t;
-    ctx.Rd(MakeTemplate(F(ValueType::kString)), &t);  // cross-shard waiter
+    ctx.Rd(MakeTemplate(F(ValueType::kString)), &t);  // formal-first waiter
   });
   EXPECT_FALSE(runtime.Run());
   EXPECT_TRUE(runtime.deadlocked());
@@ -272,7 +302,7 @@ TEST(RealParallelRuntimeTest, ContinuationsRoundTrip) {
   EXPECT_TRUE(recovered.load());
 }
 
-TEST(RealParallelRuntimeTest, CrossShardBlockingRdSeesLatePublish) {
+TEST(RealParallelRuntimeTest, FormalFirstBlockingRdSeesLatePublish) {
   Runtime runtime(2, RealOptions());
   std::atomic<bool> got{false};
   runtime.Spawn("reader", [&](ProcessContext& ctx) {
@@ -287,19 +317,28 @@ TEST(RealParallelRuntimeTest, CrossShardBlockingRdSeesLatePublish) {
   });
   ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
   EXPECT_TRUE(got.load());
-  EXPECT_GT(runtime.stats().cross_shard_ops, 0u);
 }
 
-TEST(RealParallelRuntimeTest, DynamicSpawnRunsImmediately) {
-  Runtime runtime(2, RealOptions());
-  runtime.Spawn("parent", [](ProcessContext& ctx) {
-    ctx.Spawn("child", [](ProcessContext& cctx) {
-      cctx.Out(MakeTuple("child_done", int64_t{1}));
+// A spawned child runs at once, and the spawn itself is no tuple op: the
+// out and the in are the only two, as the simulator counts them.
+TEST(RealParallelRuntimeTest, DynamicSpawnCountsTupleOpsLikeTheSimulator) {
+  auto tuple_ops = [](ExecutionMode mode) {
+    RuntimeOptions options;
+    options.mode = mode;
+    Runtime runtime(2, options);
+    runtime.Spawn("parent", [](ProcessContext& ctx) {
+      ctx.Spawn("child", [](ProcessContext& cctx) {
+        cctx.Out(MakeTuple("child_done", int64_t{1}));
+      });
+      Tuple t;
+      ctx.In(MakeTemplate(A("child_done"), F(ValueType::kInt)), &t);
     });
-    Tuple t;
-    ctx.In(MakeTemplate(A("child_done"), F(ValueType::kInt)), &t);
-  });
-  ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
+    EXPECT_TRUE(runtime.Run()) << runtime.diagnostic();
+    return runtime.stats().tuple_ops;
+  };
+  const uint64_t simulated = tuple_ops(ExecutionMode::kSimulated);
+  EXPECT_EQ(simulated, 2u);
+  EXPECT_EQ(tuple_ops(ExecutionMode::kRealParallel), simulated);
 }
 
 // Transactions committing and aborting concurrently: workers drain tasks

@@ -34,6 +34,29 @@ namespace fpdm::plinda::net {
 namespace {
 
 // ---------------------------------------------------------------------------
+// Bucket placement
+// ---------------------------------------------------------------------------
+
+// Bucket placement decides which server's WAL and checkpoint hold a tuple,
+// so it must never move: these are the indices it has always computed.
+TEST(PlacementTest, IndexIsPinnedAtTwoAndThreeServers) {
+  auto expect_placed = [](size_t arity, const char* key, size_t of_two,
+                          size_t of_three) {
+    const BucketKeyView bucket{arity, key};
+    EXPECT_EQ(PlacementIndex(bucket, 1), 0u) << arity << ':' << key;
+    EXPECT_EQ(PlacementIndex(bucket, 2), of_two) << arity << ':' << key;
+    EXPECT_EQ(PlacementIndex(bucket, 3), of_three) << arity << ':' << key;
+  };
+  expect_placed(0, "", 1, 1);
+  expect_placed(2, "", 1, 1);
+  expect_placed(2, "task", 0, 0);
+  expect_placed(5, "report", 1, 2);
+  expect_placed(3, "good", 0, 1);
+  expect_placed(3, "cost", 0, 2);
+  expect_placed(2, "k2", 1, 1);
+}
+
+// ---------------------------------------------------------------------------
 // Codec round trips
 // ---------------------------------------------------------------------------
 
@@ -461,14 +484,14 @@ TEST_F(NetIntegrationTest, BasicOpsAndFifoOrder) {
 
 TEST_F(NetIntegrationTest, FormalFirstMatchesAreOldestFirstAcrossTheSpace) {
   // Two tuples of one arity in different (arity, first-key) buckets, the
-  // older one in the bucket a two-way BucketStripeIndex split puts second.
+  // older one in the bucket a two-way PlacementIndex split puts second.
   // A formal-first template may match either bucket, and the server must
-  // answer oldest-first across the whole space — the TupleSpace and
-  // ShardedTupleSpace rule — not bucket by bucket in hash order.
+  // answer oldest-first across the whole space — the TupleSpace rule — not
+  // bucket by bucket in hash order.
   auto key_in = [](size_t half) {
     for (int i = 0;; ++i) {
       const std::string key = "k" + std::to_string(i);
-      if (BucketStripeIndex({2, key}, 2) == half) return key;
+      if (PlacementIndex({2, key}, 2) == half) return key;
     }
   };
   const std::string older_key = key_in(1);
