@@ -140,8 +140,8 @@ arm::ItemsetProblem DistributedAprioriProblem() {
 // Wire-traffic counters of a distributed run: round trips and bytes summed
 // across every worker plus the supervisor's control connection, kBatch
 // frames applied server-side, and the mean sub-ops those frames carried.
-// rpc_calls is the number batching exists to shrink — compare the batched
-// and unbatched rows at the same worker count.
+// rpc_calls against tuple_ops is what write coalescing and deferred
+// transaction frames save.
 void FillWireCounters(benchmark::State& state,
                       const plinda::RuntimeStats& stats) {
   state.counters["rpc_calls"] = static_cast<double>(stats.rpc_calls);
@@ -174,14 +174,12 @@ void FillWireCounters(benchmark::State& state,
       static_cast<double>(stats.transport_bytes);
 }
 
-void RunScalingDistributedApriori(benchmark::State& state, bool batching,
-                                  int servers) {
+void RunScalingDistributedApriori(benchmark::State& state, int servers) {
   const arm::ItemsetProblem problem = DistributedAprioriProblem();
   core::ParallelOptions options;
   options.strategy = core::Strategy::kLoadBalanced;
   options.execution_mode = plinda::ExecutionMode::kDistributed;
   options.num_workers = static_cast<int>(state.range(0));
-  options.runtime.distributed_batching = batching;
   options.runtime.distributed_servers = servers;
   core::ParallelResult result;
   for (auto _ : state) {
@@ -212,8 +210,7 @@ void RunScalingDistributedApriori(benchmark::State& state, bool batching,
 // shard-server count at the largest fleet — each server's single serve
 // loop is the ceiling the 2- and 4-server rows exist to lift.
 void BM_ScalingDistributedApriori(benchmark::State& state) {
-  RunScalingDistributedApriori(state, /*batching=*/true,
-                               static_cast<int>(state.range(1)));
+  RunScalingDistributedApriori(state, static_cast<int>(state.range(1)));
 }
 BENCHMARK(BM_ScalingDistributedApriori)
     ->Args({1, 1})
@@ -221,21 +218,6 @@ BENCHMARK(BM_ScalingDistributedApriori)
     ->Args({4, 1})
     ->Args({4, 2})
     ->Args({4, 4})
-    ->Iterations(2)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The identical workload with write coalescing and frame deferral off —
-// every call is its own round trip, as before the batching layer. The
-// rpc_calls ratio against BM_ScalingDistributedApriori at the same worker
-// count is the protocol-level win, decoupled from wall-clock noise.
-void BM_ScalingDistributedAprioriUnbatched(benchmark::State& state) {
-  RunScalingDistributedApriori(state, /*batching=*/false, /*servers=*/1);
-}
-BENCHMARK(BM_ScalingDistributedAprioriUnbatched)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
     ->Iterations(2)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

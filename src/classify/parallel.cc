@@ -89,7 +89,9 @@ ParallelTreeResult ParallelNyuMinerCV(const Dataset& data,
   // (each fold is one task, claimed by exactly one worker at a time), so the
   // indexed writes are race-free even when the workers run concurrently in
   // kRealParallel mode, and the driver folds them in index order — float
-  // sums come out bit-identical in both execution modes.
+  // sums come out bit-identical in both execution modes. The write assigns:
+  // it lands outside the task transaction, so a fold that a fault aborted
+  // and a worker redid must still count once.
   double master_work = 0;
   std::vector<double> fold_work(static_cast<size_t>(std::max(folds, 1)), 0.0);
   DecisionTree final_tree;
@@ -172,7 +174,7 @@ ParallelTreeResult ParallelNyuMinerCV(const Dataset& data,
         }
         double work = 0;
         DecisionTree aux = DecisionTree::Grow(data, train, growth, &work);
-        fold_work[static_cast<size_t>(v)] += work;
+        fold_work[static_cast<size_t>(v)] = work;
         ctx.Compute(work * spw);
 
         Tuple alphas_tuple;
@@ -247,7 +249,8 @@ TrialRun RunTrialsInParallel(int trials, uint64_t seed,
   ApplyFailures(&runtime, exec);
   // Work is recorded per trial (each trial is claimed by one worker), so the
   // writes are race-free under kRealParallel and the index-order fold below
-  // is deterministic. kDistributed forks the workers, so each trial's tree
+  // is deterministic; a redone trial overwrites its aborted attempt's
+  // record. kDistributed forks the workers, so each trial's tree
   // and work come back as a ("trial_tree", t, tree, work) tuple instead,
   // out'ed inside the task transaction for exactly-once under faults.
   std::vector<double> trial_work(static_cast<size_t>(trials), 0.0);
@@ -283,7 +286,7 @@ TrialRun RunTrialsInParallel(int trials, uint64_t seed,
         double work = 0;
         run.trees[static_cast<size_t>(t)] =
             run_trial(static_cast<int>(t), seeds[static_cast<size_t>(t)], &work);
-        trial_work[static_cast<size_t>(t)] += work;
+        trial_work[static_cast<size_t>(t)] = work;
         ctx.Compute(work * exec.seconds_per_work_unit);
         if (dist) {
           ctx.Out(MakeTuple("trial_tree", t,

@@ -41,7 +41,10 @@ struct ParallelTreeResult {
   double completion_time = 0;
   /// Elapsed wall seconds of the run (both modes).
   double wall_time = 0;
-  double total_work = 0;  // splitter work units across all processes
+  /// Splitter work units across all processes. Each fold or trial counts
+  /// once, even when a fault aborted it and a worker redid it; the work
+  /// lost to faults shows in RuntimeStats::total_work instead.
+  double total_work = 0;
   plinda::RuntimeStats stats;
 };
 
@@ -70,6 +73,7 @@ struct ParallelRsResult {
   double completion_time = 0;
   /// Elapsed wall seconds of the run (both modes).
   double wall_time = 0;
+  /// Splitter work units, each trial counted once (see ParallelTreeResult).
   double total_work = 0;
   plinda::RuntimeStats stats;
 };

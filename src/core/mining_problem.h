@@ -72,10 +72,13 @@ struct GoodPattern {
 struct MiningResult {
   /// All good patterns, sorted by (length, key) for stable comparison.
   std::vector<GoodPattern> good_patterns;
-  /// Number of Goodness() evaluations performed.
+  /// Number of Goodness() evaluations performed. A parallel run counts
+  /// each pattern once, even when a fault aborted its task and a worker
+  /// redid it; the work lost to faults shows in RuntimeStats::total_work.
   size_t patterns_tested = 0;
-  /// Sum of TaskCost over all tested patterns: the sequential running time
-  /// in virtual work units (before any fixed program overheads).
+  /// Sum of TaskCost over all tested patterns, each counted once: the
+  /// sequential running time in virtual work units (before any fixed
+  /// program overheads).
   double total_task_cost = 0;
 };
 

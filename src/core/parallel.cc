@@ -411,6 +411,19 @@ ParallelResult MineParallel(const MiningProblem& problem,
   // Sum task costs in canonical (sorted) order, not evaluation order, so the
   // floating-point total is bit-identical across execution modes and runs.
   std::sort(shared->task_costs.begin(), shared->task_costs.end());
+  if (!shared->dist) {
+    // In-process records are written outside the task transaction, so a
+    // task that a fault aborted and a worker redid recorded its patterns
+    // twice: count each pattern once. kDistributed's cost tuples commit
+    // with their task, so each counts — a duplicate there is a commit that
+    // applied twice.
+    shared->task_costs.erase(
+        std::unique(shared->task_costs.begin(), shared->task_costs.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first;
+                    }),
+        shared->task_costs.end());
+  }
   result.mining.patterns_tested = shared->task_costs.size();
   double total_cost = 0;
   for (const auto& [key, cost] : shared->task_costs) total_cost += cost;

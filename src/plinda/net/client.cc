@@ -31,7 +31,7 @@ constexpr size_t kMaxQueuedFrames = 8;
 
 /// Gathered write of every iovec, one syscall per kernel acceptance. The
 /// single-writev flush is what makes a multi-frame pipeline cost the same
-/// number of syscalls as one unbatched request. MSG_NOSIGNAL: writing to a
+/// number of syscalls as a single request frame. MSG_NOSIGNAL: writing to a
 /// crashed server must surface as EPIPE (the reconnect path), not deliver
 /// SIGPIPE to the caller.
 bool WritevAll(int fd, std::vector<iovec> iov, uint64_t* bytes_sent,
@@ -240,8 +240,8 @@ void RemoteTupleSpace::DrainStatus() {
 RemoteTupleSpace::CallStatus RemoteTupleSpace::SyncFlush(
     Request* sync, Reply* sync_reply, std::vector<BatchItem>* items) {
   // A sticky deferred failure poisons the client: surface it before putting
-  // anything else on the wire, exactly where the unbatched protocol would
-  // have surfaced the failed call itself.
+  // anything else on the wire, so the caller unwinds before any later
+  // frame can apply.
   if (deferred_error_ != CallStatus::kOk) {
     queued_.clear();
     batch_.clear();
@@ -906,8 +906,7 @@ ShardedRemoteSpace::CallStatus ShardedRemoteSpace::EnsureParticipant(
     // First destructive in on this leg: open the transaction there so its
     // tentative removals are tracked (and, at commit time, so the leg can
     // vote PREPARED in the 2PC round if it is not the home server).
-    const CallStatus status = xstart_deferred_ ? legs_[leg]->DeferXStart()
-                                               : legs_[leg]->XStart();
+    const CallStatus status = legs_[leg]->DeferXStart();
     if (status != CallStatus::kOk) {
       last_error_ = legs_[leg]->last_error();
       return status;
@@ -928,15 +927,6 @@ ShardedRemoteSpace::CallStatus ShardedRemoteSpace::FlushOthers(
     }
   }
   return worst;
-}
-
-ShardedRemoteSpace::CallStatus ShardedRemoteSpace::Out(const Tuple& tuple) {
-  const size_t leg =
-      legs_.size() > 1 ? PlacementIndex(BucketKeyFor(tuple), legs_.size())
-                       : 0;
-  const CallStatus status = legs_[leg]->Out(tuple);
-  if (status != CallStatus::kOk) last_error_ = legs_[leg]->last_error();
-  return status;
 }
 
 ShardedRemoteSpace::CallStatus ShardedRemoteSpace::BatchOut(
@@ -1190,25 +1180,16 @@ ShardedRemoteSpace::CallStatus ShardedRemoteSpace::Count(
   return CallStatus::kOk;
 }
 
-ShardedRemoteSpace::CallStatus ShardedRemoteSpace::XStart() {
-  txn_open_ = true;
-  home_ = -1;
-  participants_.clear();
-  xstart_deferred_ = false;
-  return CallStatus::kOk;
-}
-
 ShardedRemoteSpace::CallStatus ShardedRemoteSpace::DeferXStart() {
   txn_open_ = true;
   home_ = -1;
   participants_.clear();
-  xstart_deferred_ = true;
   return CallStatus::kOk;
 }
 
-ShardedRemoteSpace::CallStatus ShardedRemoteSpace::CommitInternal(
+ShardedRemoteSpace::CallStatus ShardedRemoteSpace::DeferXCommit(
     const std::vector<Tuple>& outs, bool has_continuation,
-    const Tuple& continuation, bool defer) {
+    const Tuple& continuation) {
   // A transaction that never did a destructive in can commit anywhere:
   // spread the in-free commit load deterministically by pid.
   if (home_ < 0) {
@@ -1221,9 +1202,7 @@ ShardedRemoteSpace::CallStatus ShardedRemoteSpace::CommitInternal(
   if (participants_.count(static_cast<uint32_t>(home)) == 0 && txn_open_) {
     // No destructive in bound the home leg: open the transaction there so
     // the commit record has a matching XStart.
-    const CallStatus status = (defer || xstart_deferred_)
-                                  ? legs_[home]->DeferXStart()
-                                  : legs_[home]->XStart();
+    const CallStatus status = legs_[home]->DeferXStart();
     if (status != CallStatus::kOk) {
       last_error_ = legs_[home]->last_error();
       return status;
@@ -1242,17 +1221,14 @@ ShardedRemoteSpace::CallStatus ShardedRemoteSpace::CommitInternal(
   participants_.clear();
   if (others.empty()) {
     // Fast path: every destructive in landed on the home server — a
-    // single-record commit with no prepare round, deferrable as before.
+    // single-record commit with no prepare round, deferred like any other.
     const CallStatus status =
-        defer ? legs_[home]->DeferXCommit(outs, has_continuation,
-                                          continuation, stamp)
-              : legs_[home]->XCommit(outs, has_continuation, continuation,
-                                     stamp);
+        legs_[home]->DeferXCommit(outs, has_continuation, continuation, stamp);
     if (status != CallStatus::kOk) last_error_ = legs_[home]->last_error();
     return status;
   }
-  // 2PC slow path — ALWAYS synchronous, even when the caller deferred: the
-  // coordinator parks the reply until the votes decide, and pipelining the
+  // 2PC slow path — ALWAYS synchronous, although the caller asked to defer:
+  // the coordinator parks the reply until the votes decide, and pipelining the
   // next transaction's frames behind a parked commit would let them apply
   // mid-decision. Participant legs must be flushed first so their XStart +
   // destructive ins are server-side before any PREPARE can arrive over the
@@ -1264,20 +1240,6 @@ ShardedRemoteSpace::CallStatus ShardedRemoteSpace::CommitInternal(
                                 others);
   if (status != CallStatus::kOk) last_error_ = legs_[home]->last_error();
   return status;
-}
-
-ShardedRemoteSpace::CallStatus ShardedRemoteSpace::XCommit(
-    const std::vector<Tuple>& outs, bool has_continuation,
-    const Tuple& continuation) {
-  return CommitInternal(outs, has_continuation, continuation,
-                        /*defer=*/false);
-}
-
-ShardedRemoteSpace::CallStatus ShardedRemoteSpace::DeferXCommit(
-    const std::vector<Tuple>& outs, bool has_continuation,
-    const Tuple& continuation) {
-  return CommitInternal(outs, has_continuation, continuation,
-                        /*defer=*/true);
 }
 
 ShardedRemoteSpace::CallStatus ShardedRemoteSpace::XAbort() {

@@ -55,9 +55,8 @@ struct RemoteSpaceOptions {
 ///
 /// Deferred frames acknowledge optimistically: a non-kOk reply to one is
 /// folded into a sticky deferred error that the next synchronous call
-/// returns instead of its own status, so failures surface at the same
-/// points the unbatched protocol would surface them (the caller unwinds
-/// before observing any later reply).
+/// returns instead of its own status, so a failure surfaces before the
+/// caller observes any later reply (the caller unwinds there).
 class RemoteTupleSpace {
  public:
   enum class CallStatus {
@@ -315,19 +314,19 @@ class ShardedRemoteSpace {
   void Bye();
   void Abandon();
 
-  CallStatus Out(const Tuple& tuple);
   CallStatus In(const Template& tmpl, bool blocking, bool remove,
                 Tuple* result);
   CallStatus Count(const Template& tmpl, uint64_t* count);
-  CallStatus XStart();
-  CallStatus XCommit(const std::vector<Tuple>& outs, bool has_continuation,
-                     const Tuple& continuation);
   CallStatus XAbort();
   CallStatus XRecover(Tuple* continuation);
 
   CallStatus BatchOut(const Tuple& tuple);
   CallStatus Flush();
   CallStatus DeferXStart();
+  /// Participants beyond the home server force the 2PC slow path, which is
+  /// ALWAYS synchronous — a deferred cross-server commit pipelined ahead of
+  /// the next transaction's frames could reach the coordinator while the
+  /// decision is still parked and clobber the re-armed client state.
   CallStatus DeferXCommit(const std::vector<Tuple>& outs,
                           bool has_continuation, const Tuple& continuation);
 
@@ -351,17 +350,9 @@ class ShardedRemoteSpace {
 
  private:
   /// Joins `leg` to the open transaction: binds it as the home server if
-  /// none is bound yet, and opens the transaction there (XStart, deferred
-  /// or synchronous per the caller's original choice) on first touch.
+  /// none is bound yet, and opens the transaction there (a deferred
+  /// XStart) on first touch.
   CallStatus EnsureParticipant(size_t leg);
-  /// Shared commit path. Participants beyond the home server force the 2PC
-  /// slow path, which is ALWAYS synchronous — a deferred cross-server
-  /// commit pipelined ahead of the next transaction's frames could reach
-  /// the coordinator while the decision is still parked and clobber the
-  /// re-armed client state.
-  CallStatus CommitInternal(const std::vector<Tuple>& outs,
-                            bool has_continuation, const Tuple& continuation,
-                            bool defer);
   /// Flushes deferred frames on every leg except `except` (SIZE_MAX =
   /// flush all), so a read on one server observes this client's earlier
   /// writes to the others.
@@ -383,7 +374,6 @@ class ShardedRemoteSpace {
   /// Legs holding an open server-side transaction (destructive ins joined
   /// them). Empty while txn_open_ = the XStart has not reached any server.
   std::set<uint32_t> participants_;
-  bool xstart_deferred_ = false;  // open legs with DeferXStart, not XStart
   uint32_t commit_seq_ = 0;   // per-incarnation continuation stamp counter
   uint64_t scatter_ops_ = 0;
   uint64_t scatter_rounds_ = 0;

@@ -14,7 +14,6 @@
 #include <chrono>
 #include <filesystem>
 #include <thread>
-#include <utility>
 
 #include "plinda/net/endpoint.h"
 #include "plinda/net/wire.h"
@@ -193,46 +192,6 @@ std::string MakeStateDir() {
   buf.push_back('\0');
   if (::mkdtemp(buf.data()) == nullptr) return "";
   return std::string(buf.data());
-}
-
-std::string ExpandLaunchTemplate(const std::string& templ,
-                                 const WorkerLaunch& launch) {
-  const std::pair<const char*, std::string> subs[] = {
-      {"{endpoint}", launch.endpoint},
-      {"{placement}", launch.placement},
-      {"{pid}", std::to_string(launch.pid)},
-      {"{incarnation}", std::to_string(launch.incarnation)},
-      {"{status_file}", launch.status_file},
-  };
-  std::string out;
-  out.reserve(templ.size());
-  size_t pos = 0;
-  while (pos < templ.size()) {
-    bool matched = false;
-    if (templ[pos] == '{') {
-      for (const auto& [key, value] : subs) {
-        const size_t key_len = ::strlen(key);
-        if (templ.compare(pos, key_len, key) == 0) {
-          out += value;
-          pos += key_len;
-          matched = true;
-          break;
-        }
-      }
-    }
-    if (!matched) out += templ[pos++];
-  }
-  return out;
-}
-
-pid_t LaunchWorkerCommand(const std::string& templ,
-                          const WorkerLaunch& launch) {
-  const std::string command = ExpandLaunchTemplate(templ, launch);
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  ::execl("/bin/sh", "sh", "-c", command.c_str(),
-          static_cast<char*>(nullptr));
-  ::_exit(127);
 }
 
 void RemoveTree(const std::string& path) {

@@ -75,31 +75,6 @@ bool WaitForEndpoint(const std::string& endpoint, double timeout_s);
 /// root. Returns "" on failure.
 std::string MakeStateDir();
 
-/// Placeholder values for ExpandLaunchTemplate: everything a remotely
-/// launched worker needs to join the run.
-struct WorkerLaunch {
-  std::string endpoint;     // bootstrap endpoint (shard server 0)
-  std::string placement;    // comma-joined endpoint of every shard server
-  int pid = 0;              // PLinda process id
-  int incarnation = 0;      // bumped per respawn
-  std::string status_file;  // where the incarnation reports its outcome
-};
-
-/// Expands a worker-launch command template: `{endpoint}`, `{placement}`,
-/// `{pid}`, `{incarnation}` and `{status_file}` are substituted from
-/// `launch`; everything else (including unknown braces) passes through
-/// verbatim. Pure string work, unit-testable without forking.
-std::string ExpandLaunchTemplate(const std::string& templ,
-                                 const WorkerLaunch& launch);
-
-/// Forks a child that runs the expanded template through /bin/sh -c. The
-/// command is responsible for getting a worker onto its host (ssh, a
-/// container runtime, plain exec), wiring it to `launch.endpoint`, and
-/// writing `launch.status_file` before exiting with the worker's exit
-/// code. Returns the child pid (the supervisor reaps it like a forked
-/// worker), or -1 on fork failure.
-pid_t LaunchWorkerCommand(const std::string& templ, const WorkerLaunch& launch);
-
 /// Recursively removes a state directory. Best effort.
 void RemoveTree(const std::string& path);
 

@@ -111,13 +111,6 @@ struct RuntimeOptions {
   /// unreachable server before failing the run. Must comfortably cover a
   /// scheduled server failure + recovery gap.
   double distributed_reconnect_timeout = 20.0;
-  /// kDistributed: coalesce consecutive non-blocking outs into kBatch
-  /// frames and defer transaction frames so a worker's steady-state task
-  /// loop costs one RPC round trip instead of three (see
-  /// net::RemoteTupleSpace). Off = one synchronous round trip per tuple op,
-  /// the PR-3 wire behavior — kept as a comparison baseline; results are
-  /// bit-identical either way.
-  bool distributed_batching = true;
   /// kDistributed chaos die points (0 = off), forwarded to every shard
   /// server. die_in_doubt_after N: the coordinator SIGKILLs itself on
   /// receiving its Nth PREPARE vote — after PREPARE fan-out, before any
@@ -145,16 +138,6 @@ struct RuntimeOptions {
   /// FPDM_TEST_TRANSPORT into this option for the CI transport matrix; the
   /// runtime itself never consults the environment.
   std::string distributed_transport = "unix";
-  /// kDistributed: command template for launching worker processes (empty =
-  /// fork them locally, the default). `{endpoint}`, `{placement}`, `{pid}`,
-  /// `{incarnation}` and `{status_file}` are substituted (see
-  /// net::ExpandLaunchTemplate); the command — run through /bin/sh -c —
-  /// must get a worker running against {endpoint} and write {status_file}
-  /// before exiting. With a TCP transport the endpoints are routable, so
-  /// the template can ssh to another host; the supervisor treats the
-  /// launched pid exactly like a forked worker (kill/respawn chaos
-  /// included).
-  std::string distributed_worker_launch;
 };
 
 /// One entry of the process-watch trace (the programmatic equivalent of

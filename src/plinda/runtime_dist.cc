@@ -179,15 +179,11 @@ void Runtime::DistOut(Proc* proc, Tuple tuple) {
     proc->txn_outs.push_back(std::move(tuple));
     return;
   }
-  // Batched mode coalesces consecutive non-blocking outs: the tuple rides
-  // in a kBatch frame flushed before the next blocking op, so a stream of
-  // outs costs one round trip instead of one each. Failures of the
-  // deferred frame surface here on a later out or at the next sync call —
-  // the same unwind points the synchronous path has.
-  const CallStatus status = options_.distributed_batching
-                                ? dclient_->BatchOut(tuple)
-                                : dclient_->Out(tuple);
-  switch (status) {
+  // Consecutive non-blocking outs coalesce: the tuple rides in a kBatch
+  // frame flushed before the next blocking op, so a stream of outs costs
+  // one round trip instead of one each. Failures of the deferred frame
+  // surface here on a later out or at the next sync call.
+  switch (dclient_->BatchOut(tuple)) {
     case CallStatus::kOk:
       return;
     case CallStatus::kCancelled:
@@ -232,13 +228,10 @@ void Runtime::DistXStart(Proc* proc) {
     FailProcDist(proc, RuntimeError::Code::kNestedXStart,
                  "transaction already open");
   }
-  // Batched mode defers the xstart frame: it flushes (in order, one writev)
-  // with the next blocking in/rd or commit, collapsing the steady-state
-  // task loop [xcommit, xstart, blocking in] to one round trip.
-  const CallStatus status = options_.distributed_batching
-                                ? dclient_->DeferXStart()
-                                : dclient_->XStart();
-  switch (status) {
+  // The xstart frame is deferred: it flushes (in order, one writev) with
+  // the next blocking in/rd or commit, collapsing the steady-state task
+  // loop [xcommit, xstart, blocking in] to one round trip.
+  switch (dclient_->DeferXStart()) {
     case CallStatus::kOk:
       proc->txn_active = true;
       return;
@@ -256,18 +249,14 @@ void Runtime::DistXCommit(Proc* proc, bool has_continuation,
     FailProcDist(proc, RuntimeError::Code::kXCommitWithoutXStart,
                  "no transaction is open");
   }
-  // Batched mode defers the commit frame. The optimistic local txn-clear is
+  // The commit frame is deferred too. The optimistic local txn-clear is
   // safe: if the deferred commit is later rejected (cancelled run), the
   // sticky deferred error unwinds this worker at its next wire call, and if
   // the worker crashes before the frame flushes, the server's crash-abort
   // on EOF rolls the transaction back — either way the commit applied
   // exactly once or not at all.
-  const CallStatus status =
-      options_.distributed_batching
-          ? dclient_->DeferXCommit(proc->txn_outs, has_continuation,
-                                   continuation)
-          : dclient_->XCommit(proc->txn_outs, has_continuation, continuation);
-  switch (status) {
+  switch (dclient_->DeferXCommit(proc->txn_outs, has_continuation,
+                                 continuation)) {
     case CallStatus::kOk:
       proc->txn_outs.clear();
       proc->txn_ins.clear();
@@ -456,7 +445,7 @@ bool Runtime::RunDistributed() {
   std::vector<std::string> placement;
   placement.reserve(static_cast<size_t>(num_servers));
   // TCP: pre-bound port-0 listeners, inherited through fork (FD_CLOEXEC
-  // keeps them out of exec'ed launch-template commands). Bound BEFORE any
+  // keeps them out of anything a process body execs). Bound BEFORE any
   // fork so the placement map is concrete from the first HELLO, and kept
   // open in the supervisor so a chaos restart re-inherits the same
   // listener, and with it the same port.
@@ -561,25 +550,22 @@ bool Runtime::RunDistributed() {
 
   if (!fatal) {
     // Seed the servers with the tuples out'ed before Run(), routed by the
-    // same bucket placement the workers use. Batched mode coalesces each
-    // server's seed stream into kBatch frames + one flush per server.
+    // same bucket placement the workers use: each server's seed stream
+    // coalesces into kBatch frames + one flush per server.
     for (Tuple& tuple : space_.TakeAllInOrder()) {
       const size_t k =
           num_servers > 1
               ? net::PlacementIndex(BucketKeyFor(tuple),
                                     static_cast<size_t>(num_servers))
               : 0;
-      const CallStatus status = options_.distributed_batching
-                                    ? ctls[k]->BatchOut(tuple)
-                                    : ctls[k]->Out(tuple);
-      if (status != CallStatus::kOk) {
+      if (ctls[k]->BatchOut(tuple) != CallStatus::kOk) {
         fail_run("seeding the tuple-space servers failed: " +
                  ctls[k]->last_error());
         fatal = true;
         break;
       }
     }
-    if (!fatal && options_.distributed_batching) {
+    if (!fatal) {
       for (auto& c : ctls) {
         if (c->Flush() != CallStatus::kOk) {
           fail_run("seeding the tuple-space servers failed: " +
@@ -604,26 +590,8 @@ bool Runtime::RunDistributed() {
 
   auto fork_worker = [&](Proc* proc) {
     proc->state = ProcState::kReady;
-    pid_t pid = -1;
-    if (!options_.distributed_worker_launch.empty()) {
-      // Launch-template path: the command (ssh, a container runtime, a
-      // plain exec) is responsible for running a worker against the
-      // bootstrap endpoint and writing the incarnation's status file.
-      net::WorkerLaunch launch;
-      launch.endpoint = dist_socket_;
-      for (size_t i = 0; i < placement.size(); ++i) {
-        if (i > 0) launch.placement += ',';
-        launch.placement += placement[i];
-      }
-      launch.pid = proc->id;
-      launch.incarnation = proc->incarnation;
-      launch.status_file =
-          StatusFilePath(dist_dir_, proc->id, proc->incarnation);
-      pid = net::LaunchWorkerCommand(options_.distributed_worker_launch,
-                                     launch);
-    } else {
-      pid = net::ForkChild([this, proc] { return RunWorkerChild(proc); });
-    }
+    const pid_t pid =
+        net::ForkChild([this, proc] { return RunWorkerChild(proc); });
     proc->os_pid = pid;
     if (pid <= 0) {
       fail_run("fork of worker \"" + proc->name + "\" failed");

@@ -1,5 +1,7 @@
 #include "classify/parallel.h"
 
+#include <string>
+
 #include "data/benchmarks.h"
 #include "gtest/gtest.h"
 
@@ -66,6 +68,34 @@ TEST(ParallelCvTest, SurvivesWorkerFailure) {
   EXPECT_EQ(parallel.tree.num_nodes(), sequential.num_nodes());
 }
 
+// Machine 2 dies at one of several points of the run. Each fold's work is
+// recorded outside its task transaction, so a kill after the record and
+// before the commit redoes the fold: total_work must still count it once,
+// while RuntimeStats::total_work keeps the work the kill lost.
+TEST(ParallelCvTest, WorkerKillCountsEachFoldOnce) {
+  Dataset data = SmallBenchmark("diabetes", 300);
+  NyuMinerOptions options;
+  options.cv_folds = 6;
+  ParallelExecOptions exec;
+  exec.num_workers = 3;
+  exec.seconds_per_work_unit = 1e-3;
+  const ParallelTreeResult clean =
+      ParallelNyuMinerCV(data, data.AllRows(), options, exec);
+  ASSERT_TRUE(clean.ok);
+  constexpr int kKillTimes = 8;
+  for (int k = 0; k < kKillTimes; ++k) {
+    const double when = clean.completion_time * (k + 0.5) / kKillTimes;
+    SCOPED_TRACE("machine 2 killed at t=" + std::to_string(when));
+    exec.failures = {{2, when}};
+    const ParallelTreeResult parallel =
+        ParallelNyuMinerCV(data, data.AllRows(), options, exec);
+    ASSERT_TRUE(parallel.ok);
+    EXPECT_EQ(parallel.tree.num_nodes(), clean.tree.num_nodes());
+    EXPECT_EQ(parallel.total_work, clean.total_work);
+    EXPECT_GE(parallel.stats.total_work, clean.stats.total_work);
+  }
+}
+
 TEST(ParallelC45Test, MatchesSequentialWindowedTree) {
   Dataset data = SmallBenchmark("german", 400);
   C45Options options;
@@ -80,6 +110,32 @@ TEST(ParallelC45Test, MatchesSequentialWindowedTree) {
   EXPECT_EQ(parallel.tree.num_nodes(), sequential.num_nodes());
   EXPECT_EQ(parallel.tree.Errors(data, data.AllRows()),
             sequential.Errors(data, data.AllRows()));
+}
+
+// The C4.5 counterpart: each window trial counts once in total_work, at
+// every kill time.
+TEST(ParallelC45Test, WorkerKillCountsEachTrialOnce) {
+  Dataset data = SmallBenchmark("german", 200);
+  C45Options options;
+  options.window_trials = 6;
+  ParallelExecOptions exec;
+  exec.num_workers = 3;
+  exec.seconds_per_work_unit = 1e-3;
+  const ParallelTreeResult clean =
+      ParallelC45(data, data.AllRows(), options, exec);
+  ASSERT_TRUE(clean.ok);
+  constexpr int kKillTimes = 8;
+  for (int k = 0; k < kKillTimes; ++k) {
+    const double when = clean.completion_time * (k + 0.5) / kKillTimes;
+    SCOPED_TRACE("machine 2 killed at t=" + std::to_string(when));
+    exec.failures = {{2, when}};
+    const ParallelTreeResult parallel =
+        ParallelC45(data, data.AllRows(), options, exec);
+    ASSERT_TRUE(parallel.ok);
+    EXPECT_EQ(parallel.tree.num_nodes(), clean.tree.num_nodes());
+    EXPECT_EQ(parallel.total_work, clean.total_work);
+    EXPECT_GE(parallel.stats.total_work, clean.stats.total_work);
+  }
 }
 
 TEST(ParallelC45Test, SpeedupScalesWithTrials) {

@@ -231,14 +231,25 @@ TEST_P(ParallelStrategyTest, SurvivesWorkerMachineFailure) {
   ParallelOptions options;
   options.strategy = GetParam();
   options.num_workers = 4;
-  // Machine 3 dies early in the run; its worker respawns elsewhere and the
-  // aborted task's tuple is restored, so the result must be unchanged.
-  options.failures = {{3, 30.0}};
-  ParallelResult parallel = MineParallel(problem, options);
-  ASSERT_TRUE(parallel.ok);
-  EXPECT_EQ(Keys(parallel.mining), Keys(EdagTraversal(problem)));
-  EXPECT_GE(parallel.stats.processes_killed, 1u);
-  EXPECT_GE(parallel.stats.processes_respawned, 1u);
+  const ParallelResult clean = MineParallel(problem, options);
+  ASSERT_TRUE(clean.ok);
+  // Machine 3 dies at one of several points of the run; its worker respawns
+  // elsewhere and the aborted task's tuple is restored, so the result must
+  // be unchanged. That includes the totals: a kill that lands after an
+  // evaluation was recorded must not count the redone pattern twice.
+  constexpr int kKillTimes = 8;
+  for (int k = 0; k < kKillTimes; ++k) {
+    const double when = clean.completion_time * (k + 0.5) / kKillTimes;
+    SCOPED_TRACE("machine 3 killed at t=" + std::to_string(when));
+    options.failures = {{3, when}};
+    const ParallelResult parallel = MineParallel(problem, options);
+    ASSERT_TRUE(parallel.ok);
+    EXPECT_EQ(Keys(parallel.mining), Keys(EdagTraversal(problem)));
+    EXPECT_EQ(parallel.mining.patterns_tested, clean.mining.patterns_tested);
+    EXPECT_EQ(parallel.mining.total_task_cost, clean.mining.total_task_cost);
+    EXPECT_GE(parallel.stats.processes_killed, 1u);
+    EXPECT_GE(parallel.stats.processes_respawned, 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllStrategies, ParallelStrategyTest,

@@ -2083,9 +2083,10 @@ TEST_F(ShardedNetIntegrationTest, PlacementLearnedFromHelloAndOutsRouted) {
   // Publish under 12 distinct bucket keys; the client must route each out
   // to the placement owner of its bucket.
   for (int64_t i = 0; i < 12; ++i) {
-    ASSERT_EQ(client.Out(MakeTuple("key" + std::to_string(i), i)),
+    ASSERT_EQ(client.BatchOut(MakeTuple("key" + std::to_string(i), i)),
               CallStatus::kOk);
   }
+  ASSERT_EQ(client.Flush(), CallStatus::kOk);
   const Template all =
       MakeTemplate(F(ValueType::kString), F(ValueType::kInt));
   // Each server physically holds exactly its placement slice.
@@ -2131,8 +2132,8 @@ TEST_F(ShardedNetIntegrationTest, ForeignCommitOutsAreForwardedToOwners) {
   // Seed the task at a known shard, then consume it in a transaction: the
   // destructive in binds the txn's home to that shard.
   const std::string home_key = KeyForServer(0, 2);
-  ASSERT_EQ(client.Out(MakeTuple(home_key, 7)), CallStatus::kOk);
-  ASSERT_EQ(client.XStart(), CallStatus::kOk);
+  ASSERT_EQ(client.BatchOut(MakeTuple(home_key, 7)), CallStatus::kOk);
+  ASSERT_EQ(client.DeferXStart(), CallStatus::kOk);
   Tuple task;
   ASSERT_EQ(client.In(MakeTemplate(A(home_key), F(ValueType::kInt)),
                       /*blocking=*/true, /*remove=*/true, &task),
@@ -2145,8 +2146,9 @@ TEST_F(ShardedNetIntegrationTest, ForeignCommitOutsAreForwardedToOwners) {
     outs.push_back(MakeTuple(KeyForServer(k, 3), static_cast<int64_t>(k),
                              GetInt(task, 1)));
   }
-  ASSERT_EQ(client.XCommit(outs, /*has_continuation=*/false, Tuple{}),
+  ASSERT_EQ(client.DeferXCommit(outs, /*has_continuation=*/false, Tuple{}),
             CallStatus::kOk);
+  ASSERT_EQ(client.Flush(), CallStatus::kOk);
 
   // Every out is readable through the sharded client (read-your-writes
   // across the forward), and each physically lives on its bucket's owner.
@@ -2173,9 +2175,9 @@ TEST_F(ShardedNetIntegrationTest, CrossServerTransactionCommitsViaTwoPhase) {
   ASSERT_TRUE(client.Connect()) << client.last_error();
   const std::string key_a = KeyForServer(0, 2);
   const std::string key_b = KeyForServer(1, 2);
-  ASSERT_EQ(client.Out(MakeTuple(key_a, 1)), CallStatus::kOk);
-  ASSERT_EQ(client.Out(MakeTuple(key_b, 2)), CallStatus::kOk);
-  ASSERT_EQ(client.XStart(), CallStatus::kOk);
+  ASSERT_EQ(client.BatchOut(MakeTuple(key_a, 1)), CallStatus::kOk);
+  ASSERT_EQ(client.BatchOut(MakeTuple(key_b, 2)), CallStatus::kOk);
+  ASSERT_EQ(client.DeferXStart(), CallStatus::kOk);
   Tuple t;
   ASSERT_EQ(client.In(MakeTemplate(A(key_a), F(ValueType::kInt)), true, true,
                       &t),
@@ -2185,10 +2187,11 @@ TEST_F(ShardedNetIntegrationTest, CrossServerTransactionCommitsViaTwoPhase) {
   ASSERT_EQ(client.In(MakeTemplate(A(key_b), F(ValueType::kInt)), true, true,
                       &t),
             CallStatus::kOk);
-  ASSERT_EQ(client.XCommit({MakeTuple("merged", 3)},
-                           /*has_continuation=*/false, Tuple{}),
+  ASSERT_EQ(client.DeferXCommit({MakeTuple("merged", 3)},
+                                /*has_continuation=*/false, Tuple{}),
             CallStatus::kOk)
       << client.last_error();
+  ASSERT_EQ(client.Flush(), CallStatus::kOk);
 
   // Both takes stuck (neither shard republished), the commit out landed.
   // The out may ride a server-to-server forward to its bucket owner, which
@@ -2223,16 +2226,17 @@ TEST_F(ShardedNetIntegrationTest, CoordinatorOnlyCommitSkipsPrepareRound) {
   // Two destructive ins, both on shard 0: the fast path — one commit
   // record at the coordinator, no PREPARE fan-out anywhere.
   const std::string key_a = KeyForServer(0, 2);
-  ASSERT_EQ(client.Out(MakeTuple(key_a, 1)), CallStatus::kOk);
-  ASSERT_EQ(client.Out(MakeTuple(key_a, 2)), CallStatus::kOk);
-  ASSERT_EQ(client.XStart(), CallStatus::kOk);
+  ASSERT_EQ(client.BatchOut(MakeTuple(key_a, 1)), CallStatus::kOk);
+  ASSERT_EQ(client.BatchOut(MakeTuple(key_a, 2)), CallStatus::kOk);
+  ASSERT_EQ(client.DeferXStart(), CallStatus::kOk);
   Tuple t;
   ASSERT_EQ(client.In(MakeTemplate(A(key_a), A(int64_t{1})), true, true, &t),
             CallStatus::kOk);
   ASSERT_EQ(client.In(MakeTemplate(A(key_a), A(int64_t{2})), true, true, &t),
             CallStatus::kOk);
-  ASSERT_EQ(client.XCommit({}, /*has_continuation=*/false, Tuple{}),
+  ASSERT_EQ(client.DeferXCommit({}, /*has_continuation=*/false, Tuple{}),
             CallStatus::kOk);
+  ASSERT_EQ(client.Flush(), CallStatus::kOk);
   const auto [prepares, cross] = SumTxnStats();
   EXPECT_EQ(cross, 0u);
   EXPECT_EQ(prepares, 0u);
@@ -2244,9 +2248,9 @@ TEST_F(ShardedNetIntegrationTest, CrossServerAbortRestoresEveryLeg) {
   ASSERT_TRUE(client.Connect()) << client.last_error();
   const std::string key_a = KeyForServer(0, 2);
   const std::string key_b = KeyForServer(1, 2);
-  ASSERT_EQ(client.Out(MakeTuple(key_a, 1)), CallStatus::kOk);
-  ASSERT_EQ(client.Out(MakeTuple(key_b, 2)), CallStatus::kOk);
-  ASSERT_EQ(client.XStart(), CallStatus::kOk);
+  ASSERT_EQ(client.BatchOut(MakeTuple(key_a, 1)), CallStatus::kOk);
+  ASSERT_EQ(client.BatchOut(MakeTuple(key_b, 2)), CallStatus::kOk);
+  ASSERT_EQ(client.DeferXStart(), CallStatus::kOk);
   Tuple t;
   ASSERT_EQ(client.In(MakeTemplate(A(key_a), F(ValueType::kInt)), true, true,
                       &t),
@@ -2275,16 +2279,17 @@ TEST_F(ShardedNetIntegrationTest, DeadCoordClientInDoubtTxnAbortsOnRespawn) {
   {
     ShardedRemoteSpace victim(ShardedOptions(6, /*incarnation=*/0));
     ASSERT_TRUE(victim.Connect()) << victim.last_error();
-    ASSERT_EQ(victim.Out(MakeTuple(key_a, 1)), CallStatus::kOk);
-    ASSERT_EQ(victim.Out(MakeTuple(key_b, 2)), CallStatus::kOk);
+    ASSERT_EQ(victim.BatchOut(MakeTuple(key_a, 1)), CallStatus::kOk);
+    ASSERT_EQ(victim.BatchOut(MakeTuple(key_b, 2)), CallStatus::kOk);
     Tuple t;
-    ASSERT_EQ(victim.XStart(), CallStatus::kOk);
+    ASSERT_EQ(victim.DeferXStart(), CallStatus::kOk);
     ASSERT_EQ(victim.In(MakeTemplate(A(key_a), F(ValueType::kInt)), true,
                         true, &t),
               CallStatus::kOk);
     ASSERT_EQ(victim.In(MakeTemplate(A(key_b), F(ValueType::kInt)), true,
                         true, &t),
               CallStatus::kOk);
+    ASSERT_EQ(victim.Flush(), CallStatus::kOk);
     victim.Abandon();  // SIGKILL-style exit: no commit, no BYE
   }
   ShardedRemoteSpace respawned(ShardedOptions(6, /*incarnation=*/1));
@@ -2313,21 +2318,23 @@ TEST_F(ShardedNetIntegrationTest, XRecoverScatterReturnsNewestContinuation) {
   {
     ShardedRemoteSpace worker(ShardedOptions(4, /*incarnation=*/0));
     ASSERT_TRUE(worker.Connect()) << worker.last_error();
-    ASSERT_EQ(worker.Out(MakeTuple(key_a, 1)), CallStatus::kOk);
-    ASSERT_EQ(worker.Out(MakeTuple(key_b, 2)), CallStatus::kOk);
+    ASSERT_EQ(worker.BatchOut(MakeTuple(key_a, 1)), CallStatus::kOk);
+    ASSERT_EQ(worker.BatchOut(MakeTuple(key_b, 2)), CallStatus::kOk);
     Tuple t;
-    ASSERT_EQ(worker.XStart(), CallStatus::kOk);
+    ASSERT_EQ(worker.DeferXStart(), CallStatus::kOk);
     ASSERT_EQ(worker.In(MakeTemplate(A(key_a), F(ValueType::kInt)), true,
                         true, &t),
               CallStatus::kOk);
-    ASSERT_EQ(worker.XCommit({}, true, MakeTuple("progress", 1)),
+    ASSERT_EQ(worker.DeferXCommit({}, true, MakeTuple("progress", 1)),
               CallStatus::kOk);
-    ASSERT_EQ(worker.XStart(), CallStatus::kOk);
+    ASSERT_EQ(worker.Flush(), CallStatus::kOk);
+    ASSERT_EQ(worker.DeferXStart(), CallStatus::kOk);
     ASSERT_EQ(worker.In(MakeTemplate(A(key_b), F(ValueType::kInt)), true,
                         true, &t),
               CallStatus::kOk);
-    ASSERT_EQ(worker.XCommit({}, true, MakeTuple("progress", 2)),
+    ASSERT_EQ(worker.DeferXCommit({}, true, MakeTuple("progress", 2)),
               CallStatus::kOk);
+    ASSERT_EQ(worker.Flush(), CallStatus::kOk);
     worker.Abandon();  // simulate the crash: no Bye
   }
   ShardedRemoteSpace respawned(ShardedOptions(4, /*incarnation=*/1));
@@ -2393,8 +2400,8 @@ TEST_F(ShortWriteShardedNetTest, PeerForwardsSurviveShortWrites) {
   // writes without dropping, truncating, or reordering a frame.
   constexpr int kRounds = 12;
   for (int r = 0; r < kRounds; ++r) {
-    ASSERT_EQ(client.Out(MakeTuple(home_key, r)), CallStatus::kOk);
-    ASSERT_EQ(client.XStart(), CallStatus::kOk);
+    ASSERT_EQ(client.BatchOut(MakeTuple(home_key, r)), CallStatus::kOk);
+    ASSERT_EQ(client.DeferXStart(), CallStatus::kOk);
     Tuple task;
     ASSERT_EQ(client.In(MakeTemplate(A(home_key), F(ValueType::kInt)),
                         /*blocking=*/true, /*remove=*/true, &task),
@@ -2403,8 +2410,9 @@ TEST_F(ShortWriteShardedNetTest, PeerForwardsSurviveShortWrites) {
     for (const std::string& key : foreign_keys) {
       outs.push_back(MakeTuple(key, static_cast<int64_t>(r), big));
     }
-    ASSERT_EQ(client.XCommit(outs, /*has_continuation=*/false, Tuple{}),
+    ASSERT_EQ(client.DeferXCommit(outs, /*has_continuation=*/false, Tuple{}),
               CallStatus::kOk);
+    ASSERT_EQ(client.Flush(), CallStatus::kOk);
   }
   // Forwards apply asynchronously on the owners: wait until all arrived.
   const Template res_tmpl = MakeTemplate(
@@ -2745,53 +2753,6 @@ TEST(EndpointTest, ListenResolvesPortZeroAndAcceptsAConnect) {
   EXPECT_GE(client_fd, 0) << error;
   if (client_fd >= 0) ::close(client_fd);
   ::close(listen_fd);
-}
-
-TEST(SupervisorTest, ExpandLaunchTemplateSubstitutesEveryPlaceholder) {
-  WorkerLaunch launch;
-  launch.endpoint = "tcp:10.0.0.7:6001";
-  launch.placement = "tcp:10.0.0.7:6001,tcp:10.0.0.8:6001";
-  launch.pid = 3;
-  launch.incarnation = 2;
-  launch.status_file = "/tmp/run/status.3";
-  EXPECT_EQ(
-      ExpandLaunchTemplate(
-          "ssh mine-host fpdm_worker --endpoint={endpoint} "
-          "--placement={placement} --pid={pid} --inc={incarnation} "
-          "--status={status_file}",
-          launch),
-      "ssh mine-host fpdm_worker --endpoint=tcp:10.0.0.7:6001 "
-      "--placement=tcp:10.0.0.7:6001,tcp:10.0.0.8:6001 --pid=3 --inc=2 "
-      "--status=/tmp/run/status.3");
-  // Unknown braces (and shell syntax) pass through verbatim.
-  EXPECT_EQ(ExpandLaunchTemplate("echo {pid} ${HOME} {unknown}", launch),
-            "echo 3 ${HOME} {unknown}");
-}
-
-TEST(SupervisorTest, LaunchWorkerCommandRunsTheExpandedTemplate) {
-  const std::string dir = MakeStateDir();
-  ASSERT_FALSE(dir.empty());
-  WorkerLaunch launch;
-  launch.endpoint = "tcp:127.0.0.1:6001";
-  launch.placement = "tcp:127.0.0.1:6001";
-  launch.pid = 5;
-  launch.incarnation = 1;
-  launch.status_file = dir + "/status.5";
-  // The template stands in for an ssh hop: it must see the substituted
-  // values and write the status file the supervisor will poll.
-  const pid_t child = LaunchWorkerCommand(
-      "echo worker {pid} inc {incarnation} at {endpoint} > {status_file}",
-      launch);
-  ASSERT_GT(child, 0);
-  ExitInfo info;
-  ASSERT_TRUE(WaitForExit(child, 10.0, &info));
-  EXPECT_TRUE(info.exited);
-  EXPECT_EQ(info.exit_code, 0);
-  std::ifstream in(launch.status_file);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "worker 5 inc 1 at tcp:127.0.0.1:6001");
-  RemoveTree(dir);
 }
 
 TEST(WireCodecTest, TcpPlacementReplyRoundTrip) {
