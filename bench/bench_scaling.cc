@@ -152,35 +152,27 @@ void FillWireCounters(benchmark::State& state,
           ? 0.0
           : static_cast<double>(stats.batched_tuple_ops) /
                 static_cast<double>(stats.batch_frames);
-  // 2PC observability: commits that spanned shard servers and the PREPARE
-  // votes they logged. Single-server rows must report 0 for both — those
-  // commits take the coordinator-only fast path with no prepare round.
-  state.counters["txn_prepares"] =
-      static_cast<double>(stats.dist_txn_prepares);
-  state.counters["txn_cross_server"] =
-      static_cast<double>(stats.dist_txn_cross_server);
   // Group-commit WAL observability: durable groups and the bytes they
-  // covered, summed over the shard servers. Without wal_sync (the default)
-  // every append is its own group.
+  // covered. Without wal_sync (the default) every append is its own group.
   state.counters["wal_group_commits"] =
       static_cast<double>(stats.wal_group_commits);
   state.counters["wal_synced_bytes"] =
       static_cast<double>(stats.wal_synced_bytes);
-  // Transport-level observability, summed across the shard servers:
-  // read/write/accept syscalls on the data path and payload bytes moved.
+  // The server's transport-level observability: read/write/accept
+  // syscalls on the data path and payload bytes moved.
   state.counters["transport_syscalls"] =
       static_cast<double>(stats.transport_syscalls);
   state.counters["transport_bytes"] =
       static_cast<double>(stats.transport_bytes);
 }
 
-void RunScalingDistributedApriori(benchmark::State& state, int servers) {
+// Arg 0 sweeps the worker fleet against the one server.
+void BM_ScalingDistributedApriori(benchmark::State& state) {
   const arm::ItemsetProblem problem = DistributedAprioriProblem();
   core::ParallelOptions options;
   options.strategy = core::Strategy::kLoadBalanced;
   options.execution_mode = plinda::ExecutionMode::kDistributed;
   options.num_workers = static_cast<int>(state.range(0));
-  options.runtime.distributed_servers = servers;
   core::ParallelResult result;
   for (auto _ : state) {
     result = core::MineParallel(problem, options);
@@ -193,75 +185,8 @@ void RunScalingDistributedApriori(benchmark::State& state, int servers) {
       static_cast<double>(result.mining.patterns_tested);
   state.counters["server_checkpoints"] =
       static_cast<double>(result.stats.server_checkpoints);
-  // Multi-server placement observability: formal-first all-shard ops and
-  // the pipelined gather rounds they cost. rounds_per_scatter ≈ 1 (not N)
-  // is the scatter legs riding as one writev + one pipelined gather.
-  state.counters["servers"] = static_cast<double>(servers);
-  state.counters["scatter_ops"] =
-      static_cast<double>(result.stats.dist_scatter_ops);
-  state.counters["rounds_per_scatter"] =
-      result.stats.dist_scatter_ops == 0
-          ? 0.0
-          : static_cast<double>(result.stats.dist_scatter_rounds) /
-                static_cast<double>(result.stats.dist_scatter_ops);
-}
-
-// Arg 0 sweeps the worker fleet against one server; arg 1 then sweeps the
-// shard-server count at the largest fleet — each server's single serve
-// loop is the ceiling the 2- and 4-server rows exist to lift.
-void BM_ScalingDistributedApriori(benchmark::State& state) {
-  RunScalingDistributedApriori(state, static_cast<int>(state.range(1)));
 }
 BENCHMARK(BM_ScalingDistributedApriori)
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({4, 4})
-    ->Iterations(2)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The formal-first all-shard slow path in isolation: the miners route
-// every op to a single bucket, so this bench is what actually prices the
-// scatter/gather — a consumer draining tuples spread over many distinct
-// buckets with a formal-first template. Every in probes ALL shard servers;
-// rounds_per_scatter ≈ 1 across the server sweep shows the N legs ride as
-// one pipelined gather, not N serial round trips.
-void BM_ScatterGatherDistributed(benchmark::State& state) {
-  const int servers = static_cast<int>(state.range(0));
-  constexpr int64_t kTasks = 32;
-  plinda::RuntimeStats stats;
-  for (auto _ : state) {
-    plinda::RuntimeOptions options;
-    options.mode = plinda::ExecutionMode::kDistributed;
-    options.distributed_servers = servers;
-    plinda::Runtime runtime(1, options);
-    for (int64_t i = 0; i < kTasks; ++i) {
-      runtime.space().Out(plinda::MakeTuple("t" + std::to_string(i), i));
-    }
-    runtime.SpawnOn("consumer", 0, [](plinda::ProcessContext& ctx) {
-      for (int64_t i = 0; i < kTasks; ++i) {
-        plinda::Tuple t;
-        ctx.In(plinda::MakeTemplate(plinda::F(plinda::ValueType::kString),
-                                    plinda::F(plinda::ValueType::kInt)),
-               &t);
-      }
-    });
-    if (!runtime.Run()) state.SkipWithError("scatter run failed");
-    stats = runtime.stats();
-    benchmark::DoNotOptimize(stats.tuple_ops);
-  }
-  state.counters["servers"] = static_cast<double>(servers);
-  state.counters["scatter_ops"] = static_cast<double>(stats.dist_scatter_ops);
-  state.counters["rounds_per_scatter"] =
-      stats.dist_scatter_ops == 0
-          ? 0.0
-          : static_cast<double>(stats.dist_scatter_rounds) /
-                static_cast<double>(stats.dist_scatter_ops);
-  state.counters["rpc_calls"] = static_cast<double>(stats.rpc_calls);
-}
-BENCHMARK(BM_ScatterGatherDistributed)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
@@ -269,9 +194,9 @@ BENCHMARK(BM_ScatterGatherDistributed)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Saturating multi-client server hot path: N client threads hammer ONE
-// shard server, each flushing pipelined 32-out + 32-take bursts — one wire
-// round trip per burst. Rows sweep the client count; the 8-client row is
+// Saturating multi-client server hot path: N client threads hammer the
+// server, each flushing pipelined 32-out + 32-take bursts — one wire round
+// trip per burst. Rows sweep the client count; the 8-client row is
 // the single serve loop under load. p99 burst latency (µs) rides along so a
 // throughput change bought with a latency collapse shows up.
 enum class SaturationTransport { kUnix, kTcp };

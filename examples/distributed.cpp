@@ -1,12 +1,10 @@
-// Distributed-mode demo: the same task-farm program runs four times —
+// Distributed-mode demo: the same task-farm program runs three times —
 // under the virtual-time simulator, in ExecutionMode::kDistributed (every
 // worker a forked OS process, the tuple space a separate server process
-// behind a Unix-domain socket), distributed again with the tuple space
-// SPLIT ACROSS THREE SHARD SERVERS (each owning a static bucket slice,
-// clients routing by bucket hash), and finally with a worker SIGKILLed
-// mid-transaction plus a tuple-space-server crash mid-run. The
-// transaction + continuation machinery and each server's checkpoint +
-// write-ahead log recovery make all four produce the identical answer.
+// behind a Unix-domain socket), and distributed again with a worker
+// SIGKILLed mid-transaction plus a tuple-space-server crash mid-run. The
+// transaction + continuation machinery and the server's checkpoint +
+// write-ahead log recovery make all three produce the identical answer.
 
 #include <chrono>
 #include <cstdio>
@@ -106,23 +104,16 @@ int main() {
   distributed.mode = ExecutionMode::kDistributed;
   distributed.distributed_checkpoint_ops = 8;
 
-  // The same run with the bucket space placed across 3 shard-server
-  // processes: ops route to the owning server, results stay identical.
-  RuntimeOptions sharded = distributed;
-  sharded.distributed_servers = 3;
-
   const RunOutcome sim = RunSum(simulated, /*kill_things=*/false);
   const RunOutcome dist = RunSum(distributed, /*kill_things=*/false);
-  const RunOutcome multi = RunSum(sharded, /*kill_things=*/false);
   const RunOutcome chaotic = RunSum(distributed, /*kill_things=*/true);
 
   PrintRow("simulated", sim);
   PrintRow("distributed", dist);
-  PrintRow("distributed (servers=3)", multi);
   PrintRow("distributed + SIGKILLs", chaotic);
 
-  const bool identical = sim.ok && dist.ok && multi.ok && chaotic.ok &&
-                         sim.total == dist.total && sim.total == multi.total &&
+  const bool identical = sim.ok && dist.ok && chaotic.ok &&
+                         sim.total == dist.total &&
                          sim.total == chaotic.total;
   std::printf("\nresults identical across modes and faults: %s\n",
               identical ? "yes" : "NO (bug!)");

@@ -78,16 +78,9 @@ std::string ToString(const FaultEvent& event) {
       kind = "SERVER_HEAL";
       break;
   }
-  const bool server_event = event.kind == FaultEvent::Kind::kServerCrash ||
-                            event.kind == FaultEvent::Kind::kServerRecover ||
-                            event.kind == FaultEvent::Kind::kServerPartition ||
-                            event.kind == FaultEvent::Kind::kServerHeal;
   const char* torn = event.torn_tail ? " (torn WAL tail)" : "";
   char buf[112];
-  if (server_event && event.machine >= 0) {
-    std::snprintf(buf, sizeof(buf), "[t=%8.2f] %-14s tuple-space server %d%s",
-                  event.time, kind, event.machine, torn);
-  } else if (event.machine >= 0) {
+  if (event.machine >= 0) {
     std::snprintf(buf, sizeof(buf), "[t=%8.2f] %-14s machine %d", event.time,
                   kind, event.machine);
   } else {
@@ -179,19 +172,13 @@ FaultPlan GenerateFaultPlan(int num_machines, const ChaosOptions& options) {
     int crashes = 0;
     while (t < options.horizon && crashes < options.max_server_failures) {
       const double recover = t + Exponential(&rng, options.server_mttr);
-      // Multi-server runtimes get a uniformly drawn victim index; the
-      // recovery restarts that same server.
-      const int victim =
-          options.num_servers > 1
-              ? static_cast<int>(rng.NextInt(0, options.num_servers - 1))
-              : -1;
       // Drawn even when the probability is 0 so enabling torn tails does
-      // not reshuffle the victim/time sequence of an existing seed.
+      // not reshuffle the time sequence of an existing seed.
       const bool torn = rng.NextBool(options.torn_tail_probability);
       plan.events.push_back(
-          FaultEvent{FaultEvent::Kind::kServerCrash, t, victim, torn});
+          FaultEvent{FaultEvent::Kind::kServerCrash, t, -1, torn});
       plan.events.push_back(
-          FaultEvent{FaultEvent::Kind::kServerRecover, recover, victim});
+          FaultEvent{FaultEvent::Kind::kServerRecover, recover, -1});
       ++crashes;
       t = recover + Exponential(&rng, options.server_mttf);
     }
@@ -206,14 +193,10 @@ FaultPlan GenerateFaultPlan(int num_machines, const ChaosOptions& options) {
     int partitions = 0;
     while (t < options.horizon && partitions < options.max_partitions) {
       const double heal = t + Exponential(&rng, options.partition_duration);
-      const int victim =
-          options.num_servers > 1
-              ? static_cast<int>(rng.NextInt(0, options.num_servers - 1))
-              : -1;
       plan.events.push_back(
-          FaultEvent{FaultEvent::Kind::kServerPartition, t, victim});
+          FaultEvent{FaultEvent::Kind::kServerPartition, t, -1});
       plan.events.push_back(
-          FaultEvent{FaultEvent::Kind::kServerHeal, heal, victim});
+          FaultEvent{FaultEvent::Kind::kServerHeal, heal, -1});
       ++partitions;
       t = heal + Exponential(&rng, options.partition_mttf);
     }
@@ -239,17 +222,16 @@ void InstallFaultPlan(Runtime* runtime, const FaultPlan& plan) {
         runtime->ScheduleRecovery(event.machine, event.time);
         break;
       case FaultEvent::Kind::kServerCrash:
-        runtime->ScheduleServerFailure(event.time, event.machine,
-                                       event.torn_tail);
+        runtime->ScheduleServerFailure(event.time, event.torn_tail);
         break;
       case FaultEvent::Kind::kServerRecover:
-        runtime->ScheduleServerRecovery(event.time, event.machine);
+        runtime->ScheduleServerRecovery(event.time);
         break;
       case FaultEvent::Kind::kServerPartition:
-        runtime->ScheduleServerPartition(event.time, event.machine);
+        runtime->ScheduleServerPartition(event.time);
         break;
       case FaultEvent::Kind::kServerHeal:
-        runtime->ScheduleServerHeal(event.time, event.machine);
+        runtime->ScheduleServerHeal(event.time);
         break;
     }
   }

@@ -55,18 +55,11 @@ struct ChaosOptions {
   /// only; the simulator ignores the flag.
   double torn_tail_probability = 0;
 
-  /// Shard-server processes the distributed runtime runs
-  /// (RuntimeOptions::distributed_servers). When > 1, each server crash
-  /// picks a victim index uniformly (recovery restarts the same index);
-  /// at 1 the events carry index -1, the "the server" of a single-server
-  /// runtime. The simulator's single logical server ignores the index.
-  int num_servers = 1;
-
   /// Network partitions: mean time to the next link cut (<= 0 disables
   /// them), mean partition duration, and a cap on partitions per plan.
-  /// Unlike a server crash the victim keeps running — its connections are
-  /// dropped and its traffic blackholed until the heal, exercising
-  /// reconnect/resend and the 2PC in-doubt machinery over a lossy link.
+  /// Unlike a crash the server keeps running — its connections are dropped
+  /// and its traffic blackholed until the heal, exercising reconnect/resend
+  /// and the dedup window over a lossy link.
   /// Partition draws happen AFTER every other draw, so enabling them never
   /// reshuffles the machine/server schedule of an existing seed.
   /// kDistributed only; the simulator ignores partition events.
@@ -85,12 +78,12 @@ struct FaultEvent {
     kServerCrash,
     kServerRecover,
     kServerPartition,  // link cut: the server keeps running, unreachable
-    kServerHeal,       // link restored: peers/clients reconnect and resend
+    kServerHeal,       // link restored: clients reconnect and resend
   };
   Kind kind = Kind::kMachineCrash;
   double time = 0;
   int machine = -1;
-  /// kServerCrash only: the crash tears the victim's final WAL append
+  /// kServerCrash only: the crash tears the server's final WAL append
   /// (see ChaosOptions::torn_tail_probability).
   bool torn_tail = false;
 };

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -65,7 +63,7 @@ class RemoteTupleSpace {
     kCancelled,    // run cancelled (deadlock watchdog) — unwind
     kUnreachable,  // server gone past the reconnect window
     kWireError,    // protocol violation; detail in last_error()
-    kPending       // PollStatus/PollPipeline: the reply not here yet
+    kPending       // PollStatus: the reply is not here yet
   };
 
   /// Exponential backoff ceiling for reconnect attempts (seconds).
@@ -96,12 +94,8 @@ class RemoteTupleSpace {
                 Tuple* result);
   CallStatus Count(const Template& tmpl, uint64_t* count);
   CallStatus XStart();
-  /// `participants` (server indexes other than this one whose buckets took
-  /// destructive ins inside the transaction) turns the commit into a 2PC
-  /// round coordinated by this server; empty = single-server fast path.
   CallStatus XCommit(const std::vector<Tuple>& outs, bool has_continuation,
-                     const Tuple& continuation, uint64_t cont_stamp = 0,
-                     const std::vector<uint32_t>& participants = {});
+                     const Tuple& continuation);
   CallStatus XAbort();
   CallStatus XRecover(Tuple* continuation);
   CallStatus TakeAll(std::vector<Tuple>* tuples);
@@ -130,8 +124,7 @@ class RemoteTupleSpace {
   /// sticky deferred error described above.
   CallStatus DeferXStart();
   CallStatus DeferXCommit(const std::vector<Tuple>& outs,
-                          bool has_continuation, const Tuple& continuation,
-                          uint64_t cont_stamp = 0);
+                          bool has_continuation, const Tuple& continuation);
 
   // --- pipelined control-plane calls --------------------------------------
   /// Sends a STATUS request without waiting for the reply, so a supervisor
@@ -155,35 +148,6 @@ class RemoteTupleSpace {
   /// End-of-run drain: pipelines STATS + TAKEALL as one round trip.
   CallStatus Harvest(Reply* stats, std::vector<Tuple>* tuples);
 
-  // --- scatter/gather pipelining ------------------------------------------
-  /// Writes `request` now (after flushing anything deferred on this
-  /// connection) WITHOUT reading the reply, so a sharded caller can put one
-  /// scatter leg on every server before gathering any reply. Replies arrive
-  /// in frame order via Finish/PollPipeline. A transport failure resends
-  /// the byte-identical unreplied tail (same seqs), so logged ops stay
-  /// exactly-once via the server dedup window and unlogged ops (rd, count,
-  /// status) re-execute harmlessly.
-  CallStatus BeginPipeline(Request& request);
-  /// Blocking wait for the oldest outstanding pipelined reply, with the
-  /// same reconnect window as a synchronous call.
-  CallStatus FinishPipeline(Reply* reply);
-  /// Non-blocking probe for the oldest outstanding pipelined reply:
-  /// kPending while it has not arrived (reconnecting and re-sending behind
-  /// the scenes if the server went away).
-  CallStatus PollPipeline(Reply* reply);
-  /// Retracts this connection's parked blocking rd legs: the server fails
-  /// each parked frame with kNotFound (ordered before the unpark ack), so
-  /// the gather sees one reply per outstanding frame. Itself pipelined —
-  /// expect pipeline_inflight() to grow by one.
-  CallStatus Unpark();
-  size_t pipeline_inflight() const { return pipeline_.size(); }
-
-  /// Placement map published by the server's HELLO reply (registered
-  /// clients only; empty until Connect, or for control connections).
-  const std::vector<std::string>& placement() const { return placement_; }
-  /// Deferred frames or an open batch waiting for the next flush.
-  bool has_deferred() const { return !queued_.empty() || !batch_.empty(); }
-  int fd() const { return fd_; }
 
   // --- wire counters (for benchmarks and RuntimeStats) --------------------
   uint64_t rpc_round_trips() const { return rpc_round_trips_; }
@@ -233,18 +197,12 @@ class RemoteTupleSpace {
   bool ReadReply(Reply* reply, bool* wire_error);
   void BackoffSleep();
   void CloseFd();
-  /// Writes the unwritten tail of pipeline_ in one gathered write (best
-  /// effort: a transport failure just closes the fd for the retry path).
-  void FlushPipeline();
 
   RemoteSpaceOptions options_;
   int fd_ = -1;
   FrameReader reader_;
   uint64_t next_seq_ = 0;
   std::deque<PendingFrame> queued_;
-  std::deque<std::string> pipeline_;  // framed, unreplied, FIFO
-  size_t pipeline_written_ = 0;  // prefix of pipeline_ on the current conn
-  std::vector<std::string> placement_;
   /// Structurally unusable endpoint (malformed grammar, a unix path that
   /// cannot fit sun_path): fatal, no point retrying. Detail in last_error_.
   bool endpoint_bad_ = false;
@@ -260,123 +218,6 @@ class RemoteTupleSpace {
   uint64_t batch_frames_sent_ = 0;
   uint64_t batched_ops_sent_ = 0;
   uint64_t transport_syscalls_ = 0;
-  std::string last_error_;
-};
-
-struct ShardedRemoteOptions {
-  /// Endpoint of server 0, used to bootstrap: the HELLO reply carries
-  /// the full placement map. Superseded by an explicit `placement`.
-  std::string endpoint;
-  /// Endpoint per server index; empty = learn it from the HELLO reply.
-  std::vector<std::string> placement;
-  int32_t pid = -1;
-  int32_t incarnation = 0;
-  double reconnect_timeout_s = 20.0;
-  double reconnect_interval_s = 0.02;
-};
-
-/// Multi-server tuple-space stub: one pipelined RemoteTupleSpace leg per
-/// shard server, with every operation routed by the same (arity, first-key)
-/// bucket hash the servers place buckets with (PlacementIndex).
-///
-///  - Single-bucket ops go straight to the owning leg, riding in front of
-///    that leg's deferred frames exactly as in the single-server protocol.
-///  - Formal-first templates (no actual first field) become a scatter /
-///    gather: one probe leg written to every server back-to-back, replies
-///    gathered as a pipeline — one wall-clock round per all-shard op, not N
-///    serial round trips. Blocking scatters park a non-destructive rd on
-///    every server and retract the losers with kUnpark once one fires.
-///  - Transactions span servers via 2PC: the home server — bound by the
-///    first destructive in, else pid % N — coordinates the commit. Every
-///    leg whose bucket takes a destructive in joins as a participant (an
-///    XStart opens the transaction there on first touch), and a commit
-///    whose participants all collapse onto the home server stays the
-///    single-record fast path with no prepare round. Commit outs for
-///    foreign buckets are forwarded server-side (Op::kForward) either way.
-///  - XRecover scatters destructively to every server and returns the
-///    continuation with the newest stamp, so a respawned worker finds its
-///    checkpoint no matter which home server its commits used.
-///
-/// Reads flush OTHER legs' deferred frames first (read-your-writes across
-/// servers); the target leg's queue rides with the read itself.
-class ShardedRemoteSpace {
- public:
-  using CallStatus = RemoteTupleSpace::CallStatus;
-
-  explicit ShardedRemoteSpace(ShardedRemoteOptions options);
-
-  ShardedRemoteSpace(const ShardedRemoteSpace&) = delete;
-  ShardedRemoteSpace& operator=(const ShardedRemoteSpace&) = delete;
-
-  /// Connects leg 0, learns the placement map from its HELLO reply (unless
-  /// given explicitly), then connects the remaining legs.
-  bool Connect();
-  void Bye();
-  void Abandon();
-
-  CallStatus In(const Template& tmpl, bool blocking, bool remove,
-                Tuple* result);
-  CallStatus Count(const Template& tmpl, uint64_t* count);
-  CallStatus XAbort();
-  CallStatus XRecover(Tuple* continuation);
-
-  CallStatus BatchOut(const Tuple& tuple);
-  CallStatus Flush();
-  CallStatus DeferXStart();
-  /// Participants beyond the home server force the 2PC slow path, which is
-  /// ALWAYS synchronous — a deferred cross-server commit pipelined ahead of
-  /// the next transaction's frames could reach the coordinator while the
-  /// decision is still parked and clobber the re-armed client state.
-  CallStatus DeferXCommit(const std::vector<Tuple>& outs,
-                          bool has_continuation, const Tuple& continuation);
-
-  size_t num_servers() const { return legs_.size(); }
-  /// Sum of the per-leg wire counters.
-  uint64_t rpc_round_trips() const;
-  uint64_t bytes_sent() const;
-  uint64_t bytes_received() const;
-  uint64_t batch_frames_sent() const;
-  uint64_t batched_ops_sent() const;
-  uint64_t transport_syscalls() const;
-  uint64_t transport_bytes() const;
-  /// Round trips per leg, indexed by server — RuntimeStats fan-out
-  /// observability.
-  std::vector<uint64_t> per_server_rpc() const;
-  /// Formal-first all-shard operations, and the pipelined gather rounds
-  /// they cost. rounds/ops ≈ 1 is the scatter/gather working as designed.
-  uint64_t scatter_ops() const { return scatter_ops_; }
-  uint64_t scatter_rounds() const { return scatter_rounds_; }
-  const std::string& last_error() const { return last_error_; }
-
- private:
-  /// Joins `leg` to the open transaction: binds it as the home server if
-  /// none is bound yet, and opens the transaction there (a deferred
-  /// XStart) on first touch.
-  CallStatus EnsureParticipant(size_t leg);
-  /// Flushes deferred frames on every leg except `except` (SIZE_MAX =
-  /// flush all), so a read on one server observes this client's earlier
-  /// writes to the others.
-  CallStatus FlushOthers(size_t except);
-  CallStatus ScatterIn(const Template& tmpl, bool blocking, bool remove,
-                       Tuple* result);
-  /// One non-blocking probe round across all legs. kOk sets *winner/*t
-  /// (preferring `prefer` when it hit, else the lowest server index).
-  CallStatus ScatterProbe(const Template& tmpl, size_t prefer,
-                          size_t* winner, Tuple* t);
-  /// Parks a blocking rd on every leg, waits for the first to fire,
-  /// retracts the rest with kUnpark, and drains every leftover reply.
-  CallStatus ParkAndWait(const Template& tmpl, size_t* winner, Tuple* t);
-
-  ShardedRemoteOptions options_;
-  std::vector<std::unique_ptr<RemoteTupleSpace>> legs_;
-  bool txn_open_ = false;
-  int home_ = -1;  // first participant = the commit's coordinator
-  /// Legs holding an open server-side transaction (destructive ins joined
-  /// them). Empty while txn_open_ = the XStart has not reached any server.
-  std::set<uint32_t> participants_;
-  uint32_t commit_seq_ = 0;   // per-incarnation continuation stamp counter
-  uint64_t scatter_ops_ = 0;
-  uint64_t scatter_rounds_ = 0;
   std::string last_error_;
 };
 

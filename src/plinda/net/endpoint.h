@@ -19,8 +19,8 @@ inline constexpr int kListenBacklog = 128;
 /// A bare string with no scheme prefix is read as a Unix-domain path — the
 /// pre-endpoint "socket_path" strings keep working unchanged. The retired
 /// "shm:" scheme is rejected rather than read as a relative path. Every
-/// endpoint-bearing string in the system (options structs, the placement
-/// vector in HELLO replies, state files) uses this grammar.
+/// endpoint-bearing string in the system (options structs, state files)
+/// uses this grammar.
 struct Endpoint {
   enum class Kind { kUnix, kTcp };
   Kind kind = Kind::kUnix;
@@ -60,8 +60,8 @@ int ConnectEndpoint(const Endpoint& endpoint, std::string* error = nullptr);
 /// Binds + listens on `*endpoint` with `backlog`. A TCP endpoint with port
 /// 0 is resolved: the kernel-assigned port is written back into
 /// endpoint->port, so the caller can publish the concrete address before
-/// anyone connects (the supervisor pre-binds every shard server this way —
-/// tests never race on ports). Unix endpoints unlink a stale path first.
+/// anyone connects (the supervisor pre-binds the server's listener this way
+/// — tests never race on ports). Unix endpoints unlink a stale path first.
 /// Returns the listening fd, or -1 with the reason in `*error`.
 int ListenEndpoint(Endpoint* endpoint, int backlog, std::string* error);
 

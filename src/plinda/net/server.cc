@@ -8,7 +8,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -21,11 +20,11 @@ namespace fpdm::plinda::net {
 
 namespace {
 
-// v5: one tuple space instead of a stripe vector (v4 added 2PC state —
-// typed peer messages, coordinator/participant transaction tables, decision
-// outcomes, txn counters; v3 continuation stamps + per-peer forward queues
-// for multi-server placement).
-constexpr char kSnapshotMagic[] = "fpdmsrv5:";
+// v6 dropped the continuation stamps, forward queues and transaction tables
+// of the retired multi-server layout (v5 moved to one tuple space instead
+// of a stripe vector). An older checkpoint fails the magic check and is
+// refused, never misread.
+constexpr char kSnapshotMagic[] = "fpdmsrv6:";
 
 /// An all-actuals template matching exactly one tuple value. Replaying an
 /// IN log entry removes the oldest tuple equal to the logged one, which is
@@ -129,14 +128,6 @@ void ApplySndbuf(int fd, int sndbuf_bytes) {
 SpaceServer::SpaceServer(SpaceServerOptions options)
     : options_(std::move(options)) {
   if (options_.checkpoint_every_ops < 1) options_.checkpoint_every_ops = 1;
-  placement_ = options_.placement.empty()
-                   ? std::vector<std::string>{options_.endpoint}
-                   : options_.placement;
-  if (options_.server_index < 0 ||
-      static_cast<size_t>(options_.server_index) >= placement_.size()) {
-    options_.server_index = 0;
-  }
-  peers_.resize(placement_.size());
   if (const char* env = std::getenv("FPDM_WAL_SYNC")) {
     options_.wal_sync = std::atoi(env) != 0;
   }
@@ -147,9 +138,6 @@ SpaceServer::~SpaceServer() {
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   for (auto& [fd, conn] : conns_) ::close(fd);
-  for (PeerLink& peer : peers_) {
-    if (peer.fd >= 0) ::close(peer.fd);
-  }
 }
 
 void SpaceServer::PublishTuple(Tuple tuple) {
@@ -166,8 +154,7 @@ std::string SpaceServer::EncodeSnapshot() const {
   PutU32(static_cast<uint32_t>(continuations_.size()), &payload);
   for (const auto& [pid, cont] : continuations_) {
     PutI32(pid, &payload);
-    PutU64(cont.first, &payload);  // stamp: (incarnation<<32)|commit counter
-    PutTuple(cont.second, &payload);
+    PutTuple(cont, &payload);
   }
   PutU32(static_cast<uint32_t>(clients_.size()), &payload);
   for (const auto& [pid, c] : clients_) {
@@ -190,65 +177,6 @@ std::string SpaceServer::EncodeSnapshot() const {
   PutU64(checkpoints_, &payload);
   PutU64(batch_frames_, &payload);
   PutU64(batched_ops_, &payload);
-  // Peer forward state: fseq counters, unacked queues, and watermarks.
-  // Persisting these makes forwarding exactly-once across a crash: replay
-  // of post-snapshot commits re-assigns identical fseqs, already-acked
-  // forwards that resend are deduplicated by the peer's watermark.
-  PutU32(static_cast<uint32_t>(peers_.size()), &payload);
-  for (const PeerLink& peer : peers_) {
-    PutU64(peer.next_fseq, &payload);
-    PutU64(peer.watermark, &payload);
-    PutU32(static_cast<uint32_t>(peer.unacked.size()), &payload);
-    for (const PeerMsg& msg : peer.unacked) {
-      PutU64(msg.fseq, &payload);
-      PutU8(static_cast<uint8_t>(msg.op), &payload);
-      PutU32(static_cast<uint32_t>(msg.outs.size()), &payload);
-      for (const Tuple& t : msg.outs) PutTuple(t, &payload);
-      PutI32(msg.txn_pid, &payload);
-      PutI32(msg.txn_incarnation, &payload);
-      PutU64(msg.txn_seq, &payload);
-      PutU8(msg.decision, &payload);
-    }
-  }
-  // 2PC state. The votes set must be durable: a vote whose PREPARE message
-  // was acked (and so retired from the unacked queue) before this snapshot
-  // is otherwise unrecoverable — the resent PREPARE after a restart only
-  // re-collects votes for messages still queued.
-  PutU32(static_cast<uint32_t>(coord_pending_.size()), &payload);
-  for (const auto& [pid, txn] : coord_pending_) {
-    PutI32(pid, &payload);
-    PutI32(txn.incarnation, &payload);
-    PutU64(txn.seq, &payload);
-    PutU32(static_cast<uint32_t>(txn.outs.size()), &payload);
-    for (const Tuple& t : txn.outs) PutTuple(t, &payload);
-    PutU8(txn.has_continuation ? 1 : 0, &payload);
-    PutTuple(txn.continuation, &payload);
-    PutU64(txn.cont_stamp, &payload);
-    PutU32(static_cast<uint32_t>(txn.participants.size()), &payload);
-    for (uint32_t k : txn.participants) PutU32(k, &payload);
-    PutU32(static_cast<uint32_t>(txn.votes.size()), &payload);
-    for (uint32_t k : txn.votes) PutU32(k, &payload);
-  }
-  PutU32(static_cast<uint32_t>(prepared_.size()), &payload);
-  for (const auto& [key, p] : prepared_) {
-    PutI32(std::get<0>(key), &payload);
-    PutI32(std::get<1>(key), &payload);
-    PutU64(std::get<2>(key), &payload);
-    PutU32(p.coordinator, &payload);
-    PutU32(static_cast<uint32_t>(p.ins.size()), &payload);
-    for (const Tuple& t : p.ins) PutTuple(t, &payload);
-  }
-  PutU32(static_cast<uint32_t>(decisions_.size()), &payload);
-  for (const auto& [key, d] : decisions_) {
-    PutI32(std::get<0>(key), &payload);
-    PutI32(std::get<1>(key), &payload);
-    PutU64(std::get<2>(key), &payload);
-    PutU8(d.outcome, &payload);
-    PutU32(static_cast<uint32_t>(d.waiting.size()), &payload);
-    for (uint32_t k : d.waiting) PutU32(k, &payload);
-  }
-  PutU64(txn_prepares_, &payload);
-  PutU64(txn_cross_server_, &payload);
 
   std::string out = kSnapshotMagic;
   PutU32(static_cast<uint32_t>(payload.size()), &out);
@@ -283,12 +211,9 @@ bool SpaceServer::LoadSnapshot(const std::string& path) {
   continuations_.clear();
   for (uint32_t i = 0; i < n; ++i) {
     int32_t pid = 0;
-    uint64_t stamp = 0;
     Tuple cont;
-    if (!r.TakeI32(&pid) || !r.TakeU64(&stamp) || !r.TakeTuple(&cont)) {
-      return false;
-    }
-    continuations_.emplace(pid, std::make_pair(stamp, std::move(cont)));
+    if (!r.TakeI32(&pid) || !r.TakeTuple(&cont)) return false;
+    continuations_.emplace(pid, std::move(cont));
   }
   if (!r.TakeU32(&n)) return false;
   clients_.clear();
@@ -322,122 +247,6 @@ bool SpaceServer::LoadSnapshot(const std::string& path) {
       !r.TakeU64(&commits_) || !r.TakeU64(&aborts_) ||
       !r.TakeU64(&checkpoints_) || !r.TakeU64(&batch_frames_) ||
       !r.TakeU64(&batched_ops_)) {
-    return false;
-  }
-  uint32_t num_servers = 0;
-  if (!r.TakeU32(&num_servers)) return false;
-  // A restarted server must rejoin the same placement it crashed in: a
-  // changed server count would re-route buckets and orphan forwards.
-  if (num_servers != static_cast<uint32_t>(peers_.size())) return false;
-  for (PeerLink& peer : peers_) {
-    uint32_t n_unacked = 0;
-    peer.unacked.clear();
-    if (!r.TakeU64(&peer.next_fseq) || !r.TakeU64(&peer.watermark) ||
-        !r.TakeU32(&n_unacked)) {
-      return false;
-    }
-    for (uint32_t i = 0; i < n_unacked; ++i) {
-      PeerMsg msg;
-      uint8_t op = 0;
-      uint32_t n_outs = 0;
-      if (!r.TakeU64(&msg.fseq) || !r.TakeU8(&op) || !r.TakeU32(&n_outs)) {
-        return false;
-      }
-      msg.op = static_cast<Op>(op);
-      msg.outs.reserve(n_outs);
-      for (uint32_t j = 0; j < n_outs; ++j) {
-        Tuple t;
-        if (!r.TakeTuple(&t)) return false;
-        msg.outs.push_back(std::move(t));
-      }
-      if (!r.TakeI32(&msg.txn_pid) || !r.TakeI32(&msg.txn_incarnation) ||
-          !r.TakeU64(&msg.txn_seq) || !r.TakeU8(&msg.decision)) {
-        return false;
-      }
-      peer.unacked.push_back(std::move(msg));
-    }
-    peer.sent = 0;  // nothing is on the wire in a fresh process
-  }
-  uint32_t n_coord = 0;
-  if (!r.TakeU32(&n_coord)) return false;
-  coord_pending_.clear();
-  for (uint32_t i = 0; i < n_coord; ++i) {
-    int32_t pid = 0;
-    CoordTxn txn;
-    uint32_t n_outs = 0;
-    if (!r.TakeI32(&pid) || !r.TakeI32(&txn.incarnation) ||
-        !r.TakeU64(&txn.seq) || !r.TakeU32(&n_outs)) {
-      return false;
-    }
-    txn.outs.reserve(n_outs);
-    for (uint32_t j = 0; j < n_outs; ++j) {
-      Tuple t;
-      if (!r.TakeTuple(&t)) return false;
-      txn.outs.push_back(std::move(t));
-    }
-    uint8_t has_cont = 0;
-    uint32_t n_participants = 0;
-    if (!r.TakeU8(&has_cont) || !r.TakeTuple(&txn.continuation) ||
-        !r.TakeU64(&txn.cont_stamp) || !r.TakeU32(&n_participants)) {
-      return false;
-    }
-    txn.has_continuation = has_cont != 0;
-    for (uint32_t j = 0; j < n_participants; ++j) {
-      uint32_t k = 0;
-      if (!r.TakeU32(&k)) return false;
-      txn.participants.push_back(k);
-    }
-    uint32_t n_votes = 0;
-    if (!r.TakeU32(&n_votes)) return false;
-    for (uint32_t j = 0; j < n_votes; ++j) {
-      uint32_t k = 0;
-      if (!r.TakeU32(&k)) return false;
-      txn.votes.insert(k);
-    }
-    coord_pending_.emplace(pid, std::move(txn));
-  }
-  uint32_t n_prepared = 0;
-  if (!r.TakeU32(&n_prepared)) return false;
-  prepared_.clear();
-  for (uint32_t i = 0; i < n_prepared; ++i) {
-    int32_t pid = 0;
-    int32_t incarnation = 0;
-    uint64_t seq = 0;
-    PreparedTxn p;
-    uint32_t n_ins = 0;
-    if (!r.TakeI32(&pid) || !r.TakeI32(&incarnation) || !r.TakeU64(&seq) ||
-        !r.TakeU32(&p.coordinator) || !r.TakeU32(&n_ins)) {
-      return false;
-    }
-    p.ins.reserve(n_ins);
-    for (uint32_t j = 0; j < n_ins; ++j) {
-      Tuple t;
-      if (!r.TakeTuple(&t)) return false;
-      p.ins.push_back(std::move(t));
-    }
-    prepared_.emplace(TxnKey{pid, incarnation, seq}, std::move(p));
-  }
-  uint32_t n_decisions = 0;
-  if (!r.TakeU32(&n_decisions)) return false;
-  decisions_.clear();
-  for (uint32_t i = 0; i < n_decisions; ++i) {
-    int32_t pid = 0;
-    int32_t incarnation = 0;
-    uint64_t seq = 0;
-    Decision d;
-    uint32_t n_waiting = 0;
-    if (!r.TakeI32(&pid) || !r.TakeI32(&incarnation) || !r.TakeU64(&seq) ||
-        !r.TakeU8(&d.outcome) || !r.TakeU32(&n_waiting)) {
-      return false;
-    }
-    for (uint32_t j = 0; j < n_waiting; ++j) {
-      uint32_t k = 0;
-      if (!r.TakeU32(&k)) return false;
-      d.waiting.push_back(k);
-    }
-    decisions_.emplace(TxnKey{pid, incarnation, seq}, std::move(d));
-  }
-  if (!r.TakeU64(&txn_prepares_) || !r.TakeU64(&txn_cross_server_)) {
     return false;
   }
   return r.AtEnd();
@@ -602,15 +411,6 @@ bool SpaceServer::Recover() {
     if (!LoadSnapshot(ckpt_path)) return false;  // corrupt checkpoint: fatal
   }
   ReplayLog(options_.state_dir + "/log." + std::to_string(epoch_));
-  // Presumed-abort recovery: every transaction still PREPARED but
-  // undecided asks its coordinator what happened. Queued BEFORE the boot
-  // checkpoint so the fseqs these queries consume are captured in the
-  // snapshot's next_fseq — post-boot log replay must re-assign identical
-  // fseqs to later forwards. EnqueueTxnQuery skips duplicates already
-  // restored from the snapshot, so crash loops don't grow the queue.
-  for (const auto& [key, p] : prepared_) {
-    if (p.coordinator < peers_.size()) EnqueueTxnQuery(p.coordinator, key);
-  }
   // Collapse the replayed log into a fresh checkpoint so every boot starts
   // with an empty log and a bounded-size on-disk state.
   return TakeCheckpoint();
@@ -683,50 +483,17 @@ std::string SpaceServer::ApplyEntry(const LogEntry& entry) {
       break;
     }
     case LogKind::kCommit: {
-      // Transactions have single-server affinity, but their outs can target
-      // any bucket: publish the locally-placed ones, forward the rest to
-      // their owning server (one kForward per commit per target, so the
-      // per-source FIFO channel preserves commit order end to end). The
-      // home server counts every commit out in tuple_ops_; the forward
-      // apply on the target deliberately does not.
-      const size_t self = static_cast<size_t>(options_.server_index);
-      std::map<size_t, std::vector<Tuple>> foreign;
       for (const Tuple& t : entry.outs) {
-        const size_t target = placement_.size() > 1
-                                  ? PlacementIndex(BucketKeyFor(t),
-                                                   placement_.size())
-                                  : self;
-        if (target == self) {
-          PublishTuple(t);
-        } else {
-          foreign[target].push_back(t);
-        }
+        PublishTuple(t);
         ++tuple_ops_;
       }
-      for (auto& [target, outs] : foreign) {
-        EnqueueForward(target, std::move(outs));
-      }
       if (entry.has_continuation) {
-        continuations_[entry.pid] = {entry.cont_stamp, entry.continuation};
+        continuations_[entry.pid] = entry.continuation;
       }
       ClientState& c = clients_[entry.pid];
       c.txn_open = false;
       c.txn_ins.clear();
       ++commits_;
-      // Non-empty participants = the COMMIT decision record of a
-      // cross-server (2PC) transaction: retire the in-doubt state, retain
-      // the outcome until every participant acks, fan the decision out.
-      if (!entry.participants.empty()) {
-        coord_pending_.erase(entry.pid);
-        const TxnKey key{entry.pid, entry.incarnation, entry.seq};
-        Decision d;
-        d.outcome = kTxnCommit;
-        d.waiting = entry.participants;
-        decisions_[key] = std::move(d);
-        for (uint32_t k : entry.participants) {
-          if (k < peers_.size()) EnqueueDecide(k, key, kTxnCommit);
-        }
-      }
       break;
     }
     case LogKind::kAbort: {
@@ -735,90 +502,6 @@ std::string SpaceServer::ApplyEntry(const LogEntry& entry) {
       c.txn_open = false;
       c.txn_ins.clear();
       ++aborts_;
-      if (!entry.participants.empty()) {
-        // ABORT decision record of a cross-server transaction. The parked
-        // client (if any) gets a structured error; participants republish
-        // their durably parked ins on delivery.
-        coord_pending_.erase(entry.pid);
-        const TxnKey key{entry.pid, entry.incarnation, entry.seq};
-        Decision d;
-        d.outcome = kTxnAbort;
-        d.waiting = entry.participants;
-        decisions_[key] = std::move(d);
-        for (uint32_t k : entry.participants) {
-          if (k < peers_.size()) EnqueueDecide(k, key, kTxnAbort);
-        }
-        reply.status = WireStatus::kError;
-        reply.error = "cross-server transaction aborted";
-      }
-      break;
-    }
-    case LogKind::kXPrepare: {
-      // Coordinator: the commit payload is durably parked and PREPAREs fan
-      // out to every participant. Replay re-arms the pending transaction
-      // (votes re-collect via resent PREPAREs or the snapshot) and
-      // re-enqueues the PREPARE messages at identical fseqs.
-      CoordTxn txn;
-      txn.incarnation = entry.incarnation;
-      txn.seq = entry.seq;
-      txn.outs = entry.outs;
-      txn.has_continuation = entry.has_continuation;
-      txn.continuation = entry.continuation;
-      txn.cont_stamp = entry.cont_stamp;
-      txn.participants = entry.participants;
-      coord_pending_[entry.pid] = std::move(txn);
-      ++txn_cross_server_;
-      for (uint32_t k : entry.participants) {
-        if (k < peers_.size()) {
-          EnqueuePrepare(k, entry.pid, entry.incarnation, entry.seq);
-        }
-      }
-      break;
-    }
-    case LogKind::kPrepared: {
-      // Participant: the vote is durable and the PREPARE delivery advances
-      // the coordinator's watermark. A yes vote parks the transaction's
-      // tentative ins in prepared_ — out of ClientState, so neither a
-      // crash-abort nor a new-incarnation HELLO can republish them while
-      // the outcome is undecided.
-      if (entry.peer >= 0 && static_cast<size_t>(entry.peer) < peers_.size()) {
-        PeerLink& src = peers_[static_cast<size_t>(entry.peer)];
-        if (entry.fseq > src.watermark) src.watermark = entry.fseq;
-      }
-      if (entry.decision == kVotePrepared) {
-        PreparedTxn p;
-        p.coordinator = static_cast<uint32_t>(entry.peer);
-        auto it = clients_.find(entry.pid);
-        if (it != clients_.end()) {
-          p.ins = std::move(it->second.txn_ins);
-          it->second.txn_ins.clear();
-          it->second.txn_open = false;
-        }
-        prepared_[TxnKey{entry.pid, entry.incarnation, entry.seq}] =
-            std::move(p);
-      }
-      break;
-    }
-    case LogKind::kDecide: {
-      // Participant applies the coordinator's decision. fseq != 0 = it
-      // arrived as a kDecide peer message (advance the watermark); fseq ==
-      // 0 = it was learned from a recovery-time kTxnQuery answer. Both are
-      // idempotent: once the prepared entry is gone, this is a no-op.
-      if (entry.fseq != 0 && entry.peer >= 0 &&
-          static_cast<size_t>(entry.peer) < peers_.size()) {
-        PeerLink& src = peers_[static_cast<size_t>(entry.peer)];
-        if (entry.fseq > src.watermark) src.watermark = entry.fseq;
-      }
-      auto it =
-          prepared_.find(TxnKey{entry.pid, entry.incarnation, entry.seq});
-      if (it != prepared_.end()) {
-        if (entry.decision != kTxnCommit) {
-          for (const Tuple& t : it->second.ins) PublishTuple(t);
-        }
-        // On commit the ins stay removed (they left the space when the
-        // destructive in executed); the coordinator counts the commit.
-        prepared_.erase(it);
-      }
       break;
     }
     case LogKind::kXRecover: {
@@ -827,8 +510,7 @@ std::string SpaceServer::ApplyEntry(const LogEntry& entry) {
         reply.status = WireStatus::kNotFound;
       } else {
         reply.has_tuple = true;
-        reply.cont_stamp = it->second.first;
-        reply.tuple = it->second.second;
+        reply.tuple = std::move(it->second);
         continuations_.erase(it);
       }
       break;
@@ -858,33 +540,9 @@ std::string SpaceServer::ApplyEntry(const LogEntry& entry) {
       reply = BatchReplyFor(entry);
       break;
     }
-    case LogKind::kForward: {
-      // Commit outs delivered from peer server entry.pid under forward seq
-      // entry.seq. The watermark guard makes replay and re-delivery
-      // idempotent; no tuple_ops_ bump — the home server counted them.
-      if (entry.pid >= 0 &&
-          static_cast<size_t>(entry.pid) < peers_.size()) {
-        PeerLink& src = peers_[static_cast<size_t>(entry.pid)];
-        if (entry.seq > src.watermark) {
-          for (const Tuple& t : entry.outs) PublishTuple(t);
-          src.watermark = entry.seq;
-        }
-      }
-      break;
-    }
   }
   const std::string encoded = EncodeReply(reply);
-  // kForward entries reuse pid as the SOURCE SERVER index — caching their
-  // replies would collide with a real client's dedup window. The 2PC
-  // records are excluded too: kXPrepare must not cache a reply under the
-  // commit's seq (the decision record does that — a resent XCOMMIT before
-  // the decision must re-park, not get a bogus cached OK), and
-  // kPrepared/kDecide carry the COORDINATOR leg's seq, which lives in a
-  // different sequence space than this participant's client leg.
-  if (entry.seq != 0 && entry.pid >= 0 &&
-      entry.kind != LogKind::kForward &&
-      entry.kind != LogKind::kXPrepare &&
-      entry.kind != LogKind::kPrepared && entry.kind != LogKind::kDecide) {
+  if (entry.seq != 0 && entry.pid >= 0) {
     CacheReply(clients_[entry.pid], entry.seq, encoded);
   }
   return encoded;
@@ -971,12 +629,8 @@ void SpaceServer::ParkWaiter(Conn& conn, const Request& request) {
 void SpaceServer::HandleHello(Conn& conn, const Request& request) {
   conn.pid = request.pid;
   conn.incarnation = request.incarnation;
-  // Every HELLO reply carries the placement map, so a worker that connects
-  // to any one server learns where every bucket lives.
-  Reply hello;
-  hello.placement = placement_;
   if (request.pid < 0) {  // control connection: nothing to register
-    SendReply(conn, hello);
+    SendReply(conn, Reply{});
     return;
   }
   auto it = clients_.find(request.pid);
@@ -990,27 +644,17 @@ void SpaceServer::HandleHello(Conn& conn, const Request& request) {
       request.incarnation == it->second.incarnation) {
     // Reconnect of a live incarnation (server restarted or the connection
     // dropped): keep the dedup and transaction state exactly as it was.
-    SendReply(conn, hello);
+    SendReply(conn, Reply{});
     return;
   }
   // New client or a respawned incarnation: crash-abort whatever the old
-  // incarnation left open and reset its dedup window. HELLO entries are
-  // unsequenced (never cached), so sending the placement-bearing reply
-  // instead of ApplyEntry's encoding cannot diverge from a replayed one.
+  // incarnation left open and reset its dedup window.
   LogEntry entry;
   entry.kind = LogKind::kHello;
   entry.pid = request.pid;
   entry.incarnation = request.incarnation;
   if (!AppendLog(entry)) return;
-  ApplyEntry(entry);
-  // A respawned incarnation proves the old one died mid-commit: drive its
-  // in-doubt cross-server transaction to ABORT so every participant
-  // republishes the parked ins and the new incarnation's xrecover resumes
-  // from the last COMMITTED continuation.
-  if (coord_pending_.count(request.pid) != 0) {
-    DecideTxn(request.pid, kTxnAbort);
-  }
-  SendReply(conn, hello);
+  SendEncoded(conn, ApplyEntry(entry));
   SatisfyWaiters();
 }
 
@@ -1129,18 +773,14 @@ void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
   }
   // Chaos partition: while partitioned_, this server is "off the network"
   // for everyone except the out-of-band control channel (unregistered
-  // conns, pid < 0) that will eventually heal it. Peer traffic and client
-  // traffic are blackholed — no reply, connection dropped — which models a
-  // link cut rather than a crash: durable state stays intact, so a healed
-  // reconnect finds transactions exactly where the partition left them.
+  // conns, pid < 0) that will eventually heal it. Client traffic is
+  // blackholed — no reply, connection dropped — which models a link cut
+  // rather than a crash: durable state stays intact, so a healed reconnect
+  // finds transactions exactly where the partition left them.
   if (partitioned_ && request.op != Op::kChaosPartition) {
-    const bool peer_op = request.op == Op::kForward ||
-                         request.op == Op::kPrepare ||
-                         request.op == Op::kDecide ||
-                         request.op == Op::kTxnQuery;
     const bool client_traffic =
         conn.pid >= 0 || (request.op == Op::kHello && request.pid >= 0);
-    if (peer_op || client_traffic) {
+    if (client_traffic) {
       conn.saw_bye = true;  // partition drop, not a crash: no crash-abort
       conn.close_after_flush = true;
       flush_request_.insert(conn.fd);
@@ -1214,49 +854,6 @@ void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
         SendError(conn, "xcommit requires a registered client");
         break;
       }
-      if (!request.participants.empty()) {
-        // Cross-server commit: 2PC slow path. Park the reply until the
-        // decision; the decision record caches it for retries.
-        bool bad = false;
-        std::set<uint32_t> seen;
-        for (uint32_t k : request.participants) {
-          if (k >= placement_.size() ||
-              k == static_cast<uint32_t>(options_.server_index) ||
-              !seen.insert(k).second) {
-            bad = true;
-          }
-        }
-        if (bad) {
-          SendError(conn, "xcommit: bad participant list");
-          break;
-        }
-        auto pit = coord_pending_.find(conn.pid);
-        if (pit != coord_pending_.end()) {
-          if (pit->second.incarnation == conn.incarnation &&
-              pit->second.seq == request.seq) {
-            pit->second.reply_fd = conn.fd;  // resent commit: re-park
-          } else {
-            SendError(conn, "xcommit while another commit is in doubt");
-          }
-          break;
-        }
-        LogEntry entry;
-        entry.kind = LogKind::kXPrepare;
-        entry.pid = conn.pid;
-        entry.incarnation = conn.incarnation;
-        entry.seq = request.seq;
-        entry.outs = request.outs;
-        entry.has_continuation = request.has_continuation;
-        entry.continuation = request.continuation;
-        entry.cont_stamp = request.cont_stamp;
-        entry.participants = request.participants;
-        if (!AppendLog(entry)) break;
-        ApplyEntry(entry);  // arms coord_pending_ + fans out PREPAREs
-        coord_pending_[conn.pid].reply_fd = conn.fd;
-        break;  // no reply until the votes decide
-      }
-      // Fast path: every destructive in happened here, so the commit is a
-      // single durable record with no prepare round.
       LogEntry entry;
       entry.kind = LogKind::kCommit;
       entry.pid = conn.pid;
@@ -1265,7 +862,6 @@ void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
       entry.outs = request.outs;
       entry.has_continuation = request.has_continuation;
       entry.continuation = request.continuation;
-      entry.cont_stamp = request.cont_stamp;
       if (!AppendLog(entry)) break;
       SendEncoded(conn, ApplyEntry(entry));
       SatisfyWaiters();
@@ -1358,8 +954,6 @@ void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
       reply.batch_frames = batch_frames_;
       reply.batched_ops = batched_ops_;
       reply.publish_epoch = publish_epoch_;
-      reply.txn_prepares = txn_prepares_;
-      reply.txn_cross_server = txn_cross_server_;
       reply.wal_group_commits = wal_group_commits_;
       reply.wal_synced_bytes = wal_synced_bytes_;
       reply.transport_syscalls = transport_syscalls_;
@@ -1370,7 +964,6 @@ void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
     case Op::kStatus: {
       Reply reply;
       reply.publish_epoch = publish_epoch_;
-      reply.forwards_pending = ForwardsPending();
       for (const Waiter& w : waiters_) {
         ParkedWaiter parked;
         parked.pid = w.pid;
@@ -1394,185 +987,6 @@ void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
       SendReply(conn, Reply{});
       break;
     }
-    case Op::kUnpark: {
-      // Scatter/gather loser cancellation: the client won its blocking rd
-      // on another server and retracts the legs parked here. Reply order
-      // matches frame order, so the parked frame's kNotFound goes out
-      // before the unpark ack. A leg that already fired (its waiter is
-      // gone) makes this a no-op ack and the client discards the extra
-      // reply — the parked op is a non-destructive rd either way.
-      Reply miss;
-      miss.status = WireStatus::kNotFound;
-      for (auto wit = waiters_.begin(); wit != waiters_.end();) {
-        if (wit->fd == conn.fd) {
-          SendReply(conn, miss);
-          wit = waiters_.erase(wit);
-        } else {
-          ++wit;
-        }
-      }
-      SendReply(conn, Reply{});
-      break;
-    }
-    case Op::kForward: {
-      // Server-to-server delivery of commit outs placed here. request.pid
-      // is the SOURCE SERVER index and request.seq its forward seq; the
-      // source resends its whole unacked queue after a reconnect, so
-      // duplicates are acked without logging (watermark dedup).
-      if (conn.pid >= 0) {
-        SendError(conn, "forward from a registered client");
-        break;
-      }
-      conn.is_peer = true;
-      const int32_t src = request.pid;
-      if (src < 0 || static_cast<size_t>(src) >= peers_.size() ||
-          static_cast<size_t>(src) ==
-              static_cast<size_t>(options_.server_index) ||
-          request.seq == 0) {
-        SendError(conn, "forward: bad source server or sequence");
-        break;
-      }
-      if (request.seq <= peers_[static_cast<size_t>(src)].watermark) {
-        SendReply(conn, Reply{});  // duplicate delivery: ack only
-        break;
-      }
-      LogEntry entry;
-      entry.kind = LogKind::kForward;
-      entry.pid = src;
-      entry.seq = request.seq;
-      entry.outs = request.outs;
-      if (!AppendLog(entry)) break;
-      ApplyEntry(entry);
-      SendReply(conn, Reply{});
-      SatisfyWaiters();
-      break;
-    }
-    case Op::kPrepare: {
-      // 2PC phase 1, participant side. request.pid = coordinator server
-      // index, request.seq = its forward seq on this channel; the txn_*
-      // fields name the transaction. The vote rides back in the ack.
-      if (conn.pid >= 0) {
-        SendError(conn, "prepare from a registered client");
-        break;
-      }
-      conn.is_peer = true;
-      const int32_t src = request.pid;
-      if (src < 0 || static_cast<size_t>(src) >= peers_.size() ||
-          static_cast<size_t>(src) ==
-              static_cast<size_t>(options_.server_index) ||
-          request.seq == 0) {
-        SendError(conn, "prepare: bad source server or sequence");
-        break;
-      }
-      const TxnKey key{request.txn_pid, request.txn_incarnation,
-                       request.txn_seq};
-      if (request.seq <= peers_[static_cast<size_t>(src)].watermark) {
-        // Duplicate delivery: re-ack with the durable vote. (A refused
-        // first vote left no prepared entry, so this re-acks REFUSED; a
-        // post-decision resend may also re-ack REFUSED, but by then the
-        // coordinator has no pending transaction and ignores the vote.)
-        Reply reply;
-        reply.vote =
-            prepared_.count(key) != 0 ? kVotePrepared : kVoteRefused;
-        SendReply(conn, reply);
-        break;
-      }
-      // Fresh PREPARE: vote yes iff this client leg has the transaction
-      // open under the same incarnation (a crash-abort or a respawned
-      // incarnation already rolled it back here → refuse, which drives
-      // the coordinator to a global abort).
-      uint8_t vote = kVoteRefused;
-      auto it = clients_.find(request.txn_pid);
-      if (it != clients_.end() &&
-          it->second.incarnation == request.txn_incarnation &&
-          it->second.txn_open) {
-        vote = kVotePrepared;
-      }
-      LogEntry entry;
-      entry.kind = LogKind::kPrepared;
-      entry.pid = request.txn_pid;
-      entry.incarnation = request.txn_incarnation;
-      entry.seq = request.txn_seq;
-      entry.peer = src;
-      entry.fseq = request.seq;
-      entry.decision = vote;
-      if (!AppendLog(entry)) break;
-      ApplyEntry(entry);
-      if (options_.die_after_prepared > 0 && vote == kVotePrepared &&
-          ++prepared_votes_logged_ >= options_.die_after_prepared) {
-        MaybeDieAt("chaos.died.part");  // die before acking the vote
-      }
-      Reply reply;
-      reply.vote = vote;
-      SendReply(conn, reply);
-      break;
-    }
-    case Op::kDecide: {
-      // 2PC phase 2, participant side: apply the coordinator's decision.
-      if (conn.pid >= 0) {
-        SendError(conn, "decide from a registered client");
-        break;
-      }
-      conn.is_peer = true;
-      const int32_t src = request.pid;
-      if (src < 0 || static_cast<size_t>(src) >= peers_.size() ||
-          static_cast<size_t>(src) ==
-              static_cast<size_t>(options_.server_index) ||
-          request.seq == 0) {
-        SendError(conn, "decide: bad source server or sequence");
-        break;
-      }
-      if (request.seq <= peers_[static_cast<size_t>(src)].watermark) {
-        SendReply(conn, Reply{});  // duplicate delivery: ack only
-        break;
-      }
-      LogEntry entry;
-      entry.kind = LogKind::kDecide;
-      entry.pid = request.txn_pid;
-      entry.incarnation = request.txn_incarnation;
-      entry.seq = request.txn_seq;
-      entry.peer = src;
-      entry.fseq = request.seq;
-      entry.decision = request.decision;
-      if (!AppendLog(entry)) break;
-      ApplyEntry(entry);
-      SendReply(conn, Reply{});
-      SatisfyWaiters();  // an abort republished the parked ins
-      break;
-    }
-    case Op::kTxnQuery: {
-      // Presumed-abort recovery query, coordinator side. Stateless — it
-      // neither logs nor touches the watermark. Answers: the retained
-      // decision; 0 ("still deciding") while the transaction is pending,
-      // so a participant bouncing mid-2PC never aborts a live commit; and
-      // otherwise ABORT — safe because a participant can only be PREPARED
-      // for a transaction whose kXPrepare this server logged durably
-      // BEFORE fanning out the PREPARE, so "no trace" proves the decision
-      // was never COMMIT.
-      if (conn.pid >= 0) {
-        SendError(conn, "txn query from a registered client");
-        break;
-      }
-      conn.is_peer = true;
-      const TxnKey key{request.txn_pid, request.txn_incarnation,
-                       request.txn_seq};
-      Reply reply;
-      auto dit = decisions_.find(key);
-      if (dit != decisions_.end()) {
-        reply.decision = dit->second.outcome;
-      } else {
-        auto pit = coord_pending_.find(request.txn_pid);
-        if (pit != coord_pending_.end() &&
-            pit->second.incarnation == request.txn_incarnation &&
-            pit->second.seq == request.txn_seq) {
-          reply.decision = 0;  // still in doubt here too: keep it parked
-        } else {
-          reply.decision = kTxnAbort;  // presumed abort
-        }
-      }
-      SendReply(conn, reply);
-      break;
-    }
     case Op::kShutdown:
       SendReply(conn, Reply{});
       stop_ = true;
@@ -1590,8 +1004,8 @@ void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
         partitioned_ = true;
         StartPartitionDrop();
       } else {
-        // Heal: new connections flow again; peers reconnect and resend
-        // their unacked tails, watermark/dedup absorbing any duplicates.
+        // Heal: new connections flow again; clients reconnect and resend
+        // their unreplied frames, the dedup window absorbing duplicates.
         partitioned_ = false;
       }
       SendReply(conn, Reply{});
@@ -1621,11 +1035,6 @@ void SpaceServer::DropConns(const std::vector<int>& fds) {
     dropped.push_back(std::move(it->second));
     conns_.erase(it);
     waiters_.remove_if([fd](const Waiter& w) { return w.fd == fd; });
-    // A 2PC commit parked on this connection loses its reply target (the
-    // fd number may be reused); the client's resent XCOMMIT re-parks.
-    for (auto& [pid, txn] : coord_pending_) {
-      if (txn.reply_fd == fd) txn.reply_fd = -1;
-    }
     ::close(fd);
   }
   // Phase 2: a vanished client (no BYE) with an open transaction is a
@@ -1634,17 +1043,6 @@ void SpaceServer::DropConns(const std::vector<int>& fds) {
   for (const auto& conn_ptr : dropped) {
     const Conn& conn = *conn_ptr;
     if (conn.saw_bye || conn.pid < 0) continue;
-    // A disconnect during the in-doubt window is NOT a crash-abort: once
-    // XCOMMIT reached this coordinator the commit's fate belongs to the
-    // vote round (matching the single-server rule that a client dying
-    // after its commit was logged still commits). A genuinely dead client
-    // resolves via its respawned incarnation's HELLO, which aborts the
-    // pending transaction.
-    auto pending = coord_pending_.find(conn.pid);
-    if (pending != coord_pending_.end() &&
-        pending->second.incarnation == conn.incarnation) {
-      continue;
-    }
     auto client = clients_.find(conn.pid);
     if (client == clients_.end() ||
         client->second.incarnation != conn.incarnation ||
@@ -1663,316 +1061,17 @@ void SpaceServer::DropConns(const std::vector<int>& fds) {
 }
 
 void SpaceServer::StartPartitionDrop() {
-  // Cut every established link — registered clients and inbound peer
-  // channels — by flushing-then-closing, exactly the kBye teardown.
-  // saw_bye suppresses the DropConns crash-abort: the client is alive on
-  // the far side of the cut and will reconnect under the SAME incarnation
-  // after the heal, expecting its open transaction intact. Outbound peer
-  // links are torn down by PumpPeers; unregistered control connections
-  // stay up as the heal channel.
+  // Cut every registered client's link by flushing-then-closing, exactly
+  // the kBye teardown. saw_bye suppresses the DropConns crash-abort: the
+  // client is alive on the far side of the cut and will reconnect under the
+  // SAME incarnation after the heal, expecting its open transaction intact.
+  // Unregistered control connections stay up as the heal channel.
   for (auto& [fd, conn_ptr] : conns_) {
     Conn& conn = *conn_ptr;
-    if (conn.pid < 0 && !conn.is_peer) continue;
+    if (conn.pid < 0) continue;
     conn.saw_bye = true;
     conn.close_after_flush = true;
     flush_request_.insert(fd);
-  }
-}
-
-// --- peer forwarding (multi-server placement) -----------------------------
-
-void SpaceServer::EnqueueForward(size_t target, std::vector<Tuple> outs) {
-  PeerLink& peer = peers_[target];
-  PeerMsg msg;
-  msg.fseq = ++peer.next_fseq;
-  msg.op = Op::kForward;
-  msg.outs = std::move(outs);
-  peer.unacked.push_back(std::move(msg));
-}
-
-// --- cross-server transactions (2PC, presumed abort) ----------------------
-
-void SpaceServer::EnqueuePrepare(uint32_t target, int32_t pid,
-                                 int32_t incarnation, uint64_t seq) {
-  PeerLink& peer = peers_[target];
-  PeerMsg msg;
-  msg.fseq = ++peer.next_fseq;
-  msg.op = Op::kPrepare;
-  msg.txn_pid = pid;
-  msg.txn_incarnation = incarnation;
-  msg.txn_seq = seq;
-  peer.unacked.push_back(std::move(msg));
-  ++txn_prepares_;
-}
-
-void SpaceServer::EnqueueDecide(uint32_t target, const TxnKey& key,
-                                uint8_t outcome) {
-  PeerLink& peer = peers_[target];
-  PeerMsg msg;
-  msg.fseq = ++peer.next_fseq;
-  msg.op = Op::kDecide;
-  msg.txn_pid = std::get<0>(key);
-  msg.txn_incarnation = std::get<1>(key);
-  msg.txn_seq = std::get<2>(key);
-  msg.decision = outcome;
-  peer.unacked.push_back(std::move(msg));
-}
-
-void SpaceServer::EnqueueTxnQuery(uint32_t target, const TxnKey& key) {
-  PeerLink& peer = peers_[target];
-  for (const PeerMsg& msg : peer.unacked) {
-    if (msg.op == Op::kTxnQuery && msg.txn_pid == std::get<0>(key) &&
-        msg.txn_incarnation == std::get<1>(key) &&
-        msg.txn_seq == std::get<2>(key)) {
-      return;  // an identical query survived the snapshot
-    }
-  }
-  PeerMsg msg;
-  msg.fseq = ++peer.next_fseq;
-  msg.op = Op::kTxnQuery;
-  msg.txn_pid = std::get<0>(key);
-  msg.txn_incarnation = std::get<1>(key);
-  msg.txn_seq = std::get<2>(key);
-  peer.unacked.push_back(std::move(msg));
-}
-
-void SpaceServer::DecideTxn(int32_t pid, uint8_t outcome) {
-  auto it = coord_pending_.find(pid);
-  if (it == coord_pending_.end()) return;
-  // Copy everything out before the append: applying the decision record
-  // erases the pending entry.
-  const CoordTxn& txn = it->second;
-  const int reply_fd = txn.reply_fd;
-  LogEntry entry;
-  entry.kind =
-      outcome == kTxnCommit ? LogKind::kCommit : LogKind::kAbort;
-  entry.pid = pid;
-  entry.incarnation = txn.incarnation;
-  entry.seq = txn.seq;
-  entry.participants = txn.participants;
-  if (outcome == kTxnCommit) {
-    entry.outs = txn.outs;
-    entry.has_continuation = txn.has_continuation;
-    entry.continuation = txn.continuation;
-    entry.cont_stamp = txn.cont_stamp;
-  }
-  if (!AppendLog(entry)) return;
-  const std::string encoded = ApplyEntry(entry);
-  if (reply_fd >= 0) {
-    auto cit = conns_.find(reply_fd);
-    if (cit != conns_.end()) SendEncoded(*cit->second, encoded);
-  }
-  SatisfyWaiters();
-}
-
-void SpaceServer::OnPrepareVote(size_t participant, const PeerMsg& msg,
-                                uint8_t vote) {
-  auto it = coord_pending_.find(msg.txn_pid);
-  if (it == coord_pending_.end()) return;  // already decided
-  CoordTxn& txn = it->second;
-  if (txn.incarnation != msg.txn_incarnation || txn.seq != msg.txn_seq) {
-    return;  // stale vote for an older transaction of this pid
-  }
-  if (options_.die_in_doubt_after > 0 &&
-      ++votes_received_ >= options_.die_in_doubt_after) {
-    // Chaos: die in the in-doubt window — at least one participant has
-    // durably PREPARED and no decision record exists yet.
-    MaybeDieAt("chaos.died.coord");
-  }
-  if (vote != kVotePrepared) {
-    DecideTxn(msg.txn_pid, kTxnAbort);
-    return;
-  }
-  txn.votes.insert(static_cast<uint32_t>(participant));
-  if (txn.votes.size() >= txn.participants.size()) {
-    DecideTxn(msg.txn_pid, kTxnCommit);
-  }
-}
-
-void SpaceServer::MaybeDieAt(const char* marker) {
-  const std::string path = options_.state_dir + "/" + marker;
-  struct stat st;
-  if (::stat(path.c_str(), &st) == 0) return;  // already fired once
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd >= 0) ::close(fd);
-  ::raise(SIGKILL);
-}
-
-uint64_t SpaceServer::ForwardsPending() const {
-  uint64_t pending = 0;
-  for (const PeerLink& peer : peers_) pending += peer.unacked.size();
-  return pending;
-}
-
-void SpaceServer::DropPeer(PeerLink& peer) {
-  if (peer.fd >= 0) ::close(peer.fd);
-  peer.fd = -1;
-  peer.sent = 0;  // a fresh connection resends the whole unacked queue
-  peer.outbuf.clear();
-  peer.outbuf_sent = 0;
-  peer.epoll_out = false;
-  peer.reader = FrameReader{};
-}
-
-void SpaceServer::ReadPeerAcks(size_t k) {
-  PeerLink& peer = peers_[k];
-  char buf[65536];
-  for (;;) {
-    const ssize_t n = ::read(peer.fd, buf, sizeof(buf));
-    if (n > 0) {
-      peer.reader.Feed(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n == 0 ||
-        (n < 0 && errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)) {
-      DropPeer(peer);
-      return;
-    }
-    break;
-  }
-  std::string payload;
-  for (;;) {
-    const FrameReader::Result result = peer.reader.Next(&payload);
-    if (result == FrameReader::Result::kFrame) {
-      Reply reply;
-      std::string error;
-      // Acks arrive strictly in send order (one connection, one reply per
-      // frame), so each kOk retires the oldest unacked message. Anything
-      // else — decode failure, an error reply, an ack with nothing
-      // outstanding — is an unusable link: drop and resend from scratch.
-      if (!DecodeReply(payload, &reply, &error) ||
-          reply.status != WireStatus::kOk || peer.unacked.empty()) {
-        DropPeer(peer);
-        return;
-      }
-      const PeerMsg msg = std::move(peer.unacked.front());
-      peer.unacked.pop_front();
-      if (peer.sent > 0) --peer.sent;
-      switch (msg.op) {
-        case Op::kForward:
-          break;  // delivery is the whole story
-        case Op::kPrepare:
-          // The ack carries the participant's durable vote.
-          OnPrepareVote(k, msg, reply.vote);
-          break;
-        case Op::kDecide: {
-          // The participant applied the decision: retire it from the
-          // outcome table once every participant has acked.
-          const TxnKey key{msg.txn_pid, msg.txn_incarnation, msg.txn_seq};
-          auto dit = decisions_.find(key);
-          if (dit != decisions_.end()) {
-            auto& waiting = dit->second.waiting;
-            waiting.erase(std::remove(waiting.begin(), waiting.end(),
-                                      static_cast<uint32_t>(k)),
-                          waiting.end());
-            if (waiting.empty()) decisions_.erase(dit);
-          }
-          break;
-        }
-        case Op::kTxnQuery: {
-          // The coordinator's answer for a PREPARED-but-undecided txn.
-          // 0 = still deciding: stay parked, the kDecide will arrive.
-          const TxnKey key{msg.txn_pid, msg.txn_incarnation, msg.txn_seq};
-          if (reply.decision != 0 && prepared_.count(key) != 0) {
-            LogEntry entry;
-            entry.kind = LogKind::kDecide;
-            entry.pid = msg.txn_pid;
-            entry.incarnation = msg.txn_incarnation;
-            entry.seq = msg.txn_seq;
-            entry.peer = static_cast<int32_t>(k);
-            entry.fseq = 0;  // learned by query, not delivered: no watermark
-            entry.decision = reply.decision;
-            if (!AppendLog(entry)) return;
-            ApplyEntry(entry);
-            SatisfyWaiters();
-          }
-          break;
-        }
-        default:
-          break;
-      }
-      continue;
-    }
-    if (result == FrameReader::Result::kError) DropPeer(peer);
-    break;
-  }
-}
-
-void SpaceServer::PumpPeers() {
-  // Partitioned: hold every outbound link down. This is also where the
-  // partition's teardown of established links happens; the unacked queues
-  // stay intact and resend in full after the heal, the peers' watermarks
-  // absorbing any duplicates from frames that made it out before the cut.
-  if (partitioned_) {
-    for (PeerLink& peer : peers_) {
-      if (peer.fd >= 0) DropPeer(peer);
-    }
-    return;
-  }
-  for (size_t k = 0; k < peers_.size(); ++k) {
-    if (k == static_cast<size_t>(options_.server_index)) continue;
-    PeerLink& peer = peers_[k];
-    if (peer.fd < 0 && peer.unacked.empty()) continue;
-    if (peer.fd < 0) {
-      // Reconnect, throttled: the peer may be mid-restart after a fault
-      // injection. The watermark on its side makes the resend harmless.
-      const auto now = std::chrono::steady_clock::now();
-      if (now < peer.next_attempt) continue;
-      peer.next_attempt = now + std::chrono::milliseconds(20);
-      Endpoint target;
-      if (!ParseEndpoint(placement_[k], &target, nullptr)) continue;
-      const int fd = ConnectEndpoint(target);
-      if (fd < 0) continue;
-      SetNonBlocking(fd);
-      ApplySndbuf(fd, options_.sndbuf_bytes);
-      if (target.kind == Endpoint::Kind::kTcp) ApplyTcpSocketOptions(fd);
-      peer.fd = fd;
-      peer.sent = 0;
-      peer.outbuf.clear();
-      peer.outbuf_sent = 0;
-      peer.epoll_out = false;
-      peer.reader = FrameReader{};
-      if (epoll_fd_ >= 0) {
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.fd = fd;
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-      }
-    }
-    // Encode the unsent tail of the queue. Deliberately no HELLO: the peer
-    // connection stays pid -1 on the receiving side, outside the client
-    // dedup window and the post-cancel gate (forwards and 2PC traffic must
-    // drain even after a Cancel so the harvest sees every committed
-    // tuple and no transaction stays in doubt).
-    while (peer.sent < peer.unacked.size()) {
-      const PeerMsg& msg = peer.unacked[peer.sent];
-      Request request;
-      request.op = msg.op;
-      request.pid = static_cast<int32_t>(options_.server_index);
-      request.seq = msg.fseq;
-      request.outs = msg.outs;
-      request.txn_pid = msg.txn_pid;
-      request.txn_incarnation = msg.txn_incarnation;
-      request.txn_seq = msg.txn_seq;
-      request.decision = msg.decision;
-      AppendFrame(EncodeRequest(request), &peer.outbuf);
-      ++peer.sent;
-    }
-    if (!FlushCursor(peer.fd, &peer.outbuf, &peer.outbuf_sent,
-                     &transport_syscalls_, &transport_bytes_)) {
-      DropPeer(peer);
-      continue;
-    }
-    // Arm EPOLLOUT only while a partial flush is pending; leaving it armed
-    // on an idle writable socket would busy-wake the loop.
-    const bool want_out = peer.outbuf_sent < peer.outbuf.size();
-    if (epoll_fd_ >= 0 && want_out != peer.epoll_out) {
-      epoll_event ev{};
-      ev.events = want_out ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
-      ev.data.fd = peer.fd;
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, peer.fd, &ev);
-      peer.epoll_out = want_out;
-    }
   }
 }
 
@@ -2010,7 +1109,7 @@ int SpaceServer::Serve() {
     tcp_listener_ = listen_ep.kind == Endpoint::Kind::kTcp;
     if (options_.listen_fd >= 0) {
       // Supervisor-pre-bound socket (port-0 TCP): already listening; the
-      // concrete port lives in the placement map, not in listen_ep.
+      // concrete port lives in the supervisor's endpoint, not in listen_ep.
       listen_fd_ = options_.listen_fd;
     } else {
       listen_fd_ = ListenEndpoint(&listen_ep, kListenBacklog, &error);
@@ -2045,7 +1144,6 @@ int SpaceServer::Serve() {
 
   std::vector<epoll_event> events(256);
   std::vector<int> read_ready;
-  std::vector<size_t> peer_read;
   std::vector<int> to_drop;  // EOF / socket error, or closing and flushed
   std::set<int> closing;     // close_after_flush seen: drop once flushed
   std::set<int> flush;
@@ -2059,7 +1157,6 @@ int SpaceServer::Serve() {
     if (nev < 0 && errno != EINTR) break;
     bool accept_ready = false;
     read_ready.clear();
-    peer_read.clear();
     to_drop.clear();
     for (int i = 0; i < nev; ++i) {
       const int fd = events[i].data.fd;
@@ -2073,14 +1170,6 @@ int SpaceServer::Serve() {
           read_ready.push_back(fd);
         }
         if ((ev & EPOLLOUT) != 0) flush_request_.insert(fd);
-        continue;
-      }
-      for (size_t k = 0; k < peers_.size(); ++k) {
-        if (peers_[k].fd != fd) continue;
-        if ((ev & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0) {
-          peer_read.push_back(k);
-        }
-        break;  // EPOLLOUT needs no marker: PumpPeers flushes every pass
       }
     }
 
@@ -2142,13 +1231,9 @@ int SpaceServer::Serve() {
       }
       if (dead) to_drop.push_back(fd);
     }
-    for (size_t k : peer_read) {
-      if (peers_[k].fd >= 0) ReadPeerAcks(k);
-    }
 
     // Group commit: one fdatasync covers every entry this pass appended,
-    // before any of its replies or peer frames leave. If it fails they are
-    // dropped unsent.
+    // before any of its replies leave. If it fails they are dropped unsent.
     if (options_.wal_sync && !SyncWal()) break;
 
     // Flush phase: replies queued this pass, and sockets with a partial
@@ -2167,9 +1252,6 @@ int SpaceServer::Serve() {
       if (conn.close_after_flush) closing.insert(fd);
     }
     flush.clear();
-    // Connect/resend/flush the peer links: a commit this pass queued its
-    // foreign outs, so they go out before we sleep.
-    PumpPeers();
 
     // Drop phase: dead connections, and closing ones whose last reply is
     // out. A crash-abort here can wake a parked in, whose reply then

@@ -4,13 +4,6 @@
 
 namespace fpdm::plinda::net {
 
-size_t PlacementIndex(const BucketKeyView& key, size_t num_servers) {
-  if (num_servers <= 1) return 0;
-  uint64_t h = Fnv1a64(key.second);
-  h ^= key.first + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return static_cast<size_t>(h % num_servers);
-}
-
 void PutU8(uint8_t v, std::string* out) {
   out->push_back(static_cast<char>(v));
 }
@@ -246,13 +239,6 @@ std::string EncodeRequest(const Request& request) {
     PutTuple(op.tuple, &out);
     PutTemplate(op.tmpl, &out);
   }
-  PutU64(request.cont_stamp, &out);
-  PutU32(static_cast<uint32_t>(request.participants.size()), &out);
-  for (uint32_t k : request.participants) PutU32(k, &out);
-  PutI32(request.txn_pid, &out);
-  PutI32(request.txn_incarnation, &out);
-  PutU64(request.txn_seq, &out);
-  PutU8(request.decision, &out);
   return out;
 }
 
@@ -311,26 +297,6 @@ bool DecodeRequest(std::string_view payload, Request* request,
     }
     request->batch.push_back(std::move(op));
   }
-  if (!r.TakeU64(&request->cont_stamp)) {
-    return Fail(error, "request: truncated continuation stamp");
-  }
-  uint32_t n_participants = 0;
-  if (!r.TakeU32(&n_participants)) {
-    return Fail(error, "request: truncated participants");
-  }
-  request->participants.clear();
-  for (uint32_t i = 0; i < n_participants; ++i) {
-    uint32_t k = 0;
-    if (!r.TakeU32(&k)) {
-      return Fail(error, "request: malformed participant index");
-    }
-    request->participants.push_back(k);
-  }
-  if (!r.TakeI32(&request->txn_pid) ||
-      !r.TakeI32(&request->txn_incarnation) ||
-      !r.TakeU64(&request->txn_seq) || !r.TakeU8(&request->decision)) {
-    return Fail(error, "request: truncated transaction identity");
-  }
   if (!r.AtEnd()) return Fail(error, "request: trailing bytes");
   return true;
 }
@@ -345,7 +311,6 @@ void EncodeReplyInto(const Reply& reply, std::string* out_ptr) {
   std::string& out = *out_ptr;
   size_t estimate = 128 + EstimateTupleBytes(reply.tuple) +
                     32 * reply.parked.size() + reply.error.size();
-  for (const std::string& path : reply.placement) estimate += 8 + path.size();
   for (const Tuple& t : reply.tuples) estimate += EstimateTupleBytes(t);
   for (const BatchItem& item : reply.items) {
     estimate += 8 + EstimateTupleBytes(item.tuple);
@@ -378,14 +343,6 @@ void EncodeReplyInto(const Reply& reply, std::string* out_ptr) {
     PutTuple(item.tuple, &out);
   }
   PutString(reply.error, &out);
-  PutU32(static_cast<uint32_t>(reply.placement.size()), &out);
-  for (const std::string& path : reply.placement) PutString(path, &out);
-  PutU64(reply.cont_stamp, &out);
-  PutU64(reply.forwards_pending, &out);
-  PutU8(reply.vote, &out);
-  PutU8(reply.decision, &out);
-  PutU64(reply.txn_prepares, &out);
-  PutU64(reply.txn_cross_server, &out);
   PutU64(reply.wal_group_commits, &out);
   PutU64(reply.wal_synced_bytes, &out);
   PutU64(reply.transport_syscalls, &out);
@@ -457,26 +414,6 @@ bool DecodeReply(std::string_view payload, Reply* reply, std::string* error) {
   if (!r.TakeString(&reply->error)) {
     return Fail(error, "reply: truncated error text");
   }
-  uint32_t n_placement = 0;
-  if (!r.TakeU32(&n_placement)) {
-    return Fail(error, "reply: truncated placement");
-  }
-  reply->placement.clear();
-  for (uint32_t i = 0; i < n_placement; ++i) {
-    std::string path;
-    if (!r.TakeString(&path)) {
-      return Fail(error, "reply: malformed placement entry");
-    }
-    reply->placement.push_back(std::move(path));
-  }
-  if (!r.TakeU64(&reply->cont_stamp) || !r.TakeU64(&reply->forwards_pending)) {
-    return Fail(error, "reply: truncated placement counters");
-  }
-  if (!r.TakeU8(&reply->vote) || !r.TakeU8(&reply->decision) ||
-      !r.TakeU64(&reply->txn_prepares) ||
-      !r.TakeU64(&reply->txn_cross_server)) {
-    return Fail(error, "reply: truncated transaction counters");
-  }
   if (!r.TakeU64(&reply->wal_group_commits) ||
       !r.TakeU64(&reply->wal_synced_bytes)) {
     return Fail(error, "reply: truncated wal counters");
@@ -524,12 +461,6 @@ void EncodeLogEntryInto(const LogEntry& entry, std::string* out_ptr) {
     PutU8(e.in_txn ? 1 : 0, &out);
     PutTuple(e.tuple, &out);
   }
-  PutU64(entry.cont_stamp, &out);
-  PutI32(entry.peer, &out);
-  PutU64(entry.fseq, &out);
-  PutU8(entry.decision, &out);
-  PutU32(static_cast<uint32_t>(entry.participants.size()), &out);
-  for (uint32_t k : entry.participants) PutU32(k, &out);
 }
 
 bool DecodeLogEntry(std::string_view payload, LogEntry* entry,
@@ -538,7 +469,7 @@ bool DecodeLogEntry(std::string_view payload, LogEntry* entry,
   uint8_t kind = 0;
   if (!r.TakeU8(&kind)) return Fail(error, "log: truncated kind");
   if (kind < static_cast<uint8_t>(LogKind::kHello) ||
-      kind > static_cast<uint8_t>(LogKind::kDecide)) {
+      kind > static_cast<uint8_t>(LogKind::kBatch)) {
     return Fail(error, "log: unknown kind");
   }
   entry->kind = static_cast<LogKind>(kind);
@@ -581,23 +512,6 @@ bool DecodeLogEntry(std::string_view payload, LogEntry* entry,
     e.in_txn = in_txn != 0;
     if (!r.TakeTuple(&e.tuple)) return Fail(error, "log: malformed effect");
     entry->effects.push_back(std::move(e));
-  }
-  if (!r.TakeU64(&entry->cont_stamp)) {
-    return Fail(error, "log: truncated continuation stamp");
-  }
-  if (!r.TakeI32(&entry->peer) || !r.TakeU64(&entry->fseq) ||
-      !r.TakeU8(&entry->decision)) {
-    return Fail(error, "log: truncated transaction fields");
-  }
-  uint32_t n_participants = 0;
-  if (!r.TakeU32(&n_participants)) {
-    return Fail(error, "log: truncated participants");
-  }
-  entry->participants.clear();
-  for (uint32_t i = 0; i < n_participants; ++i) {
-    uint32_t k = 0;
-    if (!r.TakeU32(&k)) return Fail(error, "log: malformed participant index");
-    entry->participants.push_back(k);
   }
   if (!r.AtEnd()) return Fail(error, "log: trailing bytes");
   return true;

@@ -23,14 +23,6 @@ namespace fpdm::plinda::net {
 /// from a corrupt stream before allocating.
 inline constexpr size_t kMaxFramePayload = 16u << 20;
 
-/// The static bucket→server map of the multi-server placement: which of the
-/// `num_servers` SpaceServer processes owns the (arity, key) bucket. Shared
-/// by the servers (to split commit outs into local vs forwarded), the client
-/// (to route every op), and the supervisor (to seed tuples at their homes).
-/// FNV-1a over the key string mixed with the arity, reduced mod
-/// `num_servers`: deterministic across processes and restarts.
-size_t PlacementIndex(const BucketKeyView& key, size_t num_servers);
-
 /// Appends the frame header + payload to `out`. Deliberately does not cap
 /// the payload itself (tests feed oversized frames to FrameReader through
 /// it); every sender enforces kMaxFramePayload before framing — the client
@@ -138,54 +130,15 @@ enum class Op : uint8_t {
   // WAL record under the same seq, which would break that argument — the
   // client pipelines a separate kIn frame behind the batch instead.
   kBatch = 15,
-  // Multi-server placement (scatter/gather slow path): tells a server to
-  // wake a blocking in/rd this client parked there. The server replies
-  // kNotFound for the parked frame, then kOk for the unpark itself, so the
-  // client's pipelined reply accounting stays in order. Unparking a client
-  // with no parked waiter is a no-op (the waiter may have fired first).
-  kUnpark = 16,
-  // Server-to-server delivery of commit outs whose bucket lives on another
-  // server. pid carries the *source server index*, seq a per-(source,target)
-  // monotone forward sequence number; the target applies iff seq advances
-  // its watermark (logged durably), so crash/reconnect re-delivery is
-  // idempotent. Never sent by clients.
-  kForward = 17,
-  // Two-phase commit over the same peer channel (pid = source server index,
-  // seq = forward sequence number, retransmitted until acked). PREPARE asks
-  // a participant to durably park the txn identified by
-  // (txn_pid, txn_incarnation, txn_seq); the ack carries Reply::vote
-  // (PREPARED / refused). Fresh receipt advances the watermark via a
-  // LogKind::kPrepared record; a retransmission is re-acked with the vote
-  // derived from the prepared table, so a lost ack cannot change the vote.
-  kPrepare = 18,
-  // The coordinator's decision (Request::decision: commit or abort) fanned
-  // out to every PREPARED participant. Applied + logged exactly once by the
-  // watermark; the ack retires the coordinator's durable decision record.
-  kDecide = 19,
-  // Participant-to-coordinator in-doubt resolution after a restart: "what
-  // became of (txn_pid, txn_incarnation, txn_seq)?" The ack's
-  // Reply::decision answers commit / abort / still-deciding; a coordinator
-  // with no record answers abort (presumed abort). Stateless and
-  // idempotent — it never touches the watermark.
-  kTxnQuery = 20,
   // Chaos control (control connections only, never clients): flags == 1
-  // starts a network partition of this server — every registered client
-  // connection and every peer link is dropped without crash-aborting open
-  // transactions (the client is alive, merely unreachable), and new client
-  // or peer traffic is blackholed until flags == 0 heals the partition.
-  // Reconnect/resend plus the (pid, seq) dedup window and the per-peer
-  // forward watermarks must absorb the replays — the lossy-link drill for
-  // the exactly-once machinery.
-  kChaosPartition = 21,
+  // starts a network partition of the server — every registered client
+  // connection is dropped without crash-aborting open transactions (the
+  // client is alive, merely unreachable), and new client traffic is
+  // blackholed until flags == 0 heals the partition. Reconnect/resend plus
+  // the (pid, seq) dedup window must absorb the replays — the lossy-link
+  // drill for the exactly-once machinery.
+  kChaosPartition = 16,
 };
-
-// Request::decision / Reply::decision / Reply::vote values. 0 means "not
-// decided yet" (kTxnQuery against a still-pending coordinator txn).
-inline constexpr uint8_t kTxnCommit = 1;
-inline constexpr uint8_t kTxnAbort = 2;
-// Reply::vote values for kPrepare acks.
-inline constexpr uint8_t kVotePrepared = 1;
-inline constexpr uint8_t kVoteRefused = 2;
 
 // kIn flags.
 inline constexpr uint8_t kInRemove = 1;    // in/inp (vs rd/rdp)
@@ -213,25 +166,6 @@ struct Request {
   bool has_continuation = false;
   Tuple continuation;        // kXCommit
   std::vector<BatchOp> batch;  // kBatch
-  /// kXCommit: client-assigned recency stamp of the continuation,
-  /// (incarnation << 32) | per-incarnation commit counter. XRecover scatters
-  /// destructively across all servers and keeps the highest stamp, so a
-  /// respawned worker resumes from its *latest* committed continuation even
-  /// though successive commits may have different home servers.
-  uint64_t cont_stamp = 0;
-  /// kXCommit: the *foreign* participant server indices of a cross-server
-  /// transaction (every non-coordinator server the txn did a destructive in
-  /// on). Empty = single-server fast path, committed in one round with no
-  /// PREPARE fan-out.
-  std::vector<uint32_t> participants;
-  /// kPrepare / kDecide / kTxnQuery: the distributed transaction identity —
-  /// the client pid + incarnation and the seq of its kXCommit request at the
-  /// coordinator.
-  int32_t txn_pid = -1;
-  int32_t txn_incarnation = 0;
-  uint64_t txn_seq = 0;
-  /// kDecide: kTxnCommit or kTxnAbort.
-  uint8_t decision = 0;
 };
 
 std::string EncodeRequest(const Request& request);
@@ -278,30 +212,6 @@ struct Reply {
   std::vector<ParkedWaiter> parked;
   std::vector<BatchItem> items;  // kBatch
   std::string error;  // kError detail
-  /// kHello: the placement map — the endpoint string ("unix:<path>" /
-  /// "tcp:<host>:<port>", see plinda/net/endpoint.h) of every shard server,
-  /// indexed by server index. Clients bootstrap from any one server's HELLO
-  /// and route all traffic with PlacementIndex against placement.size() —
-  /// including across hosts, since the strings carry full addresses.
-  std::vector<std::string> placement;
-  /// kXRecover hit: the stamp the continuation was committed under.
-  uint64_t cont_stamp = 0;
-  /// kStatus: commit outs and 2PC messages this server still has to deliver
-  /// to (or get acknowledged by) peer servers. The supervisor's watchdog and
-  /// harvest barrier wait for the sum over servers to hit zero, so no
-  /// decision is made while tuples — or transaction outcomes — are in
-  /// flight between servers.
-  uint64_t forwards_pending = 0;
-  /// kPrepare ack: the participant's durable vote (kVotePrepared /
-  /// kVoteRefused).
-  uint8_t vote = 0;
-  /// kTxnQuery ack: the coordinator's answer (kTxnCommit / kTxnAbort / 0 =
-  /// still deciding, keep the prepared txn parked).
-  uint8_t decision = 0;
-  /// kStats: 2PC observability — PREPARE messages fanned out, and
-  /// cross-server transactions this server coordinated.
-  uint64_t txn_prepares = 0;
-  uint64_t txn_cross_server = 0;
   /// kStats: WAL group-commit observability — durable groups (one per
   /// append without wal_sync, one per fdatasync with it) and the log bytes
   /// those groups covered.
@@ -342,30 +252,6 @@ enum class LogKind : uint8_t {
   // request, so replay reproduces both the space mutation and the cached
   // batched reply bit-identically without re-running the matching.
   kBatch = 8,
-  // A peer server's kForward applied: `outs` were published here, `pid` is
-  // the source server index and `seq` the forward sequence number that
-  // advanced the per-source watermark. Replay reproduces both the tuples and
-  // the dedup watermark.
-  kForward = 9,
-  // Coordinator: a cross-server kXCommit entered the in-doubt window. The
-  // entry carries the full commit payload (outs, continuation, stamp) plus
-  // `participants`; replay re-arms the pending coordinator txn and
-  // re-enqueues its PREPARE fan-out under identical forward sequence
-  // numbers. The decision lands later as a kCommit/kAbort entry with
-  // `participants` set; until then the client's commit reply is withheld
-  // (the entry neither caches a reply nor advances the dedup window).
-  kXPrepare = 10,
-  // Participant: a kPrepare was applied. pid/incarnation/seq name the
-  // transaction, `peer` the coordinator, `fseq` the forward sequence number
-  // (replay re-advances the watermark), `decision` the durable vote: on
-  // kVotePrepared the client's open txn_ins move into the prepared table
-  // and cede the right to abort unilaterally.
-  kPrepared = 11,
-  // Participant: a coordinator decision was applied to a prepared txn —
-  // commit discards the parked ins for good, abort republishes them.
-  // fseq != 0: arrived as a kDecide peer message (advances the watermark);
-  // fseq == 0: arrived as a kTxnQuery answer during recovery.
-  kDecide = 12,
 };
 
 /// Resolved effect of one kBatch sub-op (the LogKind::kBatch payload).
@@ -393,19 +279,6 @@ struct LogEntry {
   bool has_continuation = false;
   Tuple continuation;       // kCommit
   std::vector<BatchEffect> effects;  // kBatch
-  uint64_t cont_stamp = 0;  // kCommit: recency stamp of the continuation
-  /// kPrepared / kDecide: the peer server index the message came from.
-  int32_t peer = -1;
-  /// kPrepared / kDecide: forward sequence number that advanced the
-  /// per-peer watermark (0 for a kDecide applied via a kTxnQuery answer).
-  uint64_t fseq = 0;
-  /// kPrepared: the vote (kVotePrepared / kVoteRefused). kDecide and
-  /// decision-carrying kCommit/kAbort entries: kTxnCommit / kTxnAbort.
-  uint8_t decision = 0;
-  /// kXPrepare, and kCommit/kAbort when they record a coordinator decision:
-  /// the foreign participant server indices. Empty on the single-server
-  /// fast path.
-  std::vector<uint32_t> participants;
 };
 
 std::string EncodeLogEntry(const LogEntry& entry);

@@ -180,38 +180,21 @@ void Runtime::ScheduleRecovery(int machine, double time) {
   events_.push_back(Event{time, Event::Kind::kMachineRecover, machine});
 }
 
-void Runtime::ScheduleServerFailure(double time) {
-  ScheduleServerFailure(time, -1);
-}
-
-// Event::machine doubles as the shard-server index in kDistributed mode
-// (-1 = round-robin). The simulator's single logical server ignores it.
-void Runtime::ScheduleServerFailure(double time, int server_index) {
-  ScheduleServerFailure(time, server_index, /*torn_tail=*/false);
-}
-
-void Runtime::ScheduleServerFailure(double time, int server_index,
-                                    bool torn_tail) {
-  events_.push_back(
-      Event{time, Event::Kind::kServerFail, server_index, torn_tail});
+void Runtime::ScheduleServerFailure(double time, bool torn_tail) {
+  events_.push_back(Event{time, Event::Kind::kServerFail, -1, torn_tail});
   server_protected_ = true;  // start maintaining checkpoint + op log
 }
 
 void Runtime::ScheduleServerRecovery(double time) {
-  ScheduleServerRecovery(time, -1);
+  events_.push_back(Event{time, Event::Kind::kServerRecover});
 }
 
-void Runtime::ScheduleServerRecovery(double time, int server_index) {
-  events_.push_back(Event{time, Event::Kind::kServerRecover, server_index});
+void Runtime::ScheduleServerPartition(double time) {
+  events_.push_back(Event{time, Event::Kind::kServerPartition});
 }
 
-void Runtime::ScheduleServerPartition(double time, int server_index) {
-  events_.push_back(
-      Event{time, Event::Kind::kServerPartition, server_index});
-}
-
-void Runtime::ScheduleServerHeal(double time, int server_index) {
-  events_.push_back(Event{time, Event::Kind::kServerHeal, server_index});
+void Runtime::ScheduleServerHeal(double time) {
+  events_.push_back(Event{time, Event::Kind::kServerHeal});
 }
 
 int Runtime::Spawn(const std::string& name, ProcessFn fn) {

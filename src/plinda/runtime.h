@@ -22,7 +22,6 @@ namespace fpdm::plinda {
 
 namespace net {
 class RemoteTupleSpace;
-class ShardedRemoteSpace;
 }  // namespace net
 
 class Runtime;
@@ -51,14 +50,16 @@ enum class ExecutionMode {
   /// produce bit-identical results in either mode.
   kRealParallel,
   /// Distributed execution: every process is a forked OS process talking to
-  /// a tuple-space *server process* over a Unix-domain socket (the wire
-  /// protocol in plinda/net/). Crossing the process boundary restores the
-  /// fault model that kRealParallel gave up: ScheduleFailure() SIGKILLs the
-  /// worker processes placed on the failed machine (respawned with
-  /// XRecover-visible incarnations), and ScheduleServerFailure() SIGKILLs
-  /// the server, which recovers from its on-disk checkpoint + operation
-  /// log. Fault times are wall-clock seconds since Run(). Deterministic
-  /// mining protocols produce bit-identical results in all three modes.
+  /// one tuple-space *server process* over a Unix-domain or TCP socket (the
+  /// wire protocol in plinda/net/; see
+  /// RuntimeOptions::distributed_transport). Crossing the process boundary
+  /// restores the fault model that kRealParallel gave up: ScheduleFailure()
+  /// SIGKILLs the worker processes placed on the failed machine (respawned
+  /// with XRecover-visible incarnations), and ScheduleServerFailure()
+  /// SIGKILLs the server, which recovers from its on-disk checkpoint +
+  /// operation log. Fault times are wall-clock seconds since Run().
+  /// Deterministic mining protocols produce bit-identical results in all
+  /// three modes.
   /// Restriction: ProcessContext::Spawn is unsupported (the process tree is
   /// fixed at Run(); all of core/ and classify/ spawn up front).
   kDistributed,
@@ -86,18 +87,6 @@ struct RuntimeOptions {
   double server_restart_delay = 2.0;
   /// Safety valve: abort the simulation after this many scheduler steps.
   uint64_t max_steps = 200'000'000;
-  /// kDistributed: number of tuple-space *server processes*. The (arity,
-  /// first-key) buckets are statically placed across them by hash
-  /// (net::PlacementIndex); each server keeps its own write-ahead log and
-  /// checkpoint, workers keep one pipelined connection per server, and
-  /// formal-first all-shard operations become one scatter/gather round.
-  /// Transactions span servers freely: the first destructive in binds the
-  /// home (coordinator) server, and a commit whose destructive ins touched
-  /// other shards runs presumed-abort two-phase commit over the
-  /// server-to-server channel (see DESIGN.md "Cross-server transactions").
-  /// Commits whose ins all landed on the coordinator skip the prepare round
-  /// entirely and cost exactly the single-server fast path.
-  int distributed_servers = 1;
   /// kDistributed: server checkpoints its space every this many logged
   /// operations (the knob behind RuntimeStats::server_checkpoints).
   int distributed_checkpoint_ops = 256;
@@ -111,29 +100,19 @@ struct RuntimeOptions {
   /// unreachable server before failing the run. Must comfortably cover a
   /// scheduled server failure + recovery gap.
   double distributed_reconnect_timeout = 20.0;
-  /// kDistributed chaos die points (0 = off), forwarded to every shard
-  /// server. die_in_doubt_after N: the coordinator SIGKILLs itself on
-  /// receiving its Nth PREPARE vote — after PREPARE fan-out, before any
-  /// decision is logged — leaving every participant in the in-doubt window.
-  /// die_after_prepared N: a participant SIGKILLs itself right after
-  /// durably logging its Nth PREPARED record, before acking the vote. Each
-  /// die point fires at most once per server state directory (a marker file
-  /// makes the respawned server ignore it), so chaos runs terminate.
-  int distributed_die_in_doubt_after = 0;
-  int distributed_die_after_prepared = 0;
-  /// kDistributed fault injection (0 = off), forwarded to every shard
-  /// server: the server's Nth WAL append fails as if the disk rejected the
-  /// write, so the server process exits fatally (exit code 1). The
-  /// supervisor must fail the run with a structured kServerDead error.
+  /// kDistributed fault injection (0 = off), forwarded to the server: its
+  /// Nth WAL append fails as if the disk rejected the write, so the server
+  /// process exits fatally (exit code 1). The supervisor must fail the run
+  /// with a structured kServerDead error.
   int distributed_wal_fail_after = 0;
-  /// Ignored: every shard server runs one serve loop on one thread. Kept
-  /// only so callers that still set it compile.
+  /// Ignored: the server runs one serve loop on one thread. Kept only so
+  /// callers that still set it compile.
   int distributed_server_threads = 0;
-  /// kDistributed transport between workers and shard servers: "unix"
-  /// (default; sockets under distributed_dir), "tcp" (loopback TCP; the
-  /// supervisor pre-binds every listener with port 0 before forking, so the
-  /// placement map carries concrete "tcp:127.0.0.1:<port>" endpoints and
-  /// nothing races on port numbers). Any other value fails the run with a
+  /// kDistributed transport between the workers and the server: "unix"
+  /// (default; the socket lives under distributed_dir), "tcp" (loopback
+  /// TCP; the supervisor pre-binds the listener with port 0 before forking,
+  /// so the endpoint is a concrete "tcp:127.0.0.1:<port>" and nothing races
+  /// on port numbers). Any other value fails the run with a
   /// structured kBadEndpoint error. The distributed test suites read
   /// FPDM_TEST_TRANSPORT into this option for the CI transport matrix; the
   /// runtime itself never consults the environment.
@@ -156,7 +135,7 @@ struct TraceEvent {
     kServerRecovered,   // server back up: checkpoint restored, log replayed
     kServerCheckpoint,  // periodic checkpoint of the tuple space taken
     kServerPartitioned,  // link fault: server cut off (kDistributed only)
-    kServerHealed,       // link restored; peers/clients reconnect + resend
+    kServerHealed,       // link restored; clients reconnect + resend
     kError,             // protocol misuse terminated the process
   };
   Kind kind = Kind::kSpawned;
@@ -191,13 +170,13 @@ struct RuntimeError {
     /// kDistributed: ProcessContext::Spawn was called (the distributed
     /// process tree is fixed before Run()).
     kDistributedSpawnUnsupported,
-    /// kDistributed: a shard-server process exited fatally (non-zero exit
-    /// code, e.g. a WAL write failure) rather than dying by signal. A
-    /// signal death is a crash the supervisor restarts; a fatal exit means
-    /// the server refused to run, so retrying would spin until the
-    /// deadlock timeout. Detail carries the server index and exit code.
+    /// kDistributed: the server process exited fatally (non-zero exit code,
+    /// e.g. a WAL write failure) rather than dying by signal. A signal
+    /// death is a crash the supervisor restarts; a fatal exit means the
+    /// server refused to run, so retrying would spin until the deadlock
+    /// timeout. Detail carries the exit code.
     kServerDead,
-    /// kDistributed: the Unix-domain socket path for a server would not fit
+    /// kDistributed: the Unix-domain socket path for the server would not fit
     /// sockaddr_un::sun_path (typically a very long $TMPDIR). Point
     /// RuntimeOptions::distributed_dir somewhere shorter.
     kBadSocketPath,
@@ -249,37 +228,19 @@ struct RuntimeStats {
   uint64_t bytes_on_wire = 0;  // sent + received
   uint64_t batch_frames = 0;   // kBatch frames the server applied
   uint64_t batched_tuple_ops = 0;  // sub-ops carried by those frames
-  /// kDistributed, multi-server: per-server-index RPC round trips summed
-  /// over every worker incarnation — how evenly the bucket placement
-  /// spreads the load. Size = RuntimeOptions::distributed_servers.
-  std::vector<uint64_t> per_server_rpc_calls;
-  /// kDistributed, multi-server: formal-first operations that scattered to
-  /// every server, and the pipelined gather rounds they cost.
-  /// dist_scatter_rounds / dist_scatter_ops ≈ 1 means every all-server
-  /// operation was one wall-clock round, not N serial round trips.
-  uint64_t dist_scatter_ops = 0;
-  uint64_t dist_scatter_rounds = 0;
-  /// kDistributed, multi-server: cross-server transaction commits (2PC slow
-  /// path) and the PREPARE messages they fanned out, summed over the shard
-  /// servers. dist_txn_prepares / dist_txn_cross_server is the mean
-  /// participant count; both stay 0 when every transaction's destructive
-  /// ins shared its coordinator (the fast path skips the prepare round).
-  uint64_t dist_txn_prepares = 0;
-  uint64_t dist_txn_cross_server = 0;
-  /// kDistributed: durable WAL groups the shard servers made and the WAL
-  /// bytes those groups covered, summed over the servers. Without wal_sync
-  /// each append is its own group; with it each group is one fdatasync per
-  /// serve-loop pass, so wal_synced_bytes / wal_group_commits measures how
-  /// many bytes one sync coalesced.
+  /// kDistributed: durable WAL groups the server made and the WAL bytes
+  /// those groups covered. Without wal_sync each append is its own group;
+  /// with it each group is one fdatasync per serve-loop pass, so
+  /// wal_synced_bytes / wal_group_commits measures how many bytes one sync
+  /// coalesced.
   uint64_t wal_group_commits = 0;
   uint64_t wal_synced_bytes = 0;
-  /// kDistributed: transport-level I/O summed over the shard servers —
-  /// syscalls spent moving bytes (read/write/sendmsg) and payload bytes
-  /// moved. transport_syscalls / tuple ops is the per-op syscall cost of the
-  /// server's socket I/O.
+  /// kDistributed: the server's transport-level I/O — syscalls spent moving
+  /// bytes (read/write/sendmsg) and payload bytes moved. transport_syscalls
+  /// / tuple ops is the per-op syscall cost of the server's socket I/O.
   uint64_t transport_syscalls = 0;
   uint64_t transport_bytes = 0;
-  /// Always 0: the shard servers run one serve loop and take no locks.
+  /// Always 0: the server runs one serve loop and takes no locks.
   /// Kept only because existing benchmark reports read them.
   uint64_t state_lock_waits = 0;
   uint64_t stripe_conflicts = 0;
@@ -314,8 +275,8 @@ struct RuntimeStats {
 /// deadlocked()/diagnostic() like the simulator.
 ///
 /// **Distributed (ExecutionMode::kDistributed).** Each process is a forked
-/// OS process; the tuple space lives in a separate server process reached
-/// over a Unix-domain socket (plinda/net/). Faults come back: scheduled
+/// OS process; the tuple space lives in one separate server process reached
+/// over a Unix-domain or TCP socket (plinda/net/). Faults come back: scheduled
 /// machine failures SIGKILL worker processes (auto-respawned with bumped
 /// incarnations) and scheduled server failures SIGKILL the server, which
 /// recovers from an on-disk checkpoint + operation log. Results and stats
@@ -347,31 +308,24 @@ class Runtime {
   /// Open transactions survive client-side: their buffered outs publish on
   /// the recovered server at commit, and aborts restore their ins there.
   /// Simulated mode only (see ScheduleFailure) — plus kDistributed, where
-  /// the crash is a real SIGKILL of a server process. With multiple server
-  /// processes (RuntimeOptions::distributed_servers > 1), `server_index`
-  /// picks the victim; -1 rotates round-robin over the shard servers. The
-  /// simulator has a single logical server and ignores the index.
-  void ScheduleServerFailure(double time);
-  void ScheduleServerFailure(double time, int server_index);
+  /// the crash is a real SIGKILL of the server process.
   /// torn_tail = true (kDistributed only): after the SIGKILL, the
-  /// supervisor truncates the victim's newest write-ahead-log file
+  /// supervisor truncates the server's newest write-ahead-log file
   /// mid-record before the restart — modeling a crash that tore the final
   /// append. Recovery must detect the torn tail by checksum, discard it,
   /// and replay the intact prefix. The simulator ignores the flag.
-  void ScheduleServerFailure(double time, int server_index, bool torn_tail);
+  void ScheduleServerFailure(double time, bool torn_tail = false);
   void ScheduleServerRecovery(double time);
-  void ScheduleServerRecovery(double time, int server_index);
 
-  /// Schedules a network partition of one shard server / its heal
-  /// (kDistributed only; the simulator has no network and ignores both).
-  /// Unlike ScheduleServerFailure this is a LINK fault, not a crash: the
-  /// victim keeps running with its state intact, but every established
-  /// client and peer connection is dropped and new traffic is blackholed
-  /// (no replies) until the heal — exercising the reconnect/resend and 2PC
-  /// in-doubt machinery over a lossy link rather than across a restart.
-  /// `server_index` -1 rotates round-robin over the shard servers.
-  void ScheduleServerPartition(double time, int server_index = -1);
-  void ScheduleServerHeal(double time, int server_index = -1);
+  /// Schedules a network partition of the server / its heal (kDistributed
+  /// only; the simulator has no network and ignores both). Unlike
+  /// ScheduleServerFailure this is a LINK fault, not a crash: the server
+  /// keeps running with its state intact, but every established client
+  /// connection is dropped and new traffic is blackholed (no replies) until
+  /// the heal — exercising the reconnect/resend machinery over a lossy
+  /// link rather than across a restart.
+  void ScheduleServerPartition(double time);
+  void ScheduleServerHeal(double time);
 
   /// If true (default), killed processes are automatically re-spawned on an
   /// up machine, as the PLinda server does.
@@ -480,8 +434,8 @@ class Runtime {
     };
     double time = 0;
     Kind kind = Kind::kMachineFail;
-    int machine = -1;  // server events: the server index (-1 = round-robin)
-    // kServerFail, kDistributed only: truncate the victim's newest WAL file
+    int machine = -1;  // machine events only
+    // kServerFail, kDistributed only: truncate the server's newest WAL file
     // mid-record before the restart (torn final append).
     bool torn_tail = false;
     bool operator<(const Event& other) const { return time < other.time; }
@@ -638,9 +592,9 @@ class Runtime {
   std::atomic<uint64_t> real_aborts_{0};
 
   // Distributed state. dclient_ exists only inside a forked worker (its
-  // pipelined connections to the shard servers); the supervisor's control
-  // traffic uses short-lived clients local to RunDistributed().
-  std::unique_ptr<net::ShardedRemoteSpace> dclient_;
+  // connection to the server); the supervisor's control traffic uses a
+  // client local to RunDistributed().
+  std::unique_ptr<net::RemoteTupleSpace> dclient_;
   std::string dist_dir_;
   std::string dist_socket_;
   std::vector<RuntimeError> dist_child_errors_;  // set inside the child only

@@ -41,12 +41,35 @@ using CallStatus = net::RemoteTupleSpace::CallStatus;
 struct DistKilledException {};
 struct DistProtocolErrorException {};
 
+/// What the supervisor keeps in the distributed state directory, besides
+/// one status file per worker incarnation (StatusFilePath).
+constexpr char kSocketName[] = "space.sock";       // unix transport only
+constexpr char kServerStateName[] = "state";       // checkpoint + WAL
+constexpr char kServerStderrName[] = "server.stderr";
+
 /// Where a worker incarnation reports its outcome. Written by the child
 /// right before _exit, read by the supervisor after reaping it, so the file
 /// is always complete when read (a SIGKILLed incarnation never writes one).
 std::string StatusFilePath(const std::string& dir, int pid, int incarnation) {
   return dir + "/proc." + std::to_string(pid) + "." +
          std::to_string(incarnation);
+}
+
+/// Removes what an earlier Run() on the same directory left behind: the
+/// server's checkpoint + WAL directory, its stderr capture and the worker
+/// status files. Anything else in the directory is the caller's and stays.
+void ClearDistState(const std::string& dir) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  fs::remove_all(fs::path(dir) / kServerStateName, ec);
+  fs::remove(fs::path(dir) / kServerStderrName, ec);
+  std::vector<fs::path> status_files;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    if (entry.path().filename().string().rfind("proc.", 0) == 0) {
+      status_files.push_back(entry.path());
+    }
+  }
+  for (const fs::path& path : status_files) fs::remove(path, ec);
 }
 
 void WriteFileOnce(const std::string& path, const std::string& content) {
@@ -65,7 +88,7 @@ void WriteFileOnce(const std::string& path, const std::string& content) {
 }
 
 /// Leaves a torn (half-written) final append on the newest write-ahead-log
-/// file in a shard server's state directory: the on-disk image a crash
+/// file in the server's state directory: the on-disk image a crash
 /// mid-write leaves behind. The torn record claims more payload than is
 /// present and carries a bogus checksum, so recovery must detect it by
 /// length/checksum, truncate it away, and replay only the intact prefix.
@@ -103,10 +126,6 @@ struct WorkerReport {
   double work = 0;
   uint64_t rpc = 0;    // client round trips of this incarnation
   uint64_t bytes = 0;  // bytes sent + received
-  uint64_t scatter = 0;         // formal-first all-server scatter ops
-  uint64_t scatter_rounds = 0;  // pipelined gather rounds they cost
-  /// (server index, round trips on that leg) — placement load spread.
-  std::vector<std::pair<int, uint64_t>> per_server;
   bool has_error = false;
   int error_code = 0;
   std::string error_detail;
@@ -126,18 +145,6 @@ bool ReadWorkerReport(const std::string& path, WorkerReport* report) {
       any = true;
     } else if (std::strncmp(line, "bytes ", 6) == 0) {
       report->bytes = std::strtoull(line + 6, nullptr, 10);
-      any = true;
-    } else if (std::strncmp(line, "scatter ", 8) == 0) {
-      report->scatter = std::strtoull(line + 8, nullptr, 10);
-      any = true;
-    } else if (std::strncmp(line, "scatter_rounds ", 15) == 0) {
-      report->scatter_rounds = std::strtoull(line + 15, nullptr, 10);
-      any = true;
-    } else if (std::strncmp(line, "rpc_server ", 11) == 0) {
-      char* end = nullptr;
-      const long server = std::strtol(line + 11, &end, 10);
-      const uint64_t trips = std::strtoull(end, nullptr, 10);
-      report->per_server.emplace_back(static_cast<int>(server), trips);
       any = true;
     } else if (std::strncmp(line, "error ", 6) == 0) {
       char* end = nullptr;
@@ -292,14 +299,12 @@ bool Runtime::DistXRecover(Proc* proc, Tuple* continuation) {
 
 int Runtime::RunWorkerChild(Proc* proc) {
   ::signal(SIGPIPE, SIG_IGN);
-  net::ShardedRemoteOptions copts;
-  // Bootstrap from server 0 only: the HELLO reply publishes the placement
-  // map, from which the client connects its remaining legs.
+  net::RemoteSpaceOptions copts;
   copts.endpoint = dist_socket_;
   copts.pid = proc->id;
   copts.incarnation = proc->incarnation;
   copts.reconnect_timeout_s = options_.distributed_reconnect_timeout;
-  dclient_ = std::make_unique<net::ShardedRemoteSpace>(copts);
+  dclient_ = std::make_unique<net::RemoteTupleSpace>(copts);
   int code = 0;
   if (!dclient_->Connect()) {
     RuntimeError error;
@@ -363,20 +368,10 @@ int Runtime::RunWorkerChild(Proc* proc) {
   }
   char work_line[256];
   std::snprintf(work_line, sizeof(work_line),
-                "work %.17g\nrpc %llu\nbytes %llu\nscatter %llu\n"
-                "scatter_rounds %llu\n",
-                proc->work_done,
+                "work %.17g\nrpc %llu\nbytes %llu\n", proc->work_done,
                 static_cast<unsigned long long>(dclient_->rpc_round_trips()),
-                static_cast<unsigned long long>(dclient_->bytes_sent() +
-                                                dclient_->bytes_received()),
-                static_cast<unsigned long long>(dclient_->scatter_ops()),
-                static_cast<unsigned long long>(dclient_->scatter_rounds()));
+                static_cast<unsigned long long>(dclient_->transport_bytes()));
   std::string content = work_line;
-  const std::vector<uint64_t> per_server = dclient_->per_server_rpc();
-  for (size_t k = 0; k < per_server.size(); ++k) {
-    content += "rpc_server " + std::to_string(k) + " " +
-               std::to_string(per_server[k]) + "\n";
-  }
   for (const RuntimeError& error : dist_child_errors_) {
     std::string detail = error.detail;
     for (char& c : detail) {
@@ -403,6 +398,12 @@ bool Runtime::RunDistributed() {
   if (!owns_dir) {
     std::error_code ec;
     std::filesystem::create_directories(dist_dir_, ec);
+    // A caller-provided directory may hold an earlier Run()'s files. The
+    // server would recover that run's space and per-client dedup windows,
+    // and this run's workers restart their sequence numbers at 1, so the
+    // old cached replies would answer their requests. Start from a clean
+    // server state; restarts within this run still recover from it.
+    ClearDistState(dist_dir_);
   }
   real_start_ = Clock::now();
   auto now = [&] {
@@ -421,7 +422,6 @@ bool Runtime::RunDistributed() {
     BuildDiagnosticLocked();
     return false;
   }
-  const int num_servers = std::max(1, options_.distributed_servers);
   auto fail_structured = [&](RuntimeError::Code code, std::string detail) {
     RuntimeError error;
     error.code = code;
@@ -442,144 +442,88 @@ bool Runtime::RunDistributed() {
         "unsupported distributed_transport \"" + transport +
             "\" (expected \"unix\" or \"tcp\")");
   }
-  std::vector<std::string> placement;
-  placement.reserve(static_cast<size_t>(num_servers));
-  // TCP: pre-bound port-0 listeners, inherited through fork (FD_CLOEXEC
-  // keeps them out of anything a process body execs). Bound BEFORE any
-  // fork so the placement map is concrete from the first HELLO, and kept
-  // open in the supervisor so a chaos restart re-inherits the same
-  // listener, and with it the same port.
-  std::vector<int> listen_fds(static_cast<size_t>(num_servers), -1);
-  auto close_listeners = [&] {
-    for (int& fd : listen_fds) {
-      if (fd >= 0) ::close(fd);
-      fd = -1;
-    }
-  };
+  // TCP: a pre-bound port-0 listener, inherited through fork (FD_CLOEXEC
+  // keeps it out of anything a process body execs). Bound BEFORE any fork
+  // so the endpoint is concrete from the first HELLO, and kept open in the
+  // supervisor so a chaos restart re-inherits the same listener, and with
+  // it the same port.
+  int listen_fd = -1;
   if (tcp) {
-    for (int k = 0; k < num_servers; ++k) {
-      net::Endpoint ep;
-      ep.kind = net::Endpoint::Kind::kTcp;
-      ep.host = "127.0.0.1";
-      ep.port = 0;
-      std::string error;
-      const int fd = net::ListenEndpoint(&ep, net::kListenBacklog, &error);
-      if (fd < 0) {
-        close_listeners();
-        return fail_structured(
-            RuntimeError::Code::kBadEndpoint,
-            "cannot bind a loopback listener for server " +
-                std::to_string(k) + ": " + error);
-      }
-      ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-      listen_fds[static_cast<size_t>(k)] = fd;
-      placement.push_back(net::FormatEndpoint(ep));
+    net::Endpoint ep;
+    ep.kind = net::Endpoint::Kind::kTcp;
+    ep.host = "127.0.0.1";
+    ep.port = 0;
+    std::string error;
+    listen_fd = net::ListenEndpoint(&ep, net::kListenBacklog, &error);
+    if (listen_fd < 0) {
+      return fail_structured(RuntimeError::Code::kBadEndpoint,
+                             "cannot bind a loopback listener: " + error);
     }
+    ::fcntl(listen_fd, F_SETFD, FD_CLOEXEC);
+    dist_socket_ = net::FormatEndpoint(ep);
   } else {
-    for (int k = 0; k < num_servers; ++k) {
-      const std::string path =
-          dist_dir_ + "/space." + std::to_string(k) + ".sock";
-      if (!net::SocketPathFits(path)) {
-        return fail_structured(
-            RuntimeError::Code::kBadSocketPath,
-            "\"" + path + "\" (" + std::to_string(path.size()) +
-                " bytes) exceeds the " +
-                std::to_string(net::MaxSocketPathLength()) +
-                "-byte sun_path limit; point "
-                "RuntimeOptions::distributed_dir (or $TMPDIR) at a "
-                "shorter path");
-      }
-      placement.push_back(path);
+    dist_socket_ = dist_dir_ + "/" + kSocketName;
+    if (!net::SocketPathFits(dist_socket_)) {
+      return fail_structured(
+          RuntimeError::Code::kBadSocketPath,
+          "\"" + dist_socket_ + "\" (" + std::to_string(dist_socket_.size()) +
+              " bytes) exceeds the " +
+              std::to_string(net::MaxSocketPathLength()) +
+              "-byte sun_path limit; point "
+              "RuntimeOptions::distributed_dir (or $TMPDIR) at a "
+              "shorter path");
     }
   }
-  dist_socket_ = placement[0];
 
-  auto server_opts = [&](int k) {
-    net::SpaceServerOptions sopts;
-    sopts.endpoint = placement[static_cast<size_t>(k)];
-    sopts.listen_fd = listen_fds[static_cast<size_t>(k)];
-    // Per-server stderr capture, kept with the state dir: a red chaos seed
-    // under FPDM_TEST_KEEP_STATE is debuggable from the CI artifact alone.
-    sopts.stderr_file = dist_dir_ + "/server." + std::to_string(k) + ".stderr";
-    sopts.state_dir = dist_dir_ + "/state." + std::to_string(k);
-    sopts.checkpoint_every_ops =
-        std::max(1, options_.distributed_checkpoint_ops);
-    sopts.server_index = k;
-    sopts.placement = placement;
-    sopts.die_in_doubt_after = options_.distributed_die_in_doubt_after;
-    sopts.die_after_prepared = options_.distributed_die_after_prepared;
-    sopts.wal_fail_after = options_.distributed_wal_fail_after;
-    return sopts;
-  };
+  net::SpaceServerOptions sopts;
+  sopts.endpoint = dist_socket_;
+  sopts.listen_fd = listen_fd;
+  // Server stderr capture, kept with the state dir: a red chaos seed under
+  // FPDM_TEST_KEEP_STATE is debuggable from the CI artifact alone.
+  sopts.stderr_file = dist_dir_ + "/" + kServerStderrName;
+  sopts.state_dir = dist_dir_ + "/" + kServerStateName;
+  sopts.checkpoint_every_ops = std::max(1, options_.distributed_checkpoint_ops);
+  sopts.wal_fail_after = options_.distributed_wal_fail_after;
 
-  std::vector<pid_t> server_pids(static_cast<size_t>(num_servers), -1);
-  std::vector<bool> server_ok(static_cast<size_t>(num_servers), false);
-  std::vector<double> server_down_at(static_cast<size_t>(num_servers), 0.0);
+  pid_t server_pid = net::ForkServerProcess(sopts);
+  bool server_ok =
+      server_pid > 0 && net::WaitForEndpoint(dist_socket_, 10.0);
+  double server_down_at = 0.0;
   bool fatal = false;
-  for (int k = 0; k < num_servers; ++k) {
-    server_pids[static_cast<size_t>(k)] = net::ForkServerProcess(server_opts(k));
-    server_ok[static_cast<size_t>(k)] =
-        server_pids[static_cast<size_t>(k)] > 0 &&
-        net::WaitForEndpoint(placement[static_cast<size_t>(k)], 10.0);
-    if (!server_ok[static_cast<size_t>(k)]) {
-      fail_run("tuple-space server " + std::to_string(k) + " failed to start");
-      fatal = true;
-      break;
-    }
+  if (!server_ok) {
+    fail_run("tuple-space server failed to start");
+    fatal = true;
   }
-  auto all_servers_up = [&] {
-    for (int k = 0; k < num_servers; ++k) {
-      if (!server_ok[static_cast<size_t>(k)]) return false;
-    }
-    return true;
-  };
 
-  // One control connection per shard server: the STATUS watchdog, the
-  // cancel broadcast, and the end-of-run harvest all fan out across them.
-  std::vector<std::unique_ptr<net::RemoteTupleSpace>> ctls;
-  for (int k = 0; k < num_servers; ++k) {
-    net::RemoteSpaceOptions ctl_opts;
-    ctl_opts.endpoint = placement[static_cast<size_t>(k)];
-    ctl_opts.pid = -1;
-    // Short window: a control call against a down server must return quickly
-    // so the supervisor keeps applying events (including the restart).
-    ctl_opts.reconnect_timeout_s = 0.3;
-    ctl_opts.reconnect_interval_s = 0.01;
-    ctls.push_back(std::make_unique<net::RemoteTupleSpace>(ctl_opts));
-  }
+  // The control connection: the STATUS watchdog, the cancel, and the
+  // end-of-run harvest all ride it.
+  net::RemoteSpaceOptions ctl_opts;
+  ctl_opts.endpoint = dist_socket_;
+  ctl_opts.pid = -1;
+  // Short window: a control call against a down server must return quickly
+  // so the supervisor keeps applying events (including the restart).
+  ctl_opts.reconnect_timeout_s = 0.3;
+  ctl_opts.reconnect_interval_s = 0.01;
+  net::RemoteTupleSpace ctl(ctl_opts);
 
   if (!fatal) {
-    // Seed the servers with the tuples out'ed before Run(), routed by the
-    // same bucket placement the workers use: each server's seed stream
-    // coalesces into kBatch frames + one flush per server.
+    // Seed the server with the tuples out'ed before Run(): the seed stream
+    // coalesces into kBatch frames and one flush.
     for (Tuple& tuple : space_.TakeAllInOrder()) {
-      const size_t k =
-          num_servers > 1
-              ? net::PlacementIndex(BucketKeyFor(tuple),
-                                    static_cast<size_t>(num_servers))
-              : 0;
-      if (ctls[k]->BatchOut(tuple) != CallStatus::kOk) {
-        fail_run("seeding the tuple-space servers failed: " +
-                 ctls[k]->last_error());
+      if (ctl.BatchOut(tuple) != CallStatus::kOk) {
         fatal = true;
         break;
       }
     }
-    if (!fatal) {
-      for (auto& c : ctls) {
-        if (c->Flush() != CallStatus::kOk) {
-          fail_run("seeding the tuple-space servers failed: " +
-                   c->last_error());
-          fatal = true;
-          break;
-        }
-      }
+    if (fatal || ctl.Flush() != CallStatus::kOk) {
+      fail_run("seeding the tuple-space server failed: " + ctl.last_error());
+      fatal = true;
     }
   }
 
-  // Re-anchor the fault clock now that the cluster is up and seeded:
+  // Re-anchor the fault clock now that the server is up and seeded:
   // scheduled times are meant relative to the workers starting work, not to
-  // RunDistributed entering. Forking and health-checking N servers (plus
+  // RunDistributed entering. Forking and health-checking the server (plus
   // seeding) costs tens of milliseconds on a contended runner — charged
   // against the schedule, a "kill at 50ms" could land before the first
   // worker opened a transaction.
@@ -619,37 +563,25 @@ bool Runtime::RunDistributed() {
   double cancel_time = 0;
   std::vector<net::ParkedWaiter> last_parked;
   int unplanned_server_deaths = 0;
-  bool server_fatal_exit = false;  // a server _exit'ed non-zero: unrestartable
-  int next_victim = 0;  // round-robin cursor for server_index == -1 kills
-  // Link-fault state per server (kServerPartition/kServerHeal): a heal with
-  // index -1 heals every cut link, mirroring kServerRecover's "-1 restarts
-  // every down server". A crash clears the flag — the blackhole dies with
-  // the process, and the restarted server comes up reachable.
-  std::vector<bool> server_partitioned(static_cast<size_t>(num_servers),
-                                       false);
-
-  // Watchdog round state: one pipelined STATUS per server, evaluated only
-  // once the whole round has gathered.
-  std::vector<net::Reply> status_replies(static_cast<size_t>(num_servers));
-  std::vector<bool> status_done(static_cast<size_t>(num_servers), false);
-  bool status_round = false;
-  bool status_round_valid = true;
+  bool server_fatal_exit = false;  // _exit'ed non-zero: unrestartable
+  // Link-fault state (kServerPartition/kServerHeal). A crash clears it —
+  // the blackhole dies with the process, and the restarted server comes up
+  // reachable.
+  bool server_partitioned = false;
 
   // Chaos link faults are delivered as fire-and-poll control frames, never
-  // as a blocking call: the victim can die unplanned (a 2PC die point
-  // SIGKILLs it mid-transaction) an instant before the event fires, while
-  // server_ok[] still says it is up. Its pre-bound listener — inherited by
-  // every process precisely so restarts keep the address — then accepts
-  // the control connection into a backlog nothing drains, and a blocking
-  // read would wedge the single-threaded supervisor forever, taking down
-  // the reap pass that would have restarted the victim. Bounded poll
-  // instead; an unanswered cut/heal is abandoned. That is safe: a frame
-  // that reached a live server still applies (the ack is not needed), and
-  // a frame stranded in a dead server's backlog is consumed by the
-  // restarted incarnation, whose partition state then matches the
-  // server_partitioned[] bookkeeping either way.
-  auto chaos_partition = [&](int k, bool start) {
-    net::RemoteTupleSpace& ctl = *ctls[static_cast<size_t>(k)];
+  // as a blocking call: the server can die unplanned an instant before the
+  // event fires, while server_ok still says it is up. Its pre-bound
+  // listener — inherited by every server incarnation precisely so restarts
+  // keep the address — then accepts the control connection into a backlog
+  // nothing drains, and a blocking read would wedge the single-threaded
+  // supervisor forever, taking down the reap pass that would have restarted
+  // it. Bounded poll instead; an unanswered cut/heal is abandoned. That is
+  // safe: a frame that reached a live server still applies (the ack is not
+  // needed), and a frame stranded in a dead server's backlog is consumed by
+  // the restarted incarnation, whose partition state then matches the
+  // server_partitioned bookkeeping either way.
+  auto chaos_partition = [&](bool start) {
     if (ctl.BeginChaosPartition(start) != CallStatus::kOk) return;
     const double deadline = now() + 1.0;
     net::Reply reply;
@@ -664,36 +596,13 @@ bool Runtime::RunDistributed() {
     }
   };
 
-  auto restart_server = [&](int k, const char* what) {
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      server_pids[static_cast<size_t>(k)] =
-          net::ForkServerProcess(server_opts(k));
-      if (server_pids[static_cast<size_t>(k)] > 0 &&
-          net::WaitForEndpoint(placement[static_cast<size_t>(k)], 10.0)) {
-        server_ok[static_cast<size_t>(k)] = true;
-        return true;
-      }
-      if (server_pids[static_cast<size_t>(k)] <= 0) break;
-      // The fork came up but the socket never answered. If the child died
-      // by a signal, a chaos die point landed inside the boot window (a
-      // respawned coordinator can re-collect its first PREPARE vote within
-      // milliseconds and SIGKILL itself before our first connect probe
-      // succeeds). Die points are one-shot per state dir, so one fresh
-      // fork converges — count the death and retry. Anything else (a
-      // nonzero exit, a hung boot) would repeat identically: fail the run.
-      net::ExitInfo info;
-      if (net::WaitForExit(server_pids[static_cast<size_t>(k)], 1.0, &info) &&
-          info.signaled) {
-        server_pids[static_cast<size_t>(k)] = -1;
-        ++stats_.server_failures;
-        ++unplanned_server_deaths;
-        RecordLocked(TraceEvent::Kind::kServerFailed, now(), nullptr, -1);
-        continue;
-      }
-      break;
+  auto restart_server = [&](const char* what) {
+    server_pid = net::ForkServerProcess(sopts);
+    if (server_pid > 0 && net::WaitForEndpoint(dist_socket_, 10.0)) {
+      server_ok = true;
+      return true;
     }
-    fail_run(std::string(what) + ": tuple-space server " + std::to_string(k) +
-             " failed to restart");
+    fail_run(std::string(what) + ": tuple-space server failed to restart");
     return false;
   };
 
@@ -758,89 +667,52 @@ bool Runtime::RunDistributed() {
           break;
         }
         case Event::Kind::kServerFail: {
-          // Event::machine doubles as the shard-server index; -1 rotates
-          // round-robin so repeated unspecific kills hit every server.
-          int victim = event.machine;
-          if (victim < 0) {
-            victim = next_victim;
-            next_victim = (next_victim + 1) % num_servers;
-          }
-          victim %= num_servers;
-          if (!server_ok[static_cast<size_t>(victim)]) break;
-          net::KillProcess(server_pids[static_cast<size_t>(victim)]);
+          if (!server_ok) break;
+          net::KillProcess(server_pid);
           net::ExitInfo info;
-          net::WaitForExit(server_pids[static_cast<size_t>(victim)], 5.0,
-                           &info);
-          server_ok[static_cast<size_t>(victim)] = false;
-          server_down_at[static_cast<size_t>(victim)] = t;
-          server_partitioned[static_cast<size_t>(victim)] = false;
+          net::WaitForExit(server_pid, 5.0, &info);
+          server_ok = false;
+          server_down_at = t;
+          server_partitioned = false;
           ++stats_.server_failures;
           if (event.torn_tail) {
             // The kill landed; now make the crash "tear" the final WAL
             // append before the scheduled recovery restarts the server.
-            TearWalTail(dist_dir_ + "/state." + std::to_string(victim));
+            TearWalTail(sopts.state_dir);
           }
           RecordLocked(TraceEvent::Kind::kServerFailed, t, nullptr, -1);
           break;
         }
         case Event::Kind::kServerPartition:
-        case Event::Kind::kServerHeal: {
-          // Link fault: the victim keeps running; its connections are cut
+          // Link fault: the server keeps running; its connections are cut
           // and its traffic blackholed until the heal. Delivered over the
           // control channel, which the partitioned server keeps serving as
-          // the out-of-band path. Best effort — a victim that is down
+          // the out-of-band path. Best effort — a server that is down
           // (crash chaos raced the partition) simply has no link to cut.
-          if (event.kind == Event::Kind::kServerPartition) {
-            // Index -1 cuts the round-robin victim's link.
-            int victim = event.machine;
-            if (victim < 0) {
-              victim = next_victim;
-              next_victim = (next_victim + 1) % num_servers;
-            }
-            victim %= num_servers;
-            if (server_ok[static_cast<size_t>(victim)] &&
-                !server_partitioned[static_cast<size_t>(victim)]) {
-              chaos_partition(victim, true);
-              server_partitioned[static_cast<size_t>(victim)] = true;
-              ++stats_.server_partitions;
-              RecordLocked(TraceEvent::Kind::kServerPartitioned, t, nullptr,
-                           -1);
-            }
-          } else {
-            // Index -1 heals EVERY cut link — the twin of kServerRecover's
-            // "-1 restarts every down server" — so a partition/heal pair
-            // never has to agree on the round-robin cursor position.
-            for (int k = 0; k < num_servers; ++k) {
-              if (event.machine >= 0 && event.machine % num_servers != k) {
-                continue;
-              }
-              if (!server_partitioned[static_cast<size_t>(k)]) continue;
-              server_partitioned[static_cast<size_t>(k)] = false;
-              if (!server_ok[static_cast<size_t>(k)]) continue;
-              chaos_partition(k, false);
-              RecordLocked(TraceEvent::Kind::kServerHealed, t, nullptr, -1);
-            }
-          }
-          break;
-        }
-        case Event::Kind::kServerRecover: {
-          // Index -1 restarts every down server.
-          for (int k = 0; k < num_servers && !fatal; ++k) {
-            if (event.machine >= 0 && event.machine % num_servers != k) {
-              continue;
-            }
-            if (server_ok[static_cast<size_t>(k)]) continue;
-            if (!restart_server(k, "scheduled recovery")) {
-              fatal = true;
-              break;
-            }
-            stats_.server_downtime +=
-                now() - server_down_at[static_cast<size_t>(k)];
-            RecordLocked(TraceEvent::Kind::kServerRecovered, now(), nullptr,
+          if (server_ok && !server_partitioned) {
+            chaos_partition(true);
+            server_partitioned = true;
+            ++stats_.server_partitions;
+            RecordLocked(TraceEvent::Kind::kServerPartitioned, t, nullptr,
                          -1);
           }
           break;
-        }
+        case Event::Kind::kServerHeal:
+          if (!server_partitioned) break;
+          server_partitioned = false;
+          if (!server_ok) break;
+          chaos_partition(false);
+          RecordLocked(TraceEvent::Kind::kServerHealed, t, nullptr, -1);
+          break;
+        case Event::Kind::kServerRecover:
+          if (server_ok) break;
+          if (!restart_server("scheduled recovery")) {
+            fatal = true;
+            break;
+          }
+          stats_.server_downtime += now() - server_down_at;
+          RecordLocked(TraceEvent::Kind::kServerRecovered, now(), nullptr, -1);
+          break;
       }
       if (fatal) break;
     }
@@ -849,12 +721,7 @@ bool Runtime::RunDistributed() {
     // 2. Reap exited children (workers and, if it crashed, the server).
     for (;;) {
       std::vector<pid_t> watched;
-      for (int k = 0; k < num_servers; ++k) {
-        if (server_ok[static_cast<size_t>(k)] &&
-            server_pids[static_cast<size_t>(k)] > 0) {
-          watched.push_back(server_pids[static_cast<size_t>(k)]);
-        }
-      }
+      if (server_ok && server_pid > 0) watched.push_back(server_pid);
       for (auto& up : procs_) {
         if (up->state == ProcState::kReady && up->os_pid > 0) {
           watched.push_back(static_cast<pid_t>(up->os_pid));
@@ -862,36 +729,27 @@ bool Runtime::RunDistributed() {
       }
       net::ExitInfo info;
       if (!net::ReapAny(watched, &info)) break;
-      int dead_server = -1;
-      for (int k = 0; k < num_servers; ++k) {
-        if (info.pid == server_pids[static_cast<size_t>(k)]) {
-          dead_server = k;
-          break;
-        }
-      }
-      if (dead_server >= 0) {
+      if (info.pid == server_pid) {
         // Unplanned server death. A signal death (chaos SIGKILL, OOM kill)
         // is a crash we recover from checkpoint + log; a non-zero _exit is
         // the server itself refusing to run (WAL write failure, unusable
         // state dir) — restarting would hit the same wall and spin until
         // the deadlock timeout, so fail the run with a structured error.
+        server_ok = false;
         if (info.exited && info.exit_code != 0) {
           RuntimeError error;
           error.code = RuntimeError::Code::kServerDead;
           error.time = now();
-          error.detail = "tuple-space server " + std::to_string(dead_server) +
-                         " exited fatally with code " +
+          error.detail = "tuple-space server exited fatally with code " +
                          std::to_string(info.exit_code);
           errors_.push_back(std::move(error));
-          server_ok[static_cast<size_t>(dead_server)] = false;
-          server_pids[static_cast<size_t>(dead_server)] = -1;
+          server_pid = -1;
           server_fatal_exit = true;
           fatal = true;
           break;
         }
         ++stats_.server_failures;
         ++unplanned_server_deaths;
-        server_ok[static_cast<size_t>(dead_server)] = false;
         const double down_at = now();
         RecordLocked(TraceEvent::Kind::kServerFailed, down_at, nullptr, -1);
         if (unplanned_server_deaths > 5) {
@@ -899,7 +757,7 @@ bool Runtime::RunDistributed() {
           fatal = true;
           break;
         }
-        if (!restart_server(dead_server, "crash recovery")) {
+        if (!restart_server("crash recovery")) {
           fatal = true;
           break;
         }
@@ -924,17 +782,6 @@ bool Runtime::RunDistributed() {
         proc->work_done += report.work;
         stats_.rpc_calls += report.rpc;
         stats_.bytes_on_wire += report.bytes;
-        stats_.dist_scatter_ops += report.scatter;
-        stats_.dist_scatter_rounds += report.scatter_rounds;
-        for (const auto& [server, trips] : report.per_server) {
-          if (server < 0) continue;
-          if (stats_.per_server_rpc_calls.size() <=
-              static_cast<size_t>(server)) {
-            stats_.per_server_rpc_calls.resize(static_cast<size_t>(server) + 1,
-                                               0);
-          }
-          stats_.per_server_rpc_calls[static_cast<size_t>(server)] += trips;
-        }
       }
       if (info.exited && info.exit_code == 0) {
         proc->state = ProcState::kDone;
@@ -990,87 +837,42 @@ bool Runtime::RunDistributed() {
     }
     if (fatal) break;
 
-    // 3. Deadlock watchdog, fanned out over the shard servers: one
-    // pipelined STATUS per server (BeginStatus/PollStatus overlap the reap
-    // and event work above), evaluated only once the whole round has
-    // gathered. Nobody can wake anybody when every live worker is parked
-    // on some server (distinct pids — a scatter park shows up on several),
-    // the summed publish epoch is stable across two rounds, and no commit
-    // forwards are still in flight between servers.
-    if (all_servers_up() && !run_cancelled) {
-      if (!status_round && t >= next_status_poll) {
+    // 3. Deadlock watchdog: a pipelined STATUS poll (BeginStatus/PollStatus
+    // overlap the reap and event work above). Nobody can wake anybody when
+    // every live worker is parked and the publish epoch is stable across
+    // two polls.
+    if (server_ok && !run_cancelled) {
+      if (!ctl.status_inflight() && t >= next_status_poll) {
         next_status_poll = t + status_poll_interval;
-        status_round = true;
-        status_round_valid = true;
-        for (int k = 0; k < num_servers; ++k) {
-          status_done[static_cast<size_t>(k)] = false;
-          if (ctls[static_cast<size_t>(k)]->BeginStatus() !=
-              CallStatus::kOk) {
-            status_done[static_cast<size_t>(k)] = true;
-            status_round_valid = false;
-          }
-        }
+        ctl.BeginStatus();
       }
-      if (status_round) {
-        bool all_done = true;
-        for (int k = 0; k < num_servers; ++k) {
-          if (status_done[static_cast<size_t>(k)]) continue;
-          const CallStatus poll = ctls[static_cast<size_t>(k)]->PollStatus(
-              &status_replies[static_cast<size_t>(k)]);
-          if (poll == CallStatus::kOk) {
-            status_done[static_cast<size_t>(k)] = true;
-          } else if (poll == CallStatus::kPending) {
-            all_done = false;
-          } else {
-            // Transport hiccup (server mid-restart): void the round; the
-            // next BeginStatus reconnects.
-            status_done[static_cast<size_t>(k)] = true;
-            status_round_valid = false;
-          }
+      net::Reply status;
+      // kPending: poll again next pass. Anything but kOk is a transport
+      // hiccup (server mid-restart); the next BeginStatus reconnects.
+      if (ctl.status_inflight() && ctl.PollStatus(&status) == CallStatus::kOk) {
+        int live = 0;
+        for (auto& up : procs_) {
+          if (up->state == ProcState::kReady) ++live;
         }
-        if (all_done) {
-          status_round = false;
-          if (status_round_valid) {
-            int live = 0;
-            for (auto& up : procs_) {
-              if (up->state == ProcState::kReady) ++live;
-            }
-            std::set<int32_t> parked_pids;
-            uint64_t epoch_sum = 0;
-            uint64_t forwards_pending = 0;
-            for (int k = 0; k < num_servers; ++k) {
-              const net::Reply& reply =
-                  status_replies[static_cast<size_t>(k)];
-              for (const net::ParkedWaiter& waiter : reply.parked) {
-                parked_pids.insert(waiter.pid);
-              }
-              epoch_sum += reply.publish_epoch;
-              forwards_pending += reply.forwards_pending;
-            }
-            const bool all_parked =
-                live > 0 && static_cast<int>(parked_pids.size()) >= live &&
-                next_event_ >= events_.size() && pending_respawns_.empty();
-            if (all_parked && prev_all_parked && epoch_sum == prev_epoch &&
-                forwards_pending == 0) {
-              run_cancelled = true;
-              deadlocked_ = true;
-              cancel_time = now();
-              last_parked.clear();
-              std::set<int32_t> seen;
-              for (int k = 0; k < num_servers; ++k) {
-                for (const net::ParkedWaiter& waiter :
-                     status_replies[static_cast<size_t>(k)].parked) {
-                  if (seen.insert(waiter.pid).second) {
-                    last_parked.push_back(waiter);
-                  }
-                }
-              }
-              for (auto& c : ctls) c->Cancel();
-            }
-            prev_all_parked = all_parked;
-            prev_epoch = epoch_sum;
-          }
+        // One waiter per parked pid, in the server's order.
+        std::set<int32_t> parked_pids;
+        std::vector<net::ParkedWaiter> parked;
+        for (const net::ParkedWaiter& waiter : status.parked) {
+          if (parked_pids.insert(waiter.pid).second) parked.push_back(waiter);
         }
+        const bool all_parked =
+            live > 0 && static_cast<int>(parked.size()) >= live &&
+            next_event_ >= events_.size() && pending_respawns_.empty();
+        if (all_parked && prev_all_parked &&
+            status.publish_epoch == prev_epoch) {
+          run_cancelled = true;
+          deadlocked_ = true;
+          cancel_time = now();
+          last_parked = std::move(parked);
+          ctl.Cancel();
+        }
+        prev_all_parked = all_parked;
+        prev_epoch = status.publish_epoch;
       }
     }
 
@@ -1104,93 +906,23 @@ bool Runtime::RunDistributed() {
     }
   }
 
-  // Drain results + counters back, restarting any server that is down
+  // Drain results + counters back, restarting the server if it is down
   // (e.g. a failure was scheduled with no recovery before the end). After a
   // fatal server exit there is nothing to restart or harvest — a fresh fork
   // would refuse to run the same way.
-  for (int k = 0; k < num_servers && !server_fatal_exit; ++k) {
-    if (server_ok[static_cast<size_t>(k)]) continue;
-    if (server_pids[static_cast<size_t>(k)] > 0) {
+  if (!server_ok && !server_fatal_exit) {
+    if (server_pid > 0) {
       net::ExitInfo info;
-      net::WaitForExit(server_pids[static_cast<size_t>(k)], 1.0, &info);
+      net::WaitForExit(server_pid, 1.0, &info);
     }
-    if (restart_server(k, "end-of-run drain")) {
+    if (restart_server("end-of-run drain")) {
       RecordLocked(TraceEvent::Kind::kServerRecovered, now(), nullptr, -1);
     }
   }
-  if (all_servers_up()) {
-    if (num_servers > 1) {
-      // Forward-drain barrier: commit outs can still be in flight between
-      // servers (Op::kForward). Harvesting before they land would lose
-      // them, so poll STATUS until every server reports zero pending
-      // forwards.
-      const auto barrier_deadline =
-          Clock::now() + std::chrono::milliseconds(5000);
-      for (;;) {
-        uint64_t pending = 0;
-        bool polled = true;
-        for (int k = 0; k < num_servers; ++k) {
-          net::Reply reply;
-          if (ctls[static_cast<size_t>(k)]->Status(&reply) !=
-              CallStatus::kOk) {
-            polled = false;
-            break;
-          }
-          pending += reply.forwards_pending;
-        }
-        if (polled && pending == 0) break;
-        if (Clock::now() >= barrier_deadline) {
-          fail_run("forwarded commits did not quiesce before the harvest");
-          break;
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    }
-
-    // Pipelined multi-leg harvest: STATS + TAKEALL written to every server
-    // back to back, replies gathered afterwards — one wall-clock round for
-    // the whole fleet instead of two round trips per server.
-    std::vector<net::Reply> leg_stats(static_cast<size_t>(num_servers));
-    std::vector<net::Reply> leg_take(static_cast<size_t>(num_servers));
-    std::vector<bool> leg_ok(static_cast<size_t>(num_servers), false);
-    for (int k = 0; k < num_servers; ++k) {
-      net::Request stats_req;
-      stats_req.op = net::Op::kStats;
-      net::Request take_req;
-      take_req.op = net::Op::kTakeAll;
-      leg_ok[static_cast<size_t>(k)] =
-          ctls[static_cast<size_t>(k)]->BeginPipeline(stats_req) ==
-              CallStatus::kOk &&
-          ctls[static_cast<size_t>(k)]->BeginPipeline(take_req) ==
-              CallStatus::kOk;
-    }
-    for (int k = 0; k < num_servers; ++k) {
-      if (leg_ok[static_cast<size_t>(k)]) {
-        leg_ok[static_cast<size_t>(k)] =
-            ctls[static_cast<size_t>(k)]->FinishPipeline(
-                &leg_stats[static_cast<size_t>(k)]) == CallStatus::kOk &&
-            ctls[static_cast<size_t>(k)]->FinishPipeline(
-                &leg_take[static_cast<size_t>(k)]) == CallStatus::kOk;
-      }
-      if (!leg_ok[static_cast<size_t>(k)]) {
-        // Per-leg synchronous fallback (e.g. the pipelined pair raced a
-        // restart): one STATS + TAKEALL round trip against that server.
-        std::vector<Tuple> drained;
-        if (ctls[static_cast<size_t>(k)]->Harvest(
-                &leg_stats[static_cast<size_t>(k)], &drained) ==
-            CallStatus::kOk) {
-          leg_take[static_cast<size_t>(k)].tuples = std::move(drained);
-          leg_ok[static_cast<size_t>(k)] = true;
-        }
-      }
-    }
-    for (int k = 0; k < num_servers; ++k) {
-      if (!leg_ok[static_cast<size_t>(k)]) {
-        fail_run("end-of-run drain failed: " +
-                 ctls[static_cast<size_t>(k)]->last_error());
-        continue;
-      }
-      const net::Reply& server_stats = leg_stats[static_cast<size_t>(k)];
+  if (server_ok) {
+    net::Reply server_stats;
+    std::vector<Tuple> drained;
+    if (ctl.Harvest(&server_stats, &drained) == CallStatus::kOk) {
       stats_.tuple_ops += server_stats.tuple_ops;
       stats_.transactions_committed += server_stats.commits;
       stats_.transactions_aborted += server_stats.aborts;
@@ -1198,41 +930,28 @@ bool Runtime::RunDistributed() {
       stats_.server_ops_replayed += server_stats.ops_replayed;
       stats_.batch_frames += server_stats.batch_frames;
       stats_.batched_tuple_ops += server_stats.batched_ops;
-      stats_.dist_txn_prepares += server_stats.txn_prepares;
-      stats_.dist_txn_cross_server += server_stats.txn_cross_server;
       stats_.wal_group_commits += server_stats.wal_group_commits;
       stats_.wal_synced_bytes += server_stats.wal_synced_bytes;
       stats_.transport_syscalls += server_stats.transport_syscalls;
       stats_.transport_bytes += server_stats.transport_bytes;
-      for (Tuple& tuple : leg_take[static_cast<size_t>(k)].tuples) {
-        space_.Out(std::move(tuple));
-      }
+      for (Tuple& tuple : drained) space_.Out(std::move(tuple));
+    } else {
+      fail_run("end-of-run drain failed: " + ctl.last_error());
     }
-    for (auto& c : ctls) {
-      c->Shutdown();
-      c->Abandon();
+    ctl.Shutdown();
+    ctl.Abandon();
+    net::ExitInfo info;
+    if (!net::WaitForExit(server_pid, 5.0, &info)) {
+      net::KillProcess(server_pid);
+      net::WaitForExit(server_pid, 2.0, &info);
     }
-    for (int k = 0; k < num_servers; ++k) {
-      net::ExitInfo info;
-      if (!net::WaitForExit(server_pids[static_cast<size_t>(k)], 5.0,
-                            &info)) {
-        net::KillProcess(server_pids[static_cast<size_t>(k)]);
-        net::WaitForExit(server_pids[static_cast<size_t>(k)], 2.0, &info);
-      }
-    }
-  } else {
-    for (int k = 0; k < num_servers; ++k) {
-      if (server_pids[static_cast<size_t>(k)] > 0) {
-        net::KillProcess(server_pids[static_cast<size_t>(k)]);
-        net::ExitInfo info;
-        net::WaitForExit(server_pids[static_cast<size_t>(k)], 2.0, &info);
-      }
-    }
+  } else if (server_pid > 0) {
+    net::KillProcess(server_pid);
+    net::ExitInfo info;
+    net::WaitForExit(server_pid, 2.0, &info);
   }
-  for (const auto& c : ctls) {
-    stats_.rpc_calls += c->rpc_round_trips();
-    stats_.bytes_on_wire += c->bytes_sent() + c->bytes_received();
-  }
+  stats_.rpc_calls += ctl.rpc_round_trips();
+  stats_.bytes_on_wire += ctl.transport_bytes();
 
   wall_time_ = now();
   completion_time_ = wall_time_;
@@ -1273,7 +992,7 @@ bool Runtime::RunDistributed() {
     diagnostic_ = std::move(out);
   }
 
-  close_listeners();
+  if (listen_fd >= 0) ::close(listen_fd);
   const bool failed = deadlocked_ || !errors_.empty();
   // FPDM_TEST_KEEP_STATE: leave a failed run's state dir (WAL, checkpoints,
   // status files, server stderr) on disk for CI artifact upload.

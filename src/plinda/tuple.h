@@ -101,7 +101,7 @@ void SerializeTemplate(const Template& tmpl, std::string* out);
 /// DeserializeTuple.
 bool DeserializeTemplate(std::string_view data, size_t* pos, Template* tmpl);
 
-/// 64-bit FNV-1a hash, shared by checkpoint checksumming and shard routing.
+/// 64-bit FNV-1a hash, used for checkpoint and WAL checksums.
 uint64_t Fnv1a64(std::string_view data);
 
 /// Human-readable rendering for logs and test failures.

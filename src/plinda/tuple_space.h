@@ -35,7 +35,7 @@ struct BucketKeyLess {
 };
 
 /// Returns the bucket key of a tuple as a view into its first field (valid
-/// while the tuple lives). The multi-server placement routes by it too.
+/// while the tuple lives).
 BucketKeyView BucketKeyFor(const Tuple& tuple);
 
 /// Returns the single bucket key a template with an actual first field can
@@ -47,7 +47,7 @@ bool SingleBucketKeyFor(const Template& tmpl, BucketKeyView* key);
 /// engine of every backend. Not thread-safe by itself: the simulated NOW
 /// runtime serializes all access (simulated processes run one at a time),
 /// ExecutionMode::kRealParallel wraps it in ConcurrentTupleSpace (one mutex),
-/// and each distributed shard server owns one on its single serve thread.
+/// and the distributed server owns one on its single serve thread.
 ///
 /// Matching is FIFO among matching tuples (oldest `out` wins), which keeps
 /// the simulated executions deterministic.
@@ -83,7 +83,7 @@ class TupleSpace {
   void Clear();
 
   /// Removes and returns every tuple in FIFO (`out`) order: the server's
-  /// TAKEALL, and the distributed supervisor's seeding of its shard servers.
+  /// TAKEALL, and the distributed supervisor's seeding of its server.
   std::vector<Tuple> TakeAllInOrder();
 
   /// Serializes the whole space (checkpoint-protected tuple space, §2.4.6).

@@ -37,15 +37,6 @@ using plinda::ValueType;
 
 constexpr int kNumTasks = 10;
 
-/// Shard-server count for the runs that do not pin one explicitly:
-/// FPDM_TEST_SERVERS in the environment (CI runs the suite at 3), default 1.
-int TestServers() {
-  const char* env = std::getenv("FPDM_TEST_SERVERS");
-  if (env == nullptr || *env == '\0') return 1;
-  const int n = std::atoi(env);
-  return n > 0 ? n : 1;
-}
-
 /// Wire transport: FPDM_TEST_TRANSPORT in the environment ("unix" or "tcp";
 /// CI re-runs the whole suite at tcp), default unix.
 std::string TestTransport() {
@@ -54,11 +45,10 @@ std::string TestTransport() {
   return env;
 }
 
-RuntimeOptions DistOptions(int servers = 0) {
+RuntimeOptions DistOptions() {
   RuntimeOptions options;
   options.mode = ExecutionMode::kDistributed;
   options.distributed_checkpoint_ops = 8;  // several checkpoints per run
-  options.distributed_servers = servers > 0 ? servers : TestServers();
   options.distributed_transport = TestTransport();
   return options;
 }
@@ -205,11 +195,10 @@ TEST(DistributedChaosTest, MidBatchServerKillAppliesWholeBatchOnceOrNotAtAll) {
 }
 
 // Formal-first task consumption: the tasks are seeded under kNumTasks
-// DISTINCT bucket keys ("t0", "t1", ...) so they spread across the shard
-// servers, and the worker's template leads with a formal — every In must
-// probe all shards (the scatter/gather slow path), claim the winner's
-// tuple destructively, and bind the transaction to the winner.
-void ScatterTaskLoop(ProcessContext& ctx) {
+// DISTINCT bucket keys ("t0", "t1", ...), and the worker's template leads
+// with a formal, so every In matches across buckets — the server's
+// oldest-first scan over the whole space, not a single-bucket lookup.
+void FormalFirstTaskLoop(ProcessContext& ctx) {
   int64_t done = 0;
   Tuple cont;
   if (ctx.XRecover(&cont)) done = GetInt(cont, 1);
@@ -227,40 +216,19 @@ void ScatterTaskLoop(ProcessContext& ctx) {
   }
 }
 
-void SeedScatterTasks(Runtime& runtime) {
+void SeedFormalFirstTasks(Runtime& runtime) {
   for (int64_t i = 0; i < kNumTasks; ++i) {
     runtime.space().Out(
         MakeTuple("t" + std::to_string(i), i, static_cast<int64_t>(0)));
   }
 }
 
-TEST(DistributedChaosTest, ScatterGatherPipelinesAcrossServers) {
-  // Fault-free baseline for the all-shard slow path at 3 servers: results
-  // are exactly-once and the gather legs are pipelined — the round counter
-  // grows with the number of scatter ops, not ops × servers.
-  Runtime runtime(1, DistOptions(/*servers=*/3));
-  SeedScatterTasks(runtime);
-  runtime.SpawnOn("worker", 0, ScatterTaskLoop);
-  ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
-  ExpectExactlyOnceResults(runtime);
-  const plinda::RuntimeStats& stats = runtime.stats();
-  EXPECT_GE(stats.dist_scatter_ops, static_cast<uint64_t>(kNumTasks));
-  EXPECT_GE(stats.dist_scatter_rounds, stats.dist_scatter_ops);
-  EXPECT_LE(stats.dist_scatter_rounds, 4 * stats.dist_scatter_ops);
-  // Every scatter probes every shard, so all three legs carried traffic.
-  ASSERT_EQ(stats.per_server_rpc_calls.size(), 3u);
-  for (size_t k = 0; k < 3; ++k) {
-    EXPECT_GT(stats.per_server_rpc_calls[k], 0u) << "server " << k;
-  }
-}
-
-TEST(DistributedChaosTest, BlockingScatterParksAcrossServersUntilProduced) {
+TEST(DistributedChaosTest, BlockingFormalFirstInWakesOnOutsToOtherBuckets) {
   // The consumer starts before any task exists, so each formal-first In
-  // misses its probe and must PARK a blocking rd on all three shards; the
-  // producer then publishes tasks one at a time under rotating bucket
-  // keys, waking whichever shard receives the tuple. The unpark retraction
-  // of the losing legs must leave no stray matches behind.
-  Runtime runtime(1, DistOptions(/*servers=*/3));
+  // parks server-side; the producer then publishes tasks one at a time,
+  // each under a new bucket key. Every out must wake the parked in, whose
+  // template names no bucket, and each task must be taken exactly once.
+  Runtime runtime(1, DistOptions());
   runtime.SpawnOn("producer", 0, [](ProcessContext& ctx) {
     for (int64_t i = 0; i < kNumTasks; ++i) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -278,54 +246,45 @@ TEST(DistributedChaosTest, BlockingScatterParksAcrossServersUntilProduced) {
   });
   ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
   ExpectExactlyOnceResults(runtime);
-  EXPECT_GE(runtime.stats().dist_scatter_ops,
-            static_cast<uint64_t>(kNumTasks));
-  EXPECT_LE(runtime.stats().dist_scatter_rounds,
-            4 * runtime.stats().dist_scatter_ops);
 }
 
-TEST(DistributedChaosTest, ShardServerKilledMidScatterRecoversExactlyOnce) {
-  // 22 seeded fault plans, each killing individual shard servers (victim
-  // drawn per crash) while a worker runs formal-first scatter transactions
-  // across 3 servers. Whatever the kill interrupts — a probe, a parked
-  // leg, the winner claim, the commit, or a forwarded out — recovery from
-  // the per-server WAL + checkpoint plus client resend/dedup must deliver
-  // every task's effects exactly once.
+TEST(DistributedChaosTest, ServerKilledMidFormalFirstInRecoversExactlyOnce) {
+  // 22 seeded fault plans killing the server while a worker runs
+  // formal-first transactions. Whatever the kill interrupts — the
+  // cross-bucket take, the commit, or the deferred frames riding with the
+  // next in — recovery from the WAL + checkpoint plus client resend/dedup
+  // must deliver every task's effects exactly once.
   uint64_t total_kills = 0;
   for (uint64_t seed = 1; seed <= 22; ++seed) {
     plinda::ChaosOptions chaos;
     chaos.seed = seed;
     chaos.start_time = 0.02;
     chaos.horizon = 0.25;
-    chaos.machine_mttf = 0;  // shard-server faults only
+    chaos.machine_mttf = 0;  // server faults only
     chaos.server_mttf = 0.07;
     chaos.server_mttr = 0.05;
     chaos.max_server_failures = 2;
-    chaos.num_servers = 3;
     const plinda::FaultPlan plan = plinda::GenerateFaultPlan(1, chaos);
     SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + ToString(plan));
 
-    Runtime runtime(1, DistOptions(/*servers=*/3));
+    Runtime runtime(1, DistOptions());
     plinda::InstallFaultPlan(&runtime, plan);
-    SeedScatterTasks(runtime);
-    runtime.SpawnOn("worker", 0, ScatterTaskLoop);
+    SeedFormalFirstTasks(runtime);
+    runtime.SpawnOn("worker", 0, FormalFirstTaskLoop);
     ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
     ExpectExactlyOnceResults(runtime);
-    EXPECT_GE(runtime.stats().dist_scatter_ops,
-              static_cast<uint64_t>(kNumTasks));
     total_kills += runtime.stats().server_failures;
   }
-  // The plans must actually have exercised shard kills (most seeds land at
-  // least one crash inside the run's wall-clock window).
-  EXPECT_GE(total_kills, 5u);
+  // The plans must actually have exercised kills: 12 of their crashes
+  // fall before 0.10 s, and no run can end before then (10 tasks x 10 ms),
+  // so at least those land.
+  EXPECT_GE(total_kills, 12u);
 }
 
-// Cross-server transactions: each task destructively claims TWO tuples
-// under DIFFERENT bucket keys ("t<i>" then "u<i>") inside one transaction.
-// At 3 shard servers the two keys frequently hash to different owners, so
-// the commit takes the 2PC slow path: the home server (owner of the first
-// in) coordinates a PREPARE/DECIDE round with the other participant.
-void CrossTaskLoop(ProcessContext& ctx) {
+// Two-bucket transactions: each task destructively claims TWO tuples under
+// DIFFERENT bucket keys ("t<i>" then "u<i>") inside one transaction, so a
+// crash-abort or a replay has two removals to restore or redo together.
+void TwoInTaskLoop(ProcessContext& ctx) {
   int64_t done = 0;
   Tuple cont;
   if (ctx.XRecover(&cont)) done = GetInt(cont, 1);
@@ -345,106 +304,44 @@ void CrossTaskLoop(ProcessContext& ctx) {
   }
 }
 
-void SeedCrossTasks(Runtime& runtime) {
+void SeedTwoInTasks(Runtime& runtime) {
   for (int64_t i = 0; i < kNumTasks; ++i) {
     runtime.space().Out(MakeTuple("t" + std::to_string(i), i));
     runtime.space().Out(MakeTuple("u" + std::to_string(i), i));
   }
 }
 
-TEST(DistributedChaosTest, CrossServerTransactionsCommitAcrossShards) {
-  // Fault-free baseline: destructive ins on buckets owned by different
-  // servers commit through 2PC, and the results are exactly-once.
-  Runtime runtime(1, DistOptions(/*servers=*/3));
-  SeedCrossTasks(runtime);
-  runtime.SpawnOn("worker", 0, CrossTaskLoop);
-  ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
-  ExpectExactlyOnceResults(runtime);
-  EXPECT_GE(runtime.stats().dist_txn_cross_server, 1u);
-  EXPECT_GE(runtime.stats().dist_txn_prepares,
-            runtime.stats().dist_txn_cross_server);
-}
-
-TEST(DistributedChaosTest, CoordinatorKilledInDoubtWindowConverges) {
-  // The coordinator SIGKILLs itself upon its first PREPARE vote — after
-  // fanning out PREPARE, before logging any decision — so every voted
-  // participant sits in the in-doubt window while the coordinator is down.
-  // After the supervisor respawns it, replay + the client's resent XCommit
-  // must drive the transaction to ONE outcome on all shards, and the run's
-  // results stay exactly-once.
-  RuntimeOptions options = DistOptions(/*servers=*/3);
-  options.distributed_die_in_doubt_after = 1;
-  Runtime runtime(1, options);
-  SeedCrossTasks(runtime);
-  runtime.SpawnOn("worker", 0, CrossTaskLoop);
-  ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
-  ExpectExactlyOnceResults(runtime);
-  EXPECT_GE(runtime.stats().server_failures, 1u);
-  EXPECT_GE(runtime.stats().dist_txn_cross_server, 1u);
-}
-
-TEST(DistributedChaosTest, ParticipantKilledAfterPreparedConverges) {
-  // A participant SIGKILLs itself right after durably logging its first
-  // PREPARED record, before acking the vote. The coordinator's PREPARE
-  // resend after the respawn must be answered from the durable vote (the
-  // parked ins survive in the snapshot/log), and the decision must reach
-  // the participant exactly once.
-  RuntimeOptions options = DistOptions(/*servers=*/3);
-  options.distributed_die_after_prepared = 1;
-  Runtime runtime(1, options);
-  SeedCrossTasks(runtime);
-  runtime.SpawnOn("worker", 0, CrossTaskLoop);
-  ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
-  ExpectExactlyOnceResults(runtime);
-  EXPECT_GE(runtime.stats().server_failures, 1u);
-  EXPECT_GE(runtime.stats().dist_txn_cross_server, 1u);
-}
-
-TEST(DistributedChaosTest, CrossServerTxnSurvivesShardKillsExactlyOnce) {
-  // 22 seeded fault plans over cross-server transactions at 3 shard
-  // servers. On top of the scheduled SIGKILLs (half of which tear the
-  // victim's final WAL append), every run arms ONE 2PC die point — odd
-  // seeds kill the coordinator inside the PREPARE→DECIDE in-doubt window,
-  // even seeds kill a participant right after logging PREPARED. (One per
-  // run: each point fires once per server state dir, and arming both on 3
-  // servers could exceed the supervisor's unplanned-crash budget.)
-  // Whatever the kills interrupt, recovery must converge every in-doubt
-  // transaction to one outcome and keep the results exactly-once.
+TEST(DistributedChaosTest, TwoInTxnSurvivesKillsAndTornWalTailsExactlyOnce) {
+  // 22 seeded fault plans over two-bucket transactions; half of the
+  // scheduled SIGKILLs also tear the server's final WAL append, so
+  // recovery must discard the torn record by checksum and replay the
+  // intact prefix. Whatever the kills interrupt, the results stay
+  // exactly-once.
   uint64_t total_kills = 0;
-  uint64_t total_cross = 0;
   for (uint64_t seed = 1; seed <= 22; ++seed) {
     plinda::ChaosOptions chaos;
     chaos.seed = seed;
     chaos.start_time = 0.02;
     chaos.horizon = 0.25;
-    chaos.machine_mttf = 0;  // shard-server faults only
+    chaos.machine_mttf = 0;  // server faults only
     chaos.server_mttf = 0.07;
     chaos.server_mttr = 0.05;
     chaos.max_server_failures = 2;
-    chaos.num_servers = 3;
     chaos.torn_tail_probability = 0.5;
     const plinda::FaultPlan plan = plinda::GenerateFaultPlan(1, chaos);
     SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + ToString(plan));
 
-    RuntimeOptions options = DistOptions(/*servers=*/3);
-    if (seed % 2 == 1) {
-      options.distributed_die_in_doubt_after = 1;
-    } else {
-      options.distributed_die_after_prepared = 1;
-    }
-    Runtime runtime(1, options);
+    Runtime runtime(1, DistOptions());
     plinda::InstallFaultPlan(&runtime, plan);
-    SeedCrossTasks(runtime);
-    runtime.SpawnOn("worker", 0, CrossTaskLoop);
+    SeedTwoInTasks(runtime);
+    runtime.SpawnOn("worker", 0, TwoInTaskLoop);
     ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
     ExpectExactlyOnceResults(runtime);
     total_kills += runtime.stats().server_failures;
-    total_cross += runtime.stats().dist_txn_cross_server;
   }
-  // Every run commits cross-server transactions, and the die points plus
-  // the scheduled crashes must actually have fired.
-  EXPECT_GT(total_cross, 0u);
-  EXPECT_GE(total_kills, 22u);
+  // 12 of the plans' crashes fall before 0.10 s, and no run can end
+  // before then (10 tasks x 10 ms), so at least those land.
+  EXPECT_GE(total_kills, 12u);
 }
 
 TEST(DistributedChaosTest, PartitionedServerHealsAndResumesExactlyOnce) {
@@ -466,35 +363,14 @@ TEST(DistributedChaosTest, PartitionedServerHealsAndResumesExactlyOnce) {
   ExpectExactlyOnceResults(runtime);
 }
 
-TEST(DistributedChaosTest, PartitionedShardBlackholesPeerLegsUntilHeal) {
-  // At 3 shard servers a partitioned victim also loses its peer links, so
-  // forwarded outs, scatter probes, and 2PC rounds that touch it stall
-  // until the heal. The watermark/dedup machinery on the peer channels
-  // must absorb the post-heal resends; cross-server transactions caught by
-  // the cut must still converge to one outcome.
-  Runtime runtime(1, DistOptions(/*servers=*/3));
-  runtime.ScheduleServerPartition(0.03, /*server=*/1);
-  runtime.ScheduleServerHeal(0.10, /*server=*/1);
-  SeedCrossTasks(runtime);
-  runtime.SpawnOn("worker", 0, CrossTaskLoop);
-  ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
-  EXPECT_EQ(runtime.stats().server_partitions, 1u);
-  ExpectExactlyOnceResults(runtime);
-  EXPECT_GE(runtime.stats().dist_txn_cross_server, 1u);
-}
-
 TEST(DistributedChaosTest, PartitionChaosSuiteConvergesExactlyOnce) {
-  // 22 seeded fault plans mixing partitions with server crashes at 3 shard
-  // servers, over cross-server transactions, with a 2PC die point armed on
-  // every run (odd seeds: coordinator in-doubt; even seeds: participant
-  // after PREPARED). Partition draws ride AFTER the crash draws in the
-  // plan, so these seeds reuse the crash schedules of
-  // CrossServerTxnSurvivesShardKillsExactlyOnce and layer link cuts on
-  // top. Whatever combination lands — a partition spanning a crash, a
-  // heal racing a recovery, an in-doubt transaction cut off from its
-  // coordinator — results must stay exactly-once.
+  // 22 seeded fault plans mixing partitions with server crashes over
+  // two-bucket transactions. Partition draws ride AFTER the crash draws in
+  // the plan, so enabling them leaves each seed's crash schedule as it
+  // was. Whatever combination lands — a partition spanning a crash, a
+  // heal racing a recovery, a transaction cut off mid-flush — results must
+  // stay exactly-once.
   uint64_t total_partitions = 0;
-  uint64_t total_cross = 0;
   for (uint64_t seed = 1; seed <= 22; ++seed) {
     plinda::ChaosOptions chaos;
     chaos.seed = seed;
@@ -504,31 +380,24 @@ TEST(DistributedChaosTest, PartitionChaosSuiteConvergesExactlyOnce) {
     chaos.server_mttf = 0.14;
     chaos.server_mttr = 0.05;
     chaos.max_server_failures = 1;
-    chaos.num_servers = 3;
     chaos.partition_mttf = 0.06;
     chaos.partition_duration = 0.04;
     chaos.max_partitions = 2;
     const plinda::FaultPlan plan = plinda::GenerateFaultPlan(1, chaos);
     SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + ToString(plan));
 
-    RuntimeOptions options = DistOptions(/*servers=*/3);
-    if (seed % 2 == 1) {
-      options.distributed_die_in_doubt_after = 1;
-    } else {
-      options.distributed_die_after_prepared = 1;
-    }
-    Runtime runtime(1, options);
+    Runtime runtime(1, DistOptions());
     plinda::InstallFaultPlan(&runtime, plan);
-    SeedCrossTasks(runtime);
-    runtime.SpawnOn("worker", 0, CrossTaskLoop);
+    SeedTwoInTasks(runtime);
+    runtime.SpawnOn("worker", 0, TwoInTaskLoop);
     ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
     ExpectExactlyOnceResults(runtime);
     total_partitions += runtime.stats().server_partitions;
-    total_cross += runtime.stats().dist_txn_cross_server;
   }
-  // The plans must actually have exercised partitions and 2PC.
-  EXPECT_GE(total_partitions, 10u);
-  EXPECT_GT(total_cross, 0u);
+  // The plans must actually have exercised partitions: 21 of them
+  // start before 0.10 s with the server up and no other cut open, and no
+  // run can end before then, so at least those are delivered.
+  EXPECT_GE(total_partitions, 21u);
 }
 
 TEST(DistributedChaosTest, FatalServerExitFailsRunWithServerDead) {
@@ -538,7 +407,7 @@ TEST(DistributedChaosTest, FatalServerExitFailsRunWithServerDead) {
   // structured kServerDead error instead of spinning until the deadlock
   // timeout. wal_fail_after = 25 lands past boot + task seeding, inside
   // the worker's task loop.
-  RuntimeOptions options = DistOptions(/*servers=*/1);
+  RuntimeOptions options = DistOptions();
   options.distributed_wal_fail_after = 25;
   Runtime runtime(1, options);
   for (int64_t i = 0; i < kNumTasks; ++i) {

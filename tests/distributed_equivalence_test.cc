@@ -24,16 +24,6 @@
 namespace fpdm {
 namespace {
 
-/// Shard-server count for the distributed runs: FPDM_TEST_SERVERS in the
-/// environment (CI runs the whole suite at 3), default 1. The explicit
-/// multi-server test below pins both counts regardless.
-int TestServers() {
-  const char* env = std::getenv("FPDM_TEST_SERVERS");
-  if (env == nullptr || *env == '\0') return 1;
-  const int n = std::atoi(env);
-  return n > 0 ? n : 1;
-}
-
 /// Wire transport for the distributed runs: FPDM_TEST_TRANSPORT in the
 /// environment ("unix" or "tcp"; CI re-runs the whole suite at tcp),
 /// default unix. The explicit transport tests below pin theirs regardless.
@@ -68,7 +58,6 @@ core::ParallelResult RunMode(const core::MiningProblem& problem,
   options.strategy = strategy;
   options.execution_mode = mode;
   options.num_workers = 4;
-  options.runtime.distributed_servers = TestServers();
   options.runtime.distributed_transport = TestTransport();
   return core::MineParallel(problem, options);
 }
@@ -122,76 +111,15 @@ TEST(DistributedEquivalenceTest, DeferredProtocolCostsOneRoundTripPerCommit) {
       << dist.stats.transactions_committed << " commits";
 }
 
-TEST(DistributedEquivalenceTest, MultiServerPlacementBitIdentical) {
-  // The tentpole of the sharded tuple space: splitting the buckets across
-  // three SpaceServer processes is a pure placement decision. Mining
-  // results must come back bit-identical to the simulator and to the
-  // single-server runtime, and the scatter slow path must stay pipelined
-  // (gather rounds do not scale with N).
-  arm::BasketConfig config;
-  config.num_transactions = 150;
-  config.num_items = 20;
-  config.avg_transaction_size = 6;
-  config.patterns = {{{1, 4, 7}, 0.3}, {{2, 5}, 0.4}};
-  const arm::ItemsetProblem problem(arm::GenerateBaskets(config),
-                                    /*min_support=*/15);
-  auto run = [&](int servers) {
-    core::ParallelOptions options;
-    options.strategy = core::Strategy::kHybrid;
-    options.execution_mode = plinda::ExecutionMode::kDistributed;
-    options.num_workers = 4;
-    options.runtime.distributed_servers = servers;
-    options.runtime.distributed_transport = TestTransport();
-    return core::MineParallel(problem, options);
-  };
-  const core::ParallelResult sim =
-      RunMode(problem, core::Strategy::kHybrid,
-              plinda::ExecutionMode::kSimulated);
-  const core::ParallelResult one = run(1);
-  const core::ParallelResult three = run(3);
-  ExpectSameMining(sim, one, "sim vs 1 server");
-  ExpectSameMining(sim, three, "sim vs 3 servers");
-  ExpectSameMining(one, three, "1 server vs 3 servers");
-
-  // The workers publish their status per leg and the supervisor folds it
-  // into the runtime stats. The miner's templates all lead with an actual
-  // key, so every op is single-bucket-routed: with only a handful of
-  // distinct (arity, key) buckets in play not every server is guaranteed
-  // traffic, but the load must actually spread beyond one.
-  ASSERT_EQ(three.stats.per_server_rpc_calls.size(), 3u);
-  uint64_t legs_with_traffic = 0;
-  uint64_t per_server_sum = 0;
-  for (size_t k = 0; k < 3; ++k) {
-    if (three.stats.per_server_rpc_calls[k] > 0) ++legs_with_traffic;
-    per_server_sum += three.stats.per_server_rpc_calls[k];
-  }
-  EXPECT_GE(legs_with_traffic, 2u);
-  EXPECT_GT(per_server_sum, 0u);
-  ASSERT_EQ(one.stats.per_server_rpc_calls.size(), 1u);
-  EXPECT_GT(one.stats.per_server_rpc_calls[0], 0u);
-  // rpc_calls additionally meters the supervisor's control connections, so
-  // the per-server worker totals can only account for part of it.
-  EXPECT_LE(one.stats.per_server_rpc_calls[0], one.stats.rpc_calls);
-  // Single-bucket workloads never hit the all-shard slow path; the
-  // scatter/gather counters are exercised by the formal-first tests in
-  // distributed_chaos_test.cc.
-  EXPECT_EQ(one.stats.dist_scatter_ops, 0u);
-}
-
-TEST(DistributedEquivalenceTest, CrossServerTransactionsBitIdentical) {
-  // With the single-server transaction affinity gone, a transaction whose
-  // destructive ins hit buckets owned by two different servers must leave
-  // the same effects behind in every mode: the simulator, one shard server
-  // (every commit takes the coordinator-only fast path), and three shard
-  // servers (the commits that span owners take the 2PC slow path). Each
+TEST(DistributedEquivalenceTest, TwoBucketTransactionsBitIdentical) {
+  // A transaction whose destructive ins hit two different buckets must
+  // leave the same effects behind in the simulator and on the server. Each
   // task claims ("t<i>", i) and ("u<i>", 10i) — twenty distinct bucket
-  // keys, so at three servers the pair frequently straddles two owners —
-  // and retires ("res", i, 11i) in the same transaction.
+  // keys — and retires ("res", i, 11i) in the same transaction.
   static constexpr int64_t kTasks = 10;
-  auto run = [&](plinda::ExecutionMode mode, int servers) {
+  auto run = [&](plinda::ExecutionMode mode) {
     plinda::RuntimeOptions options;
     options.mode = mode;
-    options.distributed_servers = servers;
     options.distributed_transport = TestTransport();
     plinda::Runtime runtime(1, options);
     for (int64_t i = 0; i < kTasks; ++i) {
@@ -231,24 +159,21 @@ TEST(DistributedEquivalenceTest, CrossServerTransactionsBitIdentical) {
     std::sort(results.begin(), results.end());
     return results;
   };
-  const auto sim = run(plinda::ExecutionMode::kSimulated, 1);
-  const auto one = run(plinda::ExecutionMode::kDistributed, 1);
-  const auto three = run(plinda::ExecutionMode::kDistributed, 3);
+  const auto sim = run(plinda::ExecutionMode::kSimulated);
+  const auto dist = run(plinda::ExecutionMode::kDistributed);
   ASSERT_EQ(sim.size(), static_cast<size_t>(kTasks));
   for (int64_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(sim[static_cast<size_t>(i)], std::make_pair(i, 11 * i)) << i;
   }
-  EXPECT_EQ(sim, one);
-  EXPECT_EQ(one, three);
+  EXPECT_EQ(sim, dist);
 }
 
 TEST(DistributedEquivalenceTest, TransportTcpBitIdentical) {
   // The TCP transport is a pure wire substitution: the same mining run over
-  // loopback TCP sockets (port-0 listeners pre-bound by the supervisor)
+  // loopback TCP sockets (a port-0 listener pre-bound by the supervisor)
   // must come back bit-identical to the simulator and to the Unix-domain
-  // runs, at one shard server and at three (peer forwarding and 2PC legs
-  // then also ride TCP). Transports are pinned here regardless of
-  // FPDM_TEST_TRANSPORT so the test is meaningful on every CI leg.
+  // run. Transports are pinned here regardless of FPDM_TEST_TRANSPORT so
+  // the test is meaningful on every CI leg.
   arm::BasketConfig config;
   config.num_transactions = 150;
   config.num_items = 20;
@@ -256,33 +181,24 @@ TEST(DistributedEquivalenceTest, TransportTcpBitIdentical) {
   config.patterns = {{{1, 4, 7}, 0.3}, {{2, 5}, 0.4}};
   const arm::ItemsetProblem problem(arm::GenerateBaskets(config),
                                     /*min_support=*/15);
-  auto run = [&](const std::string& transport, int servers) {
+  auto run = [&](const std::string& transport) {
     core::ParallelOptions options;
     options.strategy = core::Strategy::kHybrid;
     options.execution_mode = plinda::ExecutionMode::kDistributed;
     options.num_workers = 4;
-    options.runtime.distributed_servers = servers;
     options.runtime.distributed_transport = transport;
     return core::MineParallel(problem, options);
   };
   const core::ParallelResult sim =
       RunMode(problem, core::Strategy::kHybrid,
               plinda::ExecutionMode::kSimulated);
-  const core::ParallelResult unix_one = run("unix", 1);
-  const core::ParallelResult tcp_one = run("tcp", 1);
-  const core::ParallelResult tcp_three = run("tcp", 3);
-  ExpectSameMining(sim, tcp_one, "sim vs tcp 1 server");
-  ExpectSameMining(unix_one, tcp_one, "unix vs tcp 1 server");
-  ExpectSameMining(tcp_one, tcp_three, "tcp 1 server vs tcp 3 servers");
-  // The servers reported the payload they moved: the transport counters
-  // must be live, not zero-stubbed.
-  EXPECT_GT(tcp_one.stats.transport_bytes, 0u);
-  ASSERT_EQ(tcp_three.stats.per_server_rpc_calls.size(), 3u);
-  uint64_t legs_with_traffic = 0;
-  for (size_t k = 0; k < 3; ++k) {
-    if (tcp_three.stats.per_server_rpc_calls[k] > 0) ++legs_with_traffic;
-  }
-  EXPECT_GE(legs_with_traffic, 2u);
+  const core::ParallelResult unix_run = run("unix");
+  const core::ParallelResult tcp_run = run("tcp");
+  ExpectSameMining(sim, tcp_run, "sim vs tcp");
+  ExpectSameMining(unix_run, tcp_run, "unix vs tcp");
+  // The server reported the payload it moved: the transport counters must
+  // be live, not zero-stubbed.
+  EXPECT_GT(tcp_run.stats.transport_bytes, 0u);
 }
 
 TEST(DistributedEquivalenceTest, SequenceMotifs) {

@@ -1,11 +1,13 @@
 #include "plinda/chaos.h"
 
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "plinda/runtime.h"
+#include "plinda/tuple.h"
 
 namespace fpdm::plinda {
 namespace {
@@ -145,7 +147,6 @@ TEST(FaultPlanTest, DisabledGeneratorsYieldEmptyPlan) {
 
 TEST(FaultPlanTest, PartitionsCappedPairedAndDrawnAfterEverythingElse) {
   ChaosOptions opts = BusyOptions(23);
-  opts.num_servers = 3;
   const FaultPlan without = GenerateFaultPlan(4, opts);
   opts.partition_mttf = 40.0;  // would cut many links if uncapped
   opts.partition_duration = 10.0;
@@ -156,7 +157,7 @@ TEST(FaultPlanTest, PartitionsCappedPairedAndDrawnAfterEverythingElse) {
   EXPECT_LE(with.server_partitions(), 2);
   // Partition draws ride AFTER every machine/server draw: the plan with
   // partitions enabled contains the partition-free plan's events verbatim
-  // — same kinds, times, victims — so existing seeds never reshuffle.
+  // — same kinds, times, machines — so existing seeds never reshuffle.
   std::vector<FaultEvent> base;
   for (const FaultEvent& event : with.events) {
     if (event.kind == FaultEvent::Kind::kServerPartition ||
@@ -171,20 +172,123 @@ TEST(FaultPlanTest, PartitionsCappedPairedAndDrawnAfterEverythingElse) {
     EXPECT_EQ(base[i].time, without.events[i].time) << i;  // bit-for-bit
     EXPECT_EQ(base[i].machine, without.events[i].machine) << i;
   }
-  // Every partition heals, on the same victim, strictly later.
-  std::set<int> cut;
+  // Partitions never overlap: each heals, no earlier than it started,
+  // before the next one starts. Like every server event they name no
+  // machine.
+  bool cut = false;
+  double cut_at = 0;
   for (const FaultEvent& event : with.events) {
     if (event.kind == FaultEvent::Kind::kServerPartition) {
-      EXPECT_EQ(cut.count(event.machine), 0u) << ToString(event);
-      cut.insert(event.machine);
-      EXPECT_GE(event.machine, 0);  // num_servers = 3 draws a victim
-      EXPECT_LT(event.machine, 3);
+      EXPECT_FALSE(cut) << ToString(event);
+      cut = true;
+      cut_at = event.time;
+      EXPECT_EQ(event.machine, -1) << ToString(event);
     } else if (event.kind == FaultEvent::Kind::kServerHeal) {
-      EXPECT_EQ(cut.count(event.machine), 1u) << ToString(event);
-      cut.erase(event.machine);
+      EXPECT_TRUE(cut) << ToString(event);
+      cut = false;
+      EXPECT_GE(event.time, cut_at) << ToString(event);
+      EXPECT_EQ(event.machine, -1) << ToString(event);
     }
   }
-  EXPECT_TRUE(cut.empty()) << "every partition must heal";
+  EXPECT_FALSE(cut) << "every partition must heal";
+}
+
+// Every event of the plan with its time bit-exact (hexfloat), so a pinned
+// rendering catches any drift in the generator's draws.
+std::string ExactRendering(const FaultPlan& plan) {
+  std::string out;
+  for (const FaultEvent& event : plan.events) {
+    char time[40];
+    std::snprintf(time, sizeof(time), " %a\n", event.time);
+    out += ToString(event) + time;
+  }
+  return out;
+}
+
+// The server-kill options of distributed_chaos_test.cc.
+ChaosOptions ServerKillOptions(uint64_t seed) {
+  ChaosOptions chaos;
+  chaos.seed = seed;
+  chaos.start_time = 0.02;
+  chaos.horizon = 0.25;
+  chaos.machine_mttf = 0;
+  chaos.server_mttf = 0.07;
+  chaos.server_mttr = 0.05;
+  chaos.max_server_failures = 2;
+  return chaos;
+}
+
+// chaos_soak_test.cc's ScaledChaos.
+ChaosOptions SoakOptions(uint64_t seed, double t) {
+  ChaosOptions chaos;
+  chaos.seed = seed;
+  chaos.start_time = 0.05 * t;
+  chaos.horizon = 0.6 * t;
+  chaos.machine_mttf = t / 3;
+  chaos.machine_mttr = t / 10;
+  chaos.server_mttf = 0.3 * t;
+  chaos.server_mttr = t / 20;
+  chaos.max_server_failures = 1;
+  return chaos;
+}
+
+TEST(FaultPlanTest, ChaosSuitePlansArePinned) {
+  // The plans the chaos suites and examples/chaos draw, pinned to the
+  // generator output they have always had: a change to the draw sequence
+  // would silently move every seed those runs exercise. One FNV-1a hash
+  // per option set over the bit-exact rendering of all its seeds (the
+  // failure message prints the rendering); the example's plan verbatim.
+  std::string kills, torn, partitions;
+  for (uint64_t seed = 1; seed <= 22; ++seed) {
+    kills += ExactRendering(GenerateFaultPlan(1, ServerKillOptions(seed)));
+    ChaosOptions t = ServerKillOptions(seed);
+    t.torn_tail_probability = 0.5;
+    torn += ExactRendering(GenerateFaultPlan(1, t));
+    ChaosOptions p = ServerKillOptions(seed);
+    p.server_mttf = 0.14;
+    p.max_server_failures = 1;
+    p.partition_mttf = 0.06;
+    p.partition_duration = 0.04;
+    p.max_partitions = 2;
+    partitions += ExactRendering(GenerateFaultPlan(1, p));
+  }
+  EXPECT_EQ(Fnv1a64(kills), 0xc4b8fd2ea01e751dull) << kills;
+  EXPECT_EQ(Fnv1a64(torn), 0x0b94c89255d37349ull) << torn;
+  EXPECT_EQ(Fnv1a64(partitions), 0xa552e17e586d5333ull) << partitions;
+
+  // The soak's time scales are its failure-free simulated completion
+  // times: Apriori on 4 machines, NyuMiner-CV on 3.
+  std::string apriori, nyuminer;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    apriori += ExactRendering(
+        GenerateFaultPlan(4, SoakOptions(seed, 0x1.f79f428f5c28p+15)));
+  }
+  for (uint64_t seed = 101; seed <= 110; ++seed) {
+    nyuminer += ExactRendering(
+        GenerateFaultPlan(3, SoakOptions(seed, 0x1.024ed916872b1p+6)));
+  }
+  EXPECT_EQ(Fnv1a64(apriori), 0x82f8a3127bb1b782ull) << apriori;
+  EXPECT_EQ(Fnv1a64(nyuminer), 0x8129d14f449718efull) << nyuminer;
+
+  // examples/chaos: seed 5 on 3 machines, scaled to its failure-free
+  // completion time q.
+  const double q = 0x1.9a7ae147ae148p+6;
+  ChaosOptions example;
+  example.seed = 5;
+  example.start_time = 10.0;
+  example.horizon = 0.8 * q;
+  example.machine_mttf = q / 2;
+  example.machine_mttr = q / 8;
+  example.server_mttf = q / 3;
+  example.server_mttr = q / 10;
+  EXPECT_EQ(
+      ExactRendering(GenerateFaultPlan(3, example)),
+      "[t=   25.40] SERVER_CRASH   tuple-space server 0x1.966e12886224ep+4\n"
+      "[t=   27.46] CRASH          machine 1 0x1.b755f8dd0a91dp+4\n"
+      "[t=   30.32] SERVER_RECOVER tuple-space server 0x1.e52b672cc2adp+4\n"
+      "[t=   39.28] RECOVER        machine 1 0x1.3a3bb8b4f8729p+5\n"
+      "[t=   47.31] CRASH          machine 2 0x1.7a7aa5b84ad25p+5\n"
+      "[t=   67.00] RECOVER        machine 2 0x1.0bfedc39f6492p+6\n");
 }
 
 TEST(FaultPlanTest, ToStringRendersEveryKind) {
@@ -195,12 +299,11 @@ TEST(FaultPlanTest, ToStringRendersEveryKind) {
   plan.events.push_back(FaultEvent{FaultEvent::Kind::kServerCrash, 4.0, -1});
   plan.events.push_back(FaultEvent{FaultEvent::Kind::kServerRecover, 5.0, -1});
   plan.events.push_back(
-      FaultEvent{FaultEvent::Kind::kServerPartition, 6.0, 1});
-  plan.events.push_back(FaultEvent{FaultEvent::Kind::kServerHeal, 7.0, 1});
+      FaultEvent{FaultEvent::Kind::kServerPartition, 6.0, -1});
+  plan.events.push_back(FaultEvent{FaultEvent::Kind::kServerHeal, 7.0, -1});
   const std::string text = ToString(plan);
   EXPECT_NE(text.find("SERVER_PARTITION"), std::string::npos);
   EXPECT_NE(text.find("SERVER_HEAL"), std::string::npos);
-  EXPECT_NE(text.find("tuple-space server 1"), std::string::npos);
   EXPECT_NE(text.find("CRASH"), std::string::npos);
   EXPECT_NE(text.find("RETREAT"), std::string::npos);
   EXPECT_NE(text.find("RECOVER"), std::string::npos);

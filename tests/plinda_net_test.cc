@@ -34,29 +34,6 @@ namespace fpdm::plinda::net {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Bucket placement
-// ---------------------------------------------------------------------------
-
-// Bucket placement decides which server's WAL and checkpoint hold a tuple,
-// so it must never move: these are the indices it has always computed.
-TEST(PlacementTest, IndexIsPinnedAtTwoAndThreeServers) {
-  auto expect_placed = [](size_t arity, const char* key, size_t of_two,
-                          size_t of_three) {
-    const BucketKeyView bucket{arity, key};
-    EXPECT_EQ(PlacementIndex(bucket, 1), 0u) << arity << ':' << key;
-    EXPECT_EQ(PlacementIndex(bucket, 2), of_two) << arity << ':' << key;
-    EXPECT_EQ(PlacementIndex(bucket, 3), of_three) << arity << ':' << key;
-  };
-  expect_placed(0, "", 1, 1);
-  expect_placed(2, "", 1, 1);
-  expect_placed(2, "task", 0, 0);
-  expect_placed(5, "report", 1, 2);
-  expect_placed(3, "good", 0, 1);
-  expect_placed(3, "cost", 0, 2);
-  expect_placed(2, "k2", 1, 1);
-}
-
-// ---------------------------------------------------------------------------
 // Codec round trips
 // ---------------------------------------------------------------------------
 
@@ -484,18 +461,12 @@ TEST_F(NetIntegrationTest, BasicOpsAndFifoOrder) {
 
 TEST_F(NetIntegrationTest, FormalFirstMatchesAreOldestFirstAcrossTheSpace) {
   // Two tuples of one arity in different (arity, first-key) buckets, the
-  // older one in the bucket a two-way PlacementIndex split puts second.
-  // A formal-first template may match either bucket, and the server must
-  // answer oldest-first across the whole space — the TupleSpace rule — not
-  // bucket by bucket in hash order.
-  auto key_in = [](size_t half) {
-    for (int i = 0;; ++i) {
-      const std::string key = "k" + std::to_string(i);
-      if (PlacementIndex({2, key}, 2) == half) return key;
-    }
-  };
-  const std::string older_key = key_in(1);
-  const std::string newer_key = key_in(0);
+  // older one in the bucket that sorts second ("k1" after "k0"), so bucket
+  // order inverts their age. A formal-first template may match either
+  // bucket, and the server must answer oldest-first across the whole
+  // space — the TupleSpace rule — not bucket by bucket in key order.
+  const std::string older_key = "k1";
+  const std::string newer_key = "k0";
   RemoteTupleSpace client(ClientOptions(1));
   ASSERT_TRUE(client.Connect());
   ASSERT_EQ(client.Out(MakeTuple(older_key, 1)), CallStatus::kOk);
@@ -1511,841 +1482,51 @@ TEST(DistributedRuntimeTest, OverlongSocketPathFailsStructurally) {
       << runtime.errors()[0].detail;
 }
 
-// ---------------------------------------------------------------------------
-// Multi-server placement (PR 5): codec round trips, fuzzing of the HELLO
-// placement map and the forwarding/gather encodings, and live scatter/gather
-// against three real shard servers.
-// ---------------------------------------------------------------------------
-
-Reply SamplePlacementReply() {
-  Reply reply;
-  reply.status = WireStatus::kOk;
-  reply.placement = {"/tmp/fpdm/s0.sock", "/tmp/fpdm/s1.sock",
-                     "/tmp/fpdm/s2.sock"};
-  reply.cont_stamp = (uint64_t{3} << 32) | 17;
-  reply.forwards_pending = 5;
-  return reply;
-}
-
-/// Placement vector as the TCP transport publishes it: full endpoint
-/// strings with scheme + kernel-assigned ports. The placement entries are
-/// opaque bytes to the codec, but the fuzzers below must chew on the real
-/// shapes clients will decode.
-Reply SampleTcpPlacementReply() {
-  Reply reply;
-  reply.status = WireStatus::kOk;
-  reply.placement = {"tcp:127.0.0.1:41873", "tcp:127.0.0.1:35262",
-                     "tcp:10.0.0.7:6001"};
-  reply.cont_stamp = (uint64_t{9} << 32) | 3;
-  reply.forwards_pending = 1;
-  return reply;
-}
-
-Request SampleForwardRequest() {
-  Request request;
-  request.op = Op::kForward;
-  request.pid = 1;  // source server index
-  request.seq = 42;  // per-(source, target) forward sequence
-  request.outs = {MakeTuple("fwd", 1), MakeTuple("fwd", 2, 2.5)};
-  return request;
-}
-
-LogEntry SampleForwardLogEntry() {
-  LogEntry entry;
-  entry.kind = LogKind::kForward;
-  entry.pid = 2;  // source server index
-  entry.seq = 9;  // forward-sequence watermark value
-  entry.outs = {MakeTuple("fwd", 7, "payload")};
-  return entry;
-}
-
-// --- 2PC frames: PREPARE / DECIDE / TXN_QUERY + their WAL records ---------
-
-Request SamplePrepareRequest() {
-  Request request;
-  request.op = Op::kPrepare;
-  request.pid = 0;   // coordinator server index
-  request.seq = 11;  // forward sequence on the peer channel
-  request.txn_pid = 4;
-  request.txn_incarnation = 1;
-  request.txn_seq = 23;
-  return request;
-}
-
-Request SampleDecideRequest() {
-  Request request;
-  request.op = Op::kDecide;
-  request.pid = 0;
-  request.seq = 12;
-  request.txn_pid = 4;
-  request.txn_incarnation = 1;
-  request.txn_seq = 23;
-  request.decision = kTxnCommit;
-  return request;
-}
-
-Request SampleTxnQueryRequest() {
-  Request request;
-  request.op = Op::kTxnQuery;
-  request.pid = 2;   // querying participant's server index
-  request.seq = 13;
-  request.txn_pid = 4;
-  request.txn_incarnation = 1;
-  request.txn_seq = 23;
-  return request;
-}
-
-Request SampleCrossServerCommitRequest() {
-  Request request = SampleCommitRequest();
-  request.cont_stamp = (uint64_t{2} << 32) | 41;
-  request.participants = {1, 2};  // foreign shards: forces the 2PC slow path
-  return request;
-}
-
-Reply SampleVoteReply() {
-  Reply reply;
-  reply.status = WireStatus::kOk;
-  reply.vote = kVotePrepared;
-  reply.decision = kTxnAbort;
-  reply.txn_prepares = 6;
-  reply.txn_cross_server = 3;
-  return reply;
-}
-
-LogEntry SampleXPrepareLogEntry() {
-  LogEntry entry;
-  entry.kind = LogKind::kXPrepare;
-  entry.pid = 4;
-  entry.incarnation = 1;
-  entry.seq = 23;
-  entry.outs = {MakeTuple("result", 8)};
-  entry.has_continuation = true;
-  entry.continuation = MakeTuple("cont", 5);
-  entry.cont_stamp = (uint64_t{1} << 32) | 7;
-  entry.participants = {1, 2};
-  return entry;
-}
-
-LogEntry SamplePreparedLogEntry() {
-  LogEntry entry;
-  entry.kind = LogKind::kPrepared;
-  entry.pid = 4;
-  entry.incarnation = 1;
-  entry.seq = 23;
-  entry.peer = 0;   // coordinator server index
-  entry.fseq = 11;  // watermark the PREPARE advanced
-  entry.decision = kVotePrepared;
-  return entry;
-}
-
-LogEntry SampleDecideLogEntry() {
-  LogEntry entry;
-  entry.kind = LogKind::kDecide;
-  entry.pid = 4;
-  entry.incarnation = 1;
-  entry.seq = 23;
-  entry.peer = 0;
-  entry.fseq = 12;
-  entry.decision = kTxnCommit;
-  return entry;
-}
-
-TEST(WireCodecTest, TwoPhaseCommitFramesRoundTrip) {
-  std::string error;
-  Request prep_back;
-  ASSERT_TRUE(DecodeRequest(EncodeRequest(SamplePrepareRequest()), &prep_back,
-                            &error))
-      << error;
-  EXPECT_EQ(prep_back.op, Op::kPrepare);
-  EXPECT_EQ(prep_back.txn_pid, 4);
-  EXPECT_EQ(prep_back.txn_incarnation, 1);
-  EXPECT_EQ(prep_back.txn_seq, 23u);
-
-  Request dec_back;
-  ASSERT_TRUE(DecodeRequest(EncodeRequest(SampleDecideRequest()), &dec_back,
-                            &error))
-      << error;
-  EXPECT_EQ(dec_back.op, Op::kDecide);
-  EXPECT_EQ(dec_back.decision, kTxnCommit);
-
-  Request query_back;
-  ASSERT_TRUE(DecodeRequest(EncodeRequest(SampleTxnQueryRequest()),
-                            &query_back, &error))
-      << error;
-  EXPECT_EQ(query_back.op, Op::kTxnQuery);
-  EXPECT_EQ(query_back.txn_seq, 23u);
-
-  const Request commit = SampleCrossServerCommitRequest();
-  Request commit_back;
-  ASSERT_TRUE(DecodeRequest(EncodeRequest(commit), &commit_back, &error))
-      << error;
-  ASSERT_EQ(commit_back.participants.size(), 2u);
-  EXPECT_EQ(commit_back.participants[0], 1u);
-  EXPECT_EQ(commit_back.participants[1], 2u);
-
-  const Reply vote = SampleVoteReply();
-  Reply vote_back;
-  ASSERT_TRUE(DecodeReply(EncodeReply(vote), &vote_back, &error)) << error;
-  EXPECT_EQ(vote_back.vote, kVotePrepared);
-  EXPECT_EQ(vote_back.decision, kTxnAbort);
-  EXPECT_EQ(vote_back.txn_prepares, 6u);
-  EXPECT_EQ(vote_back.txn_cross_server, 3u);
-
-  const LogEntry xprep = SampleXPrepareLogEntry();
-  LogEntry xprep_back;
-  ASSERT_TRUE(DecodeLogEntry(EncodeLogEntry(xprep), &xprep_back, &error))
-      << error;
-  EXPECT_EQ(xprep_back.kind, LogKind::kXPrepare);
-  EXPECT_EQ(xprep_back.cont_stamp, xprep.cont_stamp);
-  ASSERT_EQ(xprep_back.participants.size(), 2u);
-  EXPECT_EQ(xprep_back.participants[1], 2u);
-  ASSERT_EQ(xprep_back.outs.size(), 1u);
-  EXPECT_EQ(xprep_back.outs[0], xprep.outs[0]);
-
-  LogEntry prepd_back;
-  ASSERT_TRUE(DecodeLogEntry(EncodeLogEntry(SamplePreparedLogEntry()),
-                             &prepd_back, &error))
-      << error;
-  EXPECT_EQ(prepd_back.kind, LogKind::kPrepared);
-  EXPECT_EQ(prepd_back.peer, 0);
-  EXPECT_EQ(prepd_back.fseq, 11u);
-  EXPECT_EQ(prepd_back.decision, kVotePrepared);
-
-  LogEntry decide_back;
-  ASSERT_TRUE(DecodeLogEntry(EncodeLogEntry(SampleDecideLogEntry()),
-                             &decide_back, &error))
-      << error;
-  EXPECT_EQ(decide_back.kind, LogKind::kDecide);
-  EXPECT_EQ(decide_back.fseq, 12u);
-  EXPECT_EQ(decide_back.decision, kTxnCommit);
-}
-
-TEST(WireFuzzTest, TwoPhaseCommitEveryTruncationFailsCleanly) {
-  // Same guarantee the placement/forward frames carry: a truncated 2PC
-  // frame must fail structurally on every prefix — never decode short,
-  // never crash (the sanitizer legs watch the no-UB half).
-  const std::string encodings[] = {
-      EncodeRequest(SamplePrepareRequest()),
-      EncodeRequest(SampleDecideRequest()),
-      EncodeRequest(SampleTxnQueryRequest()),
-      EncodeRequest(SampleCrossServerCommitRequest()),
-      EncodeReply(SampleVoteReply()),
-      EncodeLogEntry(SampleXPrepareLogEntry()),
-      EncodeLogEntry(SamplePreparedLogEntry()),
-      EncodeLogEntry(SampleDecideLogEntry()),
-  };
-  for (const std::string& full : encodings) {
-    for (size_t len = 0; len < full.size(); ++len) {
-      const std::string_view prefix(full.data(), len);
-      std::string error;
-      Request request;
-      Reply reply;
-      LogEntry entry;
-      EXPECT_FALSE(DecodeRequest(prefix, &request, &error)) << len;
-      EXPECT_FALSE(error.empty()) << len;
-      error.clear();
-      EXPECT_FALSE(DecodeReply(prefix, &reply, &error)) << len;
-      EXPECT_FALSE(error.empty()) << len;
-      error.clear();
-      EXPECT_FALSE(DecodeLogEntry(prefix, &entry, &error)) << len;
-      EXPECT_FALSE(error.empty()) << len;
+TEST(DistributedRuntimeTest, SecondRunOnAReusedDirectoryStartsClean) {
+  // A caller-provided distributed_dir outlives Run(). A second Run() on it
+  // must not recover the first run's server state: the new workers restart
+  // their sequence numbers at 1, so the old per-client dedup windows would
+  // answer their requests with the first run's cached replies. Files the
+  // caller keeps in the directory are left alone.
+  constexpr int64_t kTasksPerWorker = 5;
+  const std::string dir = MakeStateDir();
+  ASSERT_FALSE(dir.empty());
+  const std::string keep = dir + "/caller.txt";
+  std::ofstream(keep) << "mine\n";
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    RuntimeOptions options = DistOptions();
+    options.distributed_dir = dir;
+    Runtime runtime(2, options);
+    for (int64_t i = 0; i < 2 * kTasksPerWorker; ++i) {
+      runtime.space().Out(MakeTuple("task", i));
+    }
+    for (int w = 0; w < 2; ++w) {
+      runtime.SpawnOn("worker", w, [](ProcessContext& ctx) {
+        for (int64_t n = 0; n < kTasksPerWorker; ++n) {
+          ctx.XStart();
+          Tuple task;
+          ctx.In(MakeTemplate(A("task"), F(ValueType::kInt)), &task);
+          ctx.Out(MakeTuple("res", GetInt(task, 1)));
+          ctx.XCommit();
+        }
+      });
+    }
+    // EXPECT, not ASSERT: the directory must be removed on failure too.
+    EXPECT_TRUE(runtime.Run()) << runtime.diagnostic();
+    std::multiset<int64_t> results;
+    Tuple tuple;
+    while (runtime.space().TryIn(MakeTemplate(A("res"), F(ValueType::kInt)),
+                                 &tuple)) {
+      results.insert(GetInt(tuple, 1));
+    }
+    EXPECT_EQ(results.size(), static_cast<size_t>(2 * kTasksPerWorker));
+    for (int64_t i = 0; i < 2 * kTasksPerWorker; ++i) {
+      EXPECT_EQ(results.count(i), 1u) << "task " << i;
     }
   }
-}
-
-TEST(WireFuzzTest, TwoPhaseCommitBitFlipsFailStructurallyOrDecode) {
-  uint64_t state = 0x9e3779b97f4a7c15ull;
-  auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  const std::string seeds[] = {
-      EncodeRequest(SamplePrepareRequest()),
-      EncodeRequest(SampleDecideRequest()),
-      EncodeRequest(SampleTxnQueryRequest()),
-      EncodeRequest(SampleCrossServerCommitRequest()),
-      EncodeReply(SampleVoteReply()),
-      EncodeLogEntry(SampleXPrepareLogEntry()),
-      EncodeLogEntry(SamplePreparedLogEntry()),
-      EncodeLogEntry(SampleDecideLogEntry()),
-  };
-  for (int round = 0; round < 800; ++round) {
-    std::string mutated = seeds[next() % 8];
-    const int flips = 1 + static_cast<int>(next() % 3);
-    for (int f = 0; f < flips; ++f) {
-      mutated[next() % mutated.size()] ^=
-          static_cast<char>(1u << (next() % 8));
-    }
-    std::string error;
-    Request request;
-    Reply reply;
-    LogEntry entry;
-    // A flip may still be a valid encoding; a failure must always carry a
-    // structured error.
-    if (!DecodeRequest(mutated, &request, &error)) {
-      EXPECT_FALSE(error.empty());
-    }
-    error.clear();
-    if (!DecodeReply(mutated, &reply, &error)) {
-      EXPECT_FALSE(error.empty());
-    }
-    error.clear();
-    if (!DecodeLogEntry(mutated, &entry, &error)) {
-      EXPECT_FALSE(error.empty());
-    }
-  }
-}
-
-TEST(WireCodecTest, HelloPlacementReplyRoundTrip) {
-  const Reply reply = SamplePlacementReply();
-  std::string error;
-  Reply back;
-  ASSERT_TRUE(DecodeReply(EncodeReply(reply), &back, &error)) << error;
-  ASSERT_EQ(back.placement.size(), 3u);
-  EXPECT_EQ(back.placement[0], reply.placement[0]);
-  EXPECT_EQ(back.placement[2], reply.placement[2]);
-  EXPECT_EQ(back.cont_stamp, reply.cont_stamp);
-  EXPECT_EQ(back.forwards_pending, reply.forwards_pending);
-}
-
-TEST(WireCodecTest, ForwardAndContStampRoundTrip) {
-  std::string error;
-  // Server-to-server forward request: source index + fseq + the out group.
-  const Request fwd = SampleForwardRequest();
-  Request fwd_back;
-  ASSERT_TRUE(DecodeRequest(EncodeRequest(fwd), &fwd_back, &error)) << error;
-  EXPECT_EQ(fwd_back.op, Op::kForward);
-  EXPECT_EQ(fwd_back.pid, 1);
-  EXPECT_EQ(fwd_back.seq, 42u);
-  ASSERT_EQ(fwd_back.outs.size(), 2u);
-  EXPECT_EQ(fwd_back.outs[1], fwd.outs[1]);
-
-  // Unpark carries no payload beyond the op itself.
-  Request unpark;
-  unpark.op = Op::kUnpark;
-  unpark.pid = 3;
-  Request unpark_back;
-  ASSERT_TRUE(DecodeRequest(EncodeRequest(unpark), &unpark_back, &error))
-      << error;
-  EXPECT_EQ(unpark_back.op, Op::kUnpark);
-
-  // The commit's continuation recency stamp survives the request codec...
-  Request commit;
-  commit.op = Op::kXCommit;
-  commit.pid = 4;
-  commit.seq = 7;
-  commit.has_continuation = true;
-  commit.continuation = MakeTuple("progress", 3);
-  commit.cont_stamp = (uint64_t{2} << 32) | 11;
-  Request commit_back;
-  ASSERT_TRUE(DecodeRequest(EncodeRequest(commit), &commit_back, &error))
-      << error;
-  EXPECT_EQ(commit_back.cont_stamp, commit.cont_stamp);
-
-  // ...and the WAL codec, for both the commit and the applied forward.
-  LogEntry centry;
-  centry.kind = LogKind::kCommit;
-  centry.pid = 4;
-  centry.seq = 7;
-  centry.has_continuation = true;
-  centry.continuation = MakeTuple("progress", 3);
-  centry.cont_stamp = commit.cont_stamp;
-  LogEntry centry_back;
-  ASSERT_TRUE(DecodeLogEntry(EncodeLogEntry(centry), &centry_back, &error))
-      << error;
-  EXPECT_EQ(centry_back.cont_stamp, centry.cont_stamp);
-
-  const LogEntry fentry = SampleForwardLogEntry();
-  LogEntry fentry_back;
-  ASSERT_TRUE(DecodeLogEntry(EncodeLogEntry(fentry), &fentry_back, &error))
-      << error;
-  EXPECT_EQ(fentry_back.kind, LogKind::kForward);
-  EXPECT_EQ(fentry_back.pid, 2);
-  EXPECT_EQ(fentry_back.seq, 9u);
-  ASSERT_EQ(fentry_back.outs.size(), 1u);
-  EXPECT_EQ(fentry_back.outs[0], fentry.outs[0]);
-}
-
-TEST(WireFuzzTest, PlacementAndForwardEveryTruncationFailsCleanly) {
-  // The multi-leg gather decodes one reply per scatter leg off the same
-  // stream, so a truncated placement/gather reply must fail structurally —
-  // never decode short, never crash.
-  const std::string encodings[] = {
-      EncodeReply(SamplePlacementReply()),
-      EncodeReply(SampleTcpPlacementReply()),
-      EncodeReply([] {
-        Reply reply;  // a gather leg's reply: hit + recovery stamp
-        reply.has_tuple = true;
-        reply.tuple = MakeTuple("hit", 4);
-        reply.cont_stamp = (uint64_t{1} << 32) | 2;
-        return reply;
-      }()),
-      EncodeRequest(SampleForwardRequest()),
-      EncodeLogEntry(SampleForwardLogEntry()),
-  };
-  for (const std::string& full : encodings) {
-    for (size_t len = 0; len < full.size(); ++len) {
-      const std::string_view prefix(full.data(), len);
-      std::string error;
-      Request request;
-      Reply reply;
-      LogEntry entry;
-      EXPECT_FALSE(DecodeRequest(prefix, &request, &error)) << len;
-      EXPECT_FALSE(error.empty()) << len;
-      error.clear();
-      EXPECT_FALSE(DecodeReply(prefix, &reply, &error)) << len;
-      EXPECT_FALSE(error.empty()) << len;
-      error.clear();
-      EXPECT_FALSE(DecodeLogEntry(prefix, &entry, &error)) << len;
-      EXPECT_FALSE(error.empty()) << len;
-    }
-  }
-}
-
-TEST(WireFuzzTest, PlacementAndForwardBitFlipsFailStructurallyOrDecode) {
-  uint64_t state = 0x853c49e6748fea9bull;
-  auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  const std::string seeds[] = {
-      EncodeReply(SamplePlacementReply()),
-      EncodeReply(SampleTcpPlacementReply()),
-      EncodeRequest(SampleForwardRequest()),
-      EncodeLogEntry(SampleForwardLogEntry()),
-  };
-  for (int round = 0; round < 600; ++round) {
-    std::string mutated = seeds[next() % 4];
-    const int flips = 1 + static_cast<int>(next() % 3);
-    for (int f = 0; f < flips; ++f) {
-      mutated[next() % mutated.size()] ^=
-          static_cast<char>(1u << (next() % 8));
-    }
-    std::string error;
-    Request request;
-    Reply reply;
-    LogEntry entry;
-    // A flip may still be a valid encoding; a failure must always carry a
-    // structured error (the sanitizer legs watch the no-UB half).
-    if (!DecodeRequest(mutated, &request, &error)) {
-      EXPECT_FALSE(error.empty());
-    }
-    error.clear();
-    if (!DecodeReply(mutated, &reply, &error)) {
-      EXPECT_FALSE(error.empty());
-    }
-    error.clear();
-    if (!DecodeLogEntry(mutated, &entry, &error)) {
-      EXPECT_FALSE(error.empty());
-    }
-  }
-}
-
-TEST_F(NetIntegrationTest, UnparkRetractsParkedLegAndKeepsReplyOrder) {
-  // A blocking rd with no match parks server-side; Unpark must fail the
-  // parked frame with kNotFound BEFORE acking the unpark itself, so a
-  // gathering client sees exactly one reply per outstanding frame, in
-  // frame order.
-  RemoteTupleSpace client(ClientOptions(1));
-  ASSERT_TRUE(client.Connect());
-  Request park;
-  park.op = Op::kIn;
-  park.flags = kInBlocking;  // rd: non-destructive park
-  park.tmpl = MakeTemplate(A("never-published"), F(ValueType::kInt));
-  ASSERT_EQ(client.BeginPipeline(park), CallStatus::kOk);
-  ASSERT_EQ(client.Unpark(), CallStatus::kOk);
-  ASSERT_EQ(client.pipeline_inflight(), 2u);
-  Reply parked_reply;
-  ASSERT_EQ(client.FinishPipeline(&parked_reply), CallStatus::kNotFound);
-  Reply unpark_ack;
-  ASSERT_EQ(client.FinishPipeline(&unpark_ack), CallStatus::kOk);
-  EXPECT_EQ(client.pipeline_inflight(), 0u);
-  // Unparking with nothing parked is a no-op ack, not an error.
-  ASSERT_EQ(client.Unpark(), CallStatus::kOk);
-  Reply idle_ack;
-  EXPECT_EQ(client.FinishPipeline(&idle_ack), CallStatus::kOk);
-  client.Bye();
-}
-
-class ShardedNetIntegrationTest : public ::testing::Test {
- protected:
-  static constexpr size_t kServers = 3;
-
-  void SetUp() override {
-    dir_ = MakeStateDir();
-    ASSERT_FALSE(dir_.empty());
-    for (size_t k = 0; k < kServers; ++k) {
-      placement_.push_back(dir_ + "/s" + std::to_string(k) + ".sock");
-    }
-    for (size_t k = 0; k < kServers; ++k) {
-      SpaceServerOptions sopts;
-      sopts.endpoint = placement_[k];
-      sopts.state_dir = dir_ + "/state." + std::to_string(k);
-      sopts.checkpoint_every_ops = 4;
-      sopts.server_index = static_cast<int>(k);
-      sopts.placement = placement_;
-      sopts.sndbuf_bytes = SndbufBytes();
-      const pid_t pid = ForkServerProcess(sopts);
-      ASSERT_GT(pid, 0);
-      server_pids_.push_back(pid);
-    }
-    for (const std::string& path : placement_) {
-      ASSERT_TRUE(WaitForSocket(path, 10.0));
-    }
-  }
-
-  void TearDown() override {
-    for (const pid_t pid : server_pids_) {
-      KillProcess(pid);
-      ExitInfo info;
-      WaitForExit(pid, 5.0, &info);
-    }
-    RemoveTree(dir_);
-  }
-
-  ShardedRemoteOptions ShardedOptions(int32_t pid, int32_t incarnation = 0) {
-    ShardedRemoteOptions opts;
-    opts.endpoint = placement_[0];  // bootstrap: learn the map via HELLO
-    opts.pid = pid;
-    opts.incarnation = incarnation;
-    opts.reconnect_timeout_s = 10.0;
-    return opts;
-  }
-
-  /// A key whose arity-`arity` bucket places on shard `server`.
-  std::string KeyForServer(size_t server, size_t arity) {
-    for (int i = 0; i < 1000; ++i) {
-      const std::string key = "k" + std::to_string(i);
-      const Tuple probe =
-          arity == 2 ? MakeTuple(key, 0) : MakeTuple(key, 0, 0);
-      if (PlacementIndex(BucketKeyFor(probe), kServers) == server) return key;
-    }
-    ADD_FAILURE() << "no key places on server " << server;
-    return "";
-  }
-
-  /// Per-server match count, asked of each server directly over its own
-  /// control connection — observes where tuples physically live.
-  std::vector<uint64_t> DirectCounts(const Template& tmpl) {
-    std::vector<uint64_t> counts;
-    for (const std::string& path : placement_) {
-      RemoteSpaceOptions opts;
-      opts.endpoint = path;
-      opts.pid = -1;  // control connection: no HELLO, no registration
-      opts.reconnect_timeout_s = 5.0;
-      RemoteTupleSpace ctl(opts);
-      uint64_t count = 0;
-      EXPECT_EQ(ctl.Count(tmpl, &count), CallStatus::kOk);
-      counts.push_back(count);
-      ctl.Bye();
-    }
-    return counts;
-  }
-
-  /// (PREPAREs fanned out, cross-server transactions coordinated), summed
-  /// over every shard server's STATS counters.
-  std::pair<uint64_t, uint64_t> SumTxnStats() {
-    uint64_t prepares = 0;
-    uint64_t cross = 0;
-    for (const std::string& path : placement_) {
-      RemoteSpaceOptions opts;
-      opts.endpoint = path;
-      opts.pid = -1;
-      opts.reconnect_timeout_s = 5.0;
-      RemoteTupleSpace ctl(opts);
-      Reply stats;
-      EXPECT_EQ(ctl.Stats(&stats), CallStatus::kOk);
-      prepares += stats.txn_prepares;
-      cross += stats.txn_cross_server;
-      ctl.Bye();
-    }
-    return {prepares, cross};
-  }
-
-  /// Override to shrink every server socket's SO_SNDBUF (short-write
-  /// stress); 0 keeps the kernel default.
-  virtual int SndbufBytes() const { return 0; }
-
-  std::string dir_;
-  std::vector<std::string> placement_;
-  std::vector<pid_t> server_pids_;
-};
-
-TEST_F(ShardedNetIntegrationTest, PlacementLearnedFromHelloAndOutsRouted) {
-  ShardedRemoteSpace client(ShardedOptions(1));
-  ASSERT_TRUE(client.Connect()) << client.last_error();
-  ASSERT_EQ(client.num_servers(), kServers);
-
-  // Publish under 12 distinct bucket keys; the client must route each out
-  // to the placement owner of its bucket.
-  for (int64_t i = 0; i < 12; ++i) {
-    ASSERT_EQ(client.BatchOut(MakeTuple("key" + std::to_string(i), i)),
-              CallStatus::kOk);
-  }
-  ASSERT_EQ(client.Flush(), CallStatus::kOk);
-  const Template all =
-      MakeTemplate(F(ValueType::kString), F(ValueType::kInt));
-  // Each server physically holds exactly its placement slice.
-  const std::vector<uint64_t> counts = DirectCounts(all);
-  uint64_t total = 0;
-  for (size_t k = 0; k < kServers; ++k) {
-    uint64_t expected = 0;
-    for (int64_t i = 0; i < 12; ++i) {
-      const Tuple t = MakeTuple("key" + std::to_string(i), i);
-      if (PlacementIndex(BucketKeyFor(t), kServers) == k) ++expected;
-    }
-    EXPECT_EQ(counts[k], expected) << "server " << k;
-    total += counts[k];
-  }
-  EXPECT_EQ(total, 12u);
-
-  // The formal-first count scatters and sums across the shards...
-  uint64_t count = 0;
-  ASSERT_EQ(client.Count(all, &count), CallStatus::kOk);
-  EXPECT_EQ(count, 12u);
-
-  // ...and the formal-first in drains every tuple back, wherever it lives.
-  std::multiset<int64_t> got;
-  for (int64_t i = 0; i < 12; ++i) {
-    Tuple t;
-    ASSERT_EQ(client.In(all, /*blocking=*/false, /*remove=*/true, &t),
-              CallStatus::kOk)
-        << i;
-    got.insert(GetInt(t, 1));
-  }
-  for (int64_t i = 0; i < 12; ++i) EXPECT_EQ(got.count(i), 1u) << i;
-  Tuple none;
-  EXPECT_EQ(client.In(all, false, true, &none), CallStatus::kNotFound);
-  EXPECT_GT(client.scatter_ops(), 0u);
-  EXPECT_LE(client.scatter_rounds(), 4 * client.scatter_ops());
-  client.Bye();
-}
-
-TEST_F(ShardedNetIntegrationTest, ForeignCommitOutsAreForwardedToOwners) {
-  ShardedRemoteSpace client(ShardedOptions(2));
-  ASSERT_TRUE(client.Connect()) << client.last_error();
-
-  // Seed the task at a known shard, then consume it in a transaction: the
-  // destructive in binds the txn's home to that shard.
-  const std::string home_key = KeyForServer(0, 2);
-  ASSERT_EQ(client.BatchOut(MakeTuple(home_key, 7)), CallStatus::kOk);
-  ASSERT_EQ(client.DeferXStart(), CallStatus::kOk);
-  Tuple task;
-  ASSERT_EQ(client.In(MakeTemplate(A(home_key), F(ValueType::kInt)),
-                      /*blocking=*/true, /*remove=*/true, &task),
-            CallStatus::kOk);
-
-  // Commit outs owned by every shard. The home server applies its own and
-  // forwards the foreign groups over the server-to-server links.
-  std::vector<Tuple> outs;
-  for (size_t k = 0; k < kServers; ++k) {
-    outs.push_back(MakeTuple(KeyForServer(k, 3), static_cast<int64_t>(k),
-                             GetInt(task, 1)));
-  }
-  ASSERT_EQ(client.DeferXCommit(outs, /*has_continuation=*/false, Tuple{}),
-            CallStatus::kOk);
-  ASSERT_EQ(client.Flush(), CallStatus::kOk);
-
-  // Every out is readable through the sharded client (read-your-writes
-  // across the forward), and each physically lives on its bucket's owner.
-  const Template res_tmpl = MakeTemplate(
-      F(ValueType::kString), F(ValueType::kInt), F(ValueType::kInt));
-  uint64_t count = 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  do {  // forwards are applied by the owner asynchronously — poll briefly
-    ASSERT_EQ(client.Count(res_tmpl, &count), CallStatus::kOk);
-    if (count == kServers) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  } while (std::chrono::steady_clock::now() < deadline);
-  EXPECT_EQ(count, kServers);
-  const std::vector<uint64_t> counts = DirectCounts(res_tmpl);
-  for (size_t k = 0; k < kServers; ++k) {
-    EXPECT_EQ(counts[k], 1u) << "server " << k;
-  }
-  client.Bye();
-}
-
-TEST_F(ShardedNetIntegrationTest, CrossServerTransactionCommitsViaTwoPhase) {
-  ShardedRemoteSpace client(ShardedOptions(3));
-  ASSERT_TRUE(client.Connect()) << client.last_error();
-  const std::string key_a = KeyForServer(0, 2);
-  const std::string key_b = KeyForServer(1, 2);
-  ASSERT_EQ(client.BatchOut(MakeTuple(key_a, 1)), CallStatus::kOk);
-  ASSERT_EQ(client.BatchOut(MakeTuple(key_b, 2)), CallStatus::kOk);
-  ASSERT_EQ(client.DeferXStart(), CallStatus::kOk);
-  Tuple t;
-  ASSERT_EQ(client.In(MakeTemplate(A(key_a), F(ValueType::kInt)), true, true,
-                      &t),
-            CallStatus::kOk);
-  // The second destructive in routes to a different shard than the bound
-  // home: the commit below must run the 2PC slow path, not fail.
-  ASSERT_EQ(client.In(MakeTemplate(A(key_b), F(ValueType::kInt)), true, true,
-                      &t),
-            CallStatus::kOk);
-  ASSERT_EQ(client.DeferXCommit({MakeTuple("merged", 3)},
-                                /*has_continuation=*/false, Tuple{}),
-            CallStatus::kOk)
-      << client.last_error();
-  ASSERT_EQ(client.Flush(), CallStatus::kOk);
-
-  // Both takes stuck (neither shard republished), the commit out landed.
-  // The out may ride a server-to-server forward to its bucket owner, which
-  // applies asynchronously — poll briefly, as the forward test does.
-  const Template all =
-      MakeTemplate(F(ValueType::kString), F(ValueType::kInt));
-  uint64_t count = 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  do {
-    ASSERT_EQ(client.Count(all, &count), CallStatus::kOk);
-    if (count == 1) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  } while (std::chrono::steady_clock::now() < deadline);
-  EXPECT_EQ(count, 1u);
-  Tuple merged;
-  ASSERT_EQ(client.In(MakeTemplate(A("merged"), F(ValueType::kInt)),
-                      /*blocking=*/false, /*remove=*/false, &merged),
-            CallStatus::kOk);
-
-  // The fleet saw exactly one coordinated cross-server transaction, with
-  // one PREPARE per foreign participant.
-  const auto [prepares, cross] = SumTxnStats();
-  EXPECT_EQ(cross, 1u);
-  EXPECT_EQ(prepares, 1u);
-  client.Bye();
-}
-
-TEST_F(ShardedNetIntegrationTest, CoordinatorOnlyCommitSkipsPrepareRound) {
-  ShardedRemoteSpace client(ShardedOptions(3));
-  ASSERT_TRUE(client.Connect()) << client.last_error();
-  // Two destructive ins, both on shard 0: the fast path — one commit
-  // record at the coordinator, no PREPARE fan-out anywhere.
-  const std::string key_a = KeyForServer(0, 2);
-  ASSERT_EQ(client.BatchOut(MakeTuple(key_a, 1)), CallStatus::kOk);
-  ASSERT_EQ(client.BatchOut(MakeTuple(key_a, 2)), CallStatus::kOk);
-  ASSERT_EQ(client.DeferXStart(), CallStatus::kOk);
-  Tuple t;
-  ASSERT_EQ(client.In(MakeTemplate(A(key_a), A(int64_t{1})), true, true, &t),
-            CallStatus::kOk);
-  ASSERT_EQ(client.In(MakeTemplate(A(key_a), A(int64_t{2})), true, true, &t),
-            CallStatus::kOk);
-  ASSERT_EQ(client.DeferXCommit({}, /*has_continuation=*/false, Tuple{}),
-            CallStatus::kOk);
-  ASSERT_EQ(client.Flush(), CallStatus::kOk);
-  const auto [prepares, cross] = SumTxnStats();
-  EXPECT_EQ(cross, 0u);
-  EXPECT_EQ(prepares, 0u);
-  client.Bye();
-}
-
-TEST_F(ShardedNetIntegrationTest, CrossServerAbortRestoresEveryLeg) {
-  ShardedRemoteSpace client(ShardedOptions(3));
-  ASSERT_TRUE(client.Connect()) << client.last_error();
-  const std::string key_a = KeyForServer(0, 2);
-  const std::string key_b = KeyForServer(1, 2);
-  ASSERT_EQ(client.BatchOut(MakeTuple(key_a, 1)), CallStatus::kOk);
-  ASSERT_EQ(client.BatchOut(MakeTuple(key_b, 2)), CallStatus::kOk);
-  ASSERT_EQ(client.DeferXStart(), CallStatus::kOk);
-  Tuple t;
-  ASSERT_EQ(client.In(MakeTemplate(A(key_a), F(ValueType::kInt)), true, true,
-                      &t),
-            CallStatus::kOk);
-  ASSERT_EQ(client.In(MakeTemplate(A(key_b), F(ValueType::kInt)), true, true,
-                      &t),
-            CallStatus::kOk);
-  // Abort needs no coordination: each participant leg rolls back its own
-  // tentative removals independently.
-  ASSERT_EQ(client.XAbort(), CallStatus::kOk);
-  uint64_t count = 0;
-  ASSERT_EQ(client.Count(MakeTemplate(F(ValueType::kString),
-                                      F(ValueType::kInt)),
-                         &count),
-            CallStatus::kOk);
-  EXPECT_EQ(count, 2u);
-  client.Bye();
-}
-
-TEST_F(ShardedNetIntegrationTest, DeadCoordClientInDoubtTxnAbortsOnRespawn) {
-  // A client that vanishes with an OPEN cross-server transaction (commit
-  // never sent) resolves through crash-abort; its respawned incarnation's
-  // HELLO must find every leg rolled back.
-  const std::string key_a = KeyForServer(0, 2);
-  const std::string key_b = KeyForServer(1, 2);
-  {
-    ShardedRemoteSpace victim(ShardedOptions(6, /*incarnation=*/0));
-    ASSERT_TRUE(victim.Connect()) << victim.last_error();
-    ASSERT_EQ(victim.BatchOut(MakeTuple(key_a, 1)), CallStatus::kOk);
-    ASSERT_EQ(victim.BatchOut(MakeTuple(key_b, 2)), CallStatus::kOk);
-    Tuple t;
-    ASSERT_EQ(victim.DeferXStart(), CallStatus::kOk);
-    ASSERT_EQ(victim.In(MakeTemplate(A(key_a), F(ValueType::kInt)), true,
-                        true, &t),
-              CallStatus::kOk);
-    ASSERT_EQ(victim.In(MakeTemplate(A(key_b), F(ValueType::kInt)), true,
-                        true, &t),
-              CallStatus::kOk);
-    ASSERT_EQ(victim.Flush(), CallStatus::kOk);
-    victim.Abandon();  // SIGKILL-style exit: no commit, no BYE
-  }
-  ShardedRemoteSpace respawned(ShardedOptions(6, /*incarnation=*/1));
-  ASSERT_TRUE(respawned.Connect()) << respawned.last_error();
-  const Template all =
-      MakeTemplate(F(ValueType::kString), F(ValueType::kInt));
-  uint64_t count = 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  do {  // each leg crash-aborts when it notices the EOF — poll briefly
-    ASSERT_EQ(respawned.Count(all, &count), CallStatus::kOk);
-    if (count == 2) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  } while (std::chrono::steady_clock::now() < deadline);
-  EXPECT_EQ(count, 2u);
-  respawned.Bye();
-}
-
-TEST_F(ShardedNetIntegrationTest, XRecoverScatterReturnsNewestContinuation) {
-  // Two committed continuations with different home servers: the worker's
-  // first txn homes on shard 0, its second on shard 1. The respawned
-  // incarnation's XRecover scatters destructively and must return the
-  // NEWER continuation, regardless of which shard stored it.
-  const std::string key_a = KeyForServer(0, 2);
-  const std::string key_b = KeyForServer(1, 2);
-  {
-    ShardedRemoteSpace worker(ShardedOptions(4, /*incarnation=*/0));
-    ASSERT_TRUE(worker.Connect()) << worker.last_error();
-    ASSERT_EQ(worker.BatchOut(MakeTuple(key_a, 1)), CallStatus::kOk);
-    ASSERT_EQ(worker.BatchOut(MakeTuple(key_b, 2)), CallStatus::kOk);
-    Tuple t;
-    ASSERT_EQ(worker.DeferXStart(), CallStatus::kOk);
-    ASSERT_EQ(worker.In(MakeTemplate(A(key_a), F(ValueType::kInt)), true,
-                        true, &t),
-              CallStatus::kOk);
-    ASSERT_EQ(worker.DeferXCommit({}, true, MakeTuple("progress", 1)),
-              CallStatus::kOk);
-    ASSERT_EQ(worker.Flush(), CallStatus::kOk);
-    ASSERT_EQ(worker.DeferXStart(), CallStatus::kOk);
-    ASSERT_EQ(worker.In(MakeTemplate(A(key_b), F(ValueType::kInt)), true,
-                        true, &t),
-              CallStatus::kOk);
-    ASSERT_EQ(worker.DeferXCommit({}, true, MakeTuple("progress", 2)),
-              CallStatus::kOk);
-    ASSERT_EQ(worker.Flush(), CallStatus::kOk);
-    worker.Abandon();  // simulate the crash: no Bye
-  }
-  ShardedRemoteSpace respawned(ShardedOptions(4, /*incarnation=*/1));
-  ASSERT_TRUE(respawned.Connect()) << respawned.last_error();
-  Tuple cont;
-  ASSERT_EQ(respawned.XRecover(&cont), CallStatus::kOk);
-  EXPECT_EQ(GetInt(cont, 1), 2);
-  // The recover consumed every stored continuation: a second call finds
-  // nothing.
-  EXPECT_EQ(respawned.XRecover(&cont), CallStatus::kNotFound);
-  respawned.Bye();
+  EXPECT_TRUE(std::filesystem::exists(keep));
+  RemoveTree(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -2378,69 +1559,6 @@ TEST_F(NetIntegrationTest, TinySndbufShortWritesLoseNoReplyBytes) {
   uint64_t count = 1;
   ASSERT_EQ(client.Count(tmpl, &count), CallStatus::kOk);
   EXPECT_EQ(count, 0u);  // nothing dropped, nothing duplicated
-  client.Bye();
-}
-
-class ShortWriteShardedNetTest : public ShardedNetIntegrationTest {
- protected:
-  int SndbufBytes() const override { return 4096; }
-};
-
-TEST_F(ShortWriteShardedNetTest, PeerForwardsSurviveShortWrites) {
-  ShardedRemoteSpace client(ShardedOptions(2));
-  ASSERT_TRUE(client.Connect()) << client.last_error();
-  const std::string big(16 * 1024, 'f');
-  const std::string home_key = KeyForServer(0, 2);
-  std::vector<std::string> foreign_keys;
-  for (size_t k = 1; k < kServers; ++k) {
-    foreign_keys.push_back(KeyForServer(k, 3));
-  }
-  // Every commit forwards large foreign outs from the home server to the
-  // other owners. The peer links must cut each forward into many short
-  // writes without dropping, truncating, or reordering a frame.
-  constexpr int kRounds = 12;
-  for (int r = 0; r < kRounds; ++r) {
-    ASSERT_EQ(client.BatchOut(MakeTuple(home_key, r)), CallStatus::kOk);
-    ASSERT_EQ(client.DeferXStart(), CallStatus::kOk);
-    Tuple task;
-    ASSERT_EQ(client.In(MakeTemplate(A(home_key), F(ValueType::kInt)),
-                        /*blocking=*/true, /*remove=*/true, &task),
-              CallStatus::kOk);
-    std::vector<Tuple> outs;
-    for (const std::string& key : foreign_keys) {
-      outs.push_back(MakeTuple(key, static_cast<int64_t>(r), big));
-    }
-    ASSERT_EQ(client.DeferXCommit(outs, /*has_continuation=*/false, Tuple{}),
-              CallStatus::kOk);
-    ASSERT_EQ(client.Flush(), CallStatus::kOk);
-  }
-  // Forwards apply asynchronously on the owners: wait until all arrived.
-  const Template res_tmpl = MakeTemplate(
-      F(ValueType::kString), F(ValueType::kInt), F(ValueType::kString));
-  const uint64_t expect = kRounds * (kServers - 1);
-  uint64_t count = 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  do {
-    ASSERT_EQ(client.Count(res_tmpl, &count), CallStatus::kOk);
-    if (count == expect) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  } while (std::chrono::steady_clock::now() < deadline);
-  ASSERT_EQ(count, expect);  // no forward was dropped
-  // And every forwarded payload arrived byte-identical.
-  for (const std::string& key : foreign_keys) {
-    std::set<int64_t> seen;
-    for (int r = 0; r < kRounds; ++r) {
-      Tuple got;
-      ASSERT_EQ(client.In(MakeTemplate(A(key), F(ValueType::kInt),
-                                       F(ValueType::kString)),
-                          /*blocking=*/true, /*remove=*/true, &got),
-                CallStatus::kOk);
-      EXPECT_EQ(GetString(got, 2), big);
-      seen.insert(GetInt(got, 1));
-    }
-    EXPECT_EQ(seen.size(), static_cast<size_t>(kRounds)) << key;
-  }
   client.Bye();
 }
 
@@ -2753,21 +1871,6 @@ TEST(EndpointTest, ListenResolvesPortZeroAndAcceptsAConnect) {
   EXPECT_GE(client_fd, 0) << error;
   if (client_fd >= 0) ::close(client_fd);
   ::close(listen_fd);
-}
-
-TEST(WireCodecTest, TcpPlacementReplyRoundTrip) {
-  const Reply reply = SampleTcpPlacementReply();
-  std::string error;
-  Reply back;
-  ASSERT_TRUE(DecodeReply(EncodeReply(reply), &back, &error)) << error;
-  ASSERT_EQ(back.placement.size(), 3u);
-  for (size_t k = 0; k < 3; ++k) {
-    EXPECT_EQ(back.placement[k], reply.placement[k]) << k;
-    // The endpoint strings survived the wire intact and still parse.
-    Endpoint ep;
-    EXPECT_TRUE(ParseEndpoint(back.placement[k], &ep, &error)) << error;
-    EXPECT_EQ(ep.kind, Endpoint::Kind::kTcp) << k;
-  }
 }
 
 class TcpIntegrationTest : public ::testing::Test {

@@ -11,7 +11,7 @@ quadratic loop, a lost fast path, a round-trip-per-op protocol slip.
 
 Rows absent from the committed baseline are listed as "new" and never
 fail the gate (they land before their baseline exists — e.g. a fresh
-multi-server series). Rows present in the baseline but absent from the
+benchmark series). Rows present in the baseline but absent from the
 current run are FAILURES: a benchmark that silently stops running
 (renamed, deregistered, or crashing out before registration) would
 otherwise retire its own perf coverage unnoticed. Retiring a benchmark

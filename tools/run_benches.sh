@@ -2,9 +2,8 @@
 # Builds the benchmark binaries and refreshes the benchmark JSONs:
 #   BENCH_micro.json   — primitive micro-benchmarks (bench_micro)
 #   BENCH_scaling.json — kRealParallel / kDistributed wall-clock scaling vs
-#                        worker count, plus the multi-server shard-placement
-#                        series (BM_ScalingDistributedApriori/<workers>/<servers>
-#                        sweeps 1/2/4 shard servers at the largest fleet)
+#                        worker count (BM_ScalingDistributedApriori/<workers>
+#                        runs the fleet against one tuple-space server)
 #                        and the server-saturation series
 #                        (BM_ServerSaturation/<clients>, items/s + p99 +
 #                        WAL group-commit counters; the speedup curves are
