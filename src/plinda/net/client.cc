@@ -633,12 +633,6 @@ RemoteTupleSpace::CallStatus RemoteTupleSpace::Stats(Reply* reply) {
   return Call(request, reply);
 }
 
-RemoteTupleSpace::CallStatus RemoteTupleSpace::Status(Reply* reply) {
-  Request request;
-  request.op = Op::kStatus;
-  return Call(request, reply);
-}
-
 RemoteTupleSpace::CallStatus RemoteTupleSpace::Cancel() {
   Request request;
   request.op = Op::kCancel;

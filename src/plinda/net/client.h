@@ -100,7 +100,6 @@ class RemoteTupleSpace {
   CallStatus XRecover(Tuple* continuation);
   CallStatus TakeAll(std::vector<Tuple>* tuples);
   CallStatus Stats(Reply* reply);
-  CallStatus Status(Reply* reply);
   CallStatus Cancel();
   CallStatus Shutdown();
 

@@ -20,24 +20,12 @@ namespace fpdm::plinda::net {
 
 namespace {
 
-// v6 dropped the continuation stamps, forward queues and transaction tables
-// of the retired multi-server layout (v5 moved to one tuple space instead
-// of a stripe vector). An older checkpoint fails the magic check and is
-// refused, never misread.
-constexpr char kSnapshotMagic[] = "fpdmsrv6:";
-
-/// An all-actuals template matching exactly one tuple value. Replaying an
-/// IN log entry removes the oldest tuple equal to the logged one, which is
-/// exactly the tuple the live path removed (the oldest equal duplicate is
-/// also the oldest match of the original template).
-Template ExactTemplate(const Tuple& tuple) {
-  Template tmpl;
-  tmpl.fields.reserve(tuple.fields.size());
-  for (const Value& v : tuple.fields) {
-    tmpl.fields.push_back(TemplateField::Actual(v));
-  }
-  return tmpl;
-}
+// v7 retired log kind 7: XRECOVER reads the continuation and never consumes
+// it, so an older state dir, whose log may hold kind-7 records, is refused
+// at its checkpoint header instead of being replayed up to the first of
+// them (v6 dropped the multi-server tables, v5 the stripe vector). An older
+// checkpoint fails the magic check and is refused, never misread.
+constexpr char kSnapshotMagic[] = "fpdmsrv7:";
 
 bool WriteAll(int fd, const char* data, size_t n) {
   size_t off = 0;
@@ -504,17 +492,6 @@ std::string SpaceServer::ApplyEntry(const LogEntry& entry) {
       ++aborts_;
       break;
     }
-    case LogKind::kXRecover: {
-      auto it = continuations_.find(entry.pid);
-      if (it == continuations_.end()) {
-        reply.status = WireStatus::kNotFound;
-      } else {
-        reply.has_tuple = true;
-        reply.tuple = std::move(it->second);
-        continuations_.erase(it);
-      }
-      break;
-    }
     case LogKind::kBatch: {
       // Replay of a whole batch frame: re-apply the resolved effects in
       // order. The live path already mutated the space while resolving
@@ -887,19 +864,18 @@ void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
         SendError(conn, "xrecover requires a registered client");
         break;
       }
-      if (continuations_.find(conn.pid) == continuations_.end()) {
-        Reply reply;
+      // An unlogged read: every incarnation, however often it is killed
+      // before its next commit, resumes from the last committed
+      // continuation.
+      Reply reply;
+      auto it = continuations_.find(conn.pid);
+      if (it == continuations_.end()) {
         reply.status = WireStatus::kNotFound;
-        SendReply(conn, reply);
-        break;
+      } else {
+        reply.has_tuple = true;
+        reply.tuple = it->second;
       }
-      LogEntry entry;
-      entry.kind = LogKind::kXRecover;
-      entry.pid = conn.pid;
-      entry.incarnation = conn.incarnation;
-      entry.seq = request.seq;
-      if (!AppendLog(entry)) break;
-      SendEncoded(conn, ApplyEntry(entry));
+      SendReply(conn, reply);
       break;
     }
     case Op::kCount: {

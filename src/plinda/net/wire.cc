@@ -469,7 +469,7 @@ bool DecodeLogEntry(std::string_view payload, LogEntry* entry,
   uint8_t kind = 0;
   if (!r.TakeU8(&kind)) return Fail(error, "log: truncated kind");
   if (kind < static_cast<uint8_t>(LogKind::kHello) ||
-      kind > static_cast<uint8_t>(LogKind::kBatch)) {
+      kind > static_cast<uint8_t>(LogKind::kBatch) || kind == 7) {
     return Fail(error, "log: unknown kind");
   }
   entry->kind = static_cast<LogKind>(kind);

@@ -105,7 +105,7 @@ enum class Op : uint8_t {
   kXStart = 4,  // open a transaction
   kXCommit = 5, // atomically publish outs + optional continuation
   kXAbort = 6,  // roll back: restore tuples removed inside the transaction
-  kXRecover = 7,// fetch + consume this pid's continuation, if any
+  kXRecover = 7,// read this pid's last committed continuation, if any
   kCount = 8,   // count matching tuples
   // Drains every tuple in FIFO order (end-of-run harvest). Durable: the
   // server forces a checkpoint before acknowledging, so recovery never
@@ -246,7 +246,7 @@ enum class LogKind : uint8_t {
   kXStart = 4,
   kCommit = 5,
   kAbort = 6,
-  kXRecover = 7, // a continuation was consumed
+  // 7 is retired: XRECOVER reads the continuation table and logs nothing.
   // A whole kBatch frame as ONE record. The entry stores resolved per-sub-op
   // *effects* (which tuple was published / removed / read / missed), not the
   // request, so replay reproduces both the space mutation and the cached

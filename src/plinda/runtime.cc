@@ -3,18 +3,22 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <exception>
 #include <limits>
 #include <utility>
 
-// Complete type for the dclient_ unique_ptr destroyed in ~Runtime.
+// The kDistributed primitives call the worker's server connection.
 #include "plinda/net/client.h"
 
 namespace fpdm::plinda {
 
 namespace {
 
-/// Internal control-flow type: thrown at yield points when the host machine
-/// failed, caught only by Runtime::RunProcess. This is the simulation of
+using CallStatus = net::RemoteTupleSpace::CallStatus;
+
+/// Internal control-flow type: thrown by an op when its process dies (a
+/// machine failure in the simulator, a deadlock cancellation in the other
+/// modes), caught only by Runtime::RunBody. This is the simulation of
 /// asynchronous process death (see DESIGN.md) and never escapes the runtime.
 struct ProcessKilledException {};
 
@@ -22,18 +26,6 @@ struct ProcessKilledException {};
 /// process unwinds, a RuntimeError is recorded, and no respawn happens
 /// (re-running a buggy program would fail the same way).
 struct ProtocolErrorException {};
-
-/// A template matching exactly `tuple` (all fields actual). Used to replay
-/// logged removals: FIFO matching removes the same tuple the original
-/// operation removed, even among duplicates.
-Template ExactTemplate(const Tuple& tuple) {
-  Template tmpl;
-  tmpl.fields.reserve(tuple.fields.size());
-  for (const Value& value : tuple.fields) {
-    tmpl.fields.push_back(TemplateField::Actual(value));
-  }
-  return tmpl;
-}
 
 }  // namespace
 
@@ -248,7 +240,7 @@ int Runtime::SpawnLocked(const std::string& name, int machine, ProcessFn fn,
 }
 
 void Runtime::StartThreadLocked(Proc* proc) {
-  threads_.emplace_back(&Runtime::RunProcess, this, proc, proc->incarnation);
+  threads_.emplace_back(&Runtime::RunProcess, this, proc);
 }
 
 bool Runtime::Run() {
@@ -306,7 +298,9 @@ bool Runtime::Run() {
     }
     GrantLocked(next, lock);
   }
-  if (deadlocked_ || !errors_.empty()) BuildDiagnosticLocked();
+  if (deadlocked_ || !errors_.empty()) {
+    BuildDiagnosticLocked(BlockedProcsLocked());
+  }
   shutdown_ = true;
   for (auto& proc : procs_) proc->cv.notify_all();
   lock.unlock();
@@ -319,27 +313,40 @@ bool Runtime::Run() {
   return !deadlocked_ && errors_.empty();
 }
 
-void Runtime::BuildDiagnosticLocked() {
+std::vector<std::pair<int, std::string>> Runtime::BlockedProcsLocked() const {
+  std::vector<std::pair<int, std::string>> blocked;
+  for (const auto& up : procs_) {
+    const Proc* proc = up.get();
+    // Real mode: deadlocked waiters were cancelled (state kDead) but keep
+    // real_blocked + their template for exactly this post-mortem.
+    if (proc->state != ProcState::kBlocked && !proc->real_blocked) continue;
+    std::string waits_on = "tuple-space server recovery";
+    if (proc->block_reason != BlockReason::kServer) {
+      waits_on = proc->blocked_remove ? "in " : "rd ";
+      waits_on += ToString(proc->blocked_tmpl);
+    }
+    blocked.emplace_back(proc->id, std::move(waits_on));
+  }
+  return blocked;
+}
+
+void Runtime::BuildDiagnosticLocked(
+    const std::vector<std::pair<int, std::string>>& blocked,
+    bool wall_limited) {
   std::string out;
   if (deadlocked_) {
     out += "deadlock: no process can make progress\n";
-    for (const auto& up : procs_) {
-      const Proc* proc = up.get();
-      // Real mode: deadlocked waiters were cancelled (state kDead) but keep
-      // real_blocked + their template for exactly this post-mortem.
-      const bool blocked = proc->state == ProcState::kBlocked ||
-                           (real_mode() && proc->real_blocked);
-      if (!blocked) continue;
+    for (const auto& [pid, waits_on] : blocked) {
+      const Proc* proc = nullptr;
+      if (pid >= 0 && pid < static_cast<int>(procs_.size())) {
+        proc = procs_[static_cast<size_t>(pid)].get();
+      }
       char head[128];
       std::snprintf(head, sizeof(head), "  %s (pid %d, machine %d) blocked on ",
-                    proc->name.c_str(), proc->id, proc->machine);
+                    proc != nullptr ? proc->name.c_str() : "?", pid,
+                    proc != nullptr ? proc->machine : -1);
       out += head;
-      if (proc->block_reason == BlockReason::kServer) {
-        out += "tuple-space server recovery";
-      } else {
-        out += proc->blocked_remove ? "in " : "rd ";
-        out += ToString(proc->blocked_tmpl);
-      }
+      out += waits_on;
       out += '\n';
     }
     for (const Proc* proc : pending_respawns_) {
@@ -359,6 +366,9 @@ void Runtime::BuildDiagnosticLocked() {
       out += recovery_pending
                  ? "  tuple-space server is down (recovery still scheduled)\n"
                  : "  tuple-space server is down and no recovery is scheduled\n";
+    }
+    if (wall_limited) {
+      out += "  wall-clock limit exceeded (distributed_wall_limit)\n";
     }
   }
   for (const RuntimeError& error : errors_) {
@@ -507,20 +517,6 @@ void Runtime::WaitServerLocked(Proc* proc, std::unique_lock<std::mutex>& lock) {
   proc->block_reason = BlockReason::kNone;
 }
 
-void Runtime::FailProcLocked(Proc* proc, RuntimeError::Code code,
-                             std::string detail) {
-  RuntimeError error;
-  error.code = code;
-  error.time = proc->clock;
-  error.pid = proc->id;
-  error.process = proc->name;
-  error.detail = std::move(detail);
-  errors_.push_back(std::move(error));
-  proc->errored = true;
-  RecordLocked(TraceEvent::Kind::kError, proc->clock, proc, proc->machine);
-  throw ProtocolErrorException{};
-}
-
 void Runtime::KillProcLocked(Proc* proc, double time,
                              std::unique_lock<std::mutex>& lock) {
   proc->kill_requested = true;
@@ -559,69 +555,270 @@ void Runtime::WakeBlockedLocked(double time) {
   }
 }
 
-void Runtime::AbortTxnLocked(Proc* proc, double time) {
-  if (!proc->txn_active) return;
-  // Restore the tuples the transaction removed; drop its unpublished outs.
-  // Restored tuples re-enter at the tail of the FIFO order, which is an
-  // acceptable deviation (no template in this repo depends on the relative
-  // order of a restored tuple). While the server is down the restorations
-  // are parked and applied right after recovery's log replay.
-  bool restored = false;
-  for (Tuple& tuple : proc->txn_ins) {
-    if (server_up_) {
-      ServerOutLocked(time, std::move(tuple));
-    } else {
-      deferred_restores_.push_back(std::move(tuple));
-    }
-    restored = true;
-  }
-  proc->txn_ins.clear();
-  proc->txn_outs.clear();
-  proc->txn_active = false;
-  ++stats_.transactions_aborted;
-  if (restored && server_up_) WakeBlockedLocked(time);
-}
+// --- the process layer: one body per op, and one end, for every mode ------
 
-void Runtime::RunProcess(Proc* proc, int incarnation) {
-  if (real_mode()) {
-    RunProcessReal(proc);
-    (void)incarnation;
-    return;
+/// One op of one process, and the primitives its body runs on. The
+/// simulator holds mu_ for the whole op, charges virtual time and ends the
+/// op by yielding to the scheduler. kRealParallel calls the concurrent space
+/// without mu_; kDistributed calls the worker's server connection.
+class Runtime::Step {
+ public:
+  Step(Runtime* runtime, Proc* proc)
+      : rt_(*runtime), proc_(proc), lock_(runtime->mu_, std::defer_lock) {
+    if (rt_.sim_mode()) {
+      lock_.lock();
+    } else if (rt_.real_mode() && rt_.rspace_->closed()) {
+      throw ProcessKilledException{};  // the deadlock watchdog cancelled it
+    }
   }
-  bool killed = false;
-  bool errored = false;
+
+  /// Takes mu_ unless the op holds it already (the simulator always does).
+  void Lock() {
+    if (!lock_.owns_lock()) lock_.lock();
+  }
+
+  /// Simulator: stalls while the tuple-space server is down.
+  void WaitServer() {
+    if (rt_.sim_mode()) rt_.WaitServerLocked(proc_, lock_);
+  }
+
+  /// Simulator: advances the virtual clock. A tuple op is counted here in
+  /// the simulator and kRealParallel, and at the server in kDistributed.
+  void Charge(double seconds, bool tuple_op) {
+    if (rt_.sim_mode()) {
+      proc_->clock += seconds;
+      if (tuple_op) ++rt_.stats_.tuple_ops;
+    } else if (rt_.real_mode() && tuple_op) {
+      rt_.real_tuple_ops_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  /// Simulator: ends the op, handing the turn back to the scheduler.
+  void Yield() {
+    if (rt_.sim_mode()) rt_.Yield(proc_, lock_);
+  }
+
+  /// Records a protocol error and terminates the process.
+  [[noreturn]] void Fail(RuntimeError::Code code, std::string detail) {
+    Lock();
+    rt_.RecordErrorLocked(proc_, code, std::move(detail));
+    throw ProtocolErrorException{};
+  }
+
+  /// kDistributed: maps a call's status to continue (true on kOk, false on
+  /// kNotFound), kill (the run was cancelled) or a wire error.
+  bool Wire(CallStatus status) {
+    if (status == CallStatus::kOk) return true;
+    if (status == CallStatus::kNotFound) return false;
+    if (status == CallStatus::kCancelled) throw ProcessKilledException{};
+    Fail(RuntimeError::Code::kWireProtocolError, rt_.dclient_->last_error());
+  }
+
+  /// Publishes one tuple outside a transaction.
+  void Publish(Tuple tuple) {
+    if (rt_.dist_mode()) {
+      // Consecutive non-blocking outs coalesce: the tuple rides in a kBatch
+      // frame flushed before the next blocking op, so a stream of outs
+      // costs one round trip instead of one each. Failures of the deferred
+      // frame surface here on a later out or at the next sync call.
+      Wire(rt_.dclient_->BatchOut(tuple));
+    } else if (rt_.real_mode()) {
+      rt_.rspace_->Out(std::move(tuple));
+    } else {
+      rt_.ServerOutLocked(proc_->clock, std::move(tuple));
+      rt_.WakeBlockedLocked(proc_->clock);
+    }
+  }
+
+  /// Removes (`remove`) or reads a tuple matching `tmpl` into *found. A
+  /// blocking call waits until one exists; a non-blocking one returns false
+  /// when none does.
+  bool Take(const Template& tmpl, Tuple* found, bool blocking, bool remove) {
+    if (rt_.dist_mode()) {
+      return Wire(rt_.dclient_->In(tmpl, blocking, remove, found));
+    }
+    if (rt_.real_mode()) {
+      if (!blocking) {
+        return remove ? rt_.rspace_->TryIn(tmpl, found)
+                      : rt_.rspace_->TryRd(tmpl, found);
+      }
+      if (rt_.rspace_->WaitIn(tmpl, found, remove)) return true;
+      // Space closed while we waited: deadlock cancellation. Record what
+      // we waited for, for the post-mortem diagnostic.
+      NoteBlocked(tmpl, remove);
+      proc_->real_blocked = true;
+      throw ProcessKilledException{};
+    }
+    for (;;) {
+      if (remove ? rt_.ServerTryInLocked(proc_->clock, tmpl, found)
+                 : rt_.space_.TryRd(tmpl, found)) {
+        return true;
+      }
+      if (!blocking) return false;
+      proc_->state = ProcState::kBlocked;
+      NoteBlocked(tmpl, remove);
+      Yield();  // woken when some commit/out publishes new tuples
+      WaitServer();
+    }
+  }
+
+  /// Publishes the transaction's buffered outs and stores its continuation.
+  void Commit(bool has_continuation, Tuple continuation) {
+    if (rt_.dist_mode()) {
+      // The commit frame is deferred too. The caller's optimistic local
+      // txn-clear is safe: if the deferred commit is later rejected
+      // (cancelled run), the sticky deferred error unwinds this worker at
+      // its next wire call, and if the worker crashes before the frame
+      // flushes, the server's crash-abort on EOF rolls the transaction back
+      // — either way the commit applied exactly once or not at all.
+      Wire(rt_.dclient_->DeferXCommit(proc_->txn_outs, has_continuation,
+                                      continuation));
+      return;
+    }
+    if (rt_.real_mode()) {
+      rt_.rspace_->OutBatch(std::move(proc_->txn_outs));
+      rt_.real_commits_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      const bool published = !proc_->txn_outs.empty();
+      for (Tuple& tuple : proc_->txn_outs) {
+        rt_.ServerOutLocked(proc_->clock, std::move(tuple));
+      }
+      ++rt_.stats_.transactions_committed;
+      if (published) rt_.WakeBlockedLocked(proc_->clock);
+    }
+    if (has_continuation) {
+      Lock();
+      rt_.continuations_[proc_->id] = std::move(continuation);
+    }
+  }
+
+  /// Reads the continuation of the process's last commit that carried one;
+  /// the read never consumes it.
+  bool Recover(Tuple* continuation) {
+    if (rt_.dist_mode()) return Wire(rt_.dclient_->XRecover(continuation));
+    Lock();
+    auto it = rt_.continuations_.find(proc_->id);
+    if (it == rt_.continuations_.end()) return false;
+    if (continuation != nullptr) *continuation = it->second;
+    return true;
+  }
+
+ private:
+  void NoteBlocked(const Template& tmpl, bool remove) {
+    proc_->block_reason = BlockReason::kTemplate;
+    proc_->blocked_tmpl = tmpl;
+    proc_->blocked_remove = remove;
+  }
+
+  Runtime& rt_;
+  Proc* proc_;
+  std::unique_lock<std::mutex> lock_;
+};
+
+void Runtime::RunProcess(Proc* proc) {
+  bool started = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    proc->cv.wait(lock, [&] { return proc->granted || shutdown_; });
-    if (proc->kill_requested || shutdown_) killed = true;
+    // The start gate: the simulator grants the process its first step;
+    // kRealParallel releases every process at once.
+    proc->cv.wait(lock, [&] {
+      return shutdown_ || (real_mode() ? started_real_ : proc->granted);
+    });
+    started =
+        real_mode() ? started_real_ : !proc->kill_requested && !shutdown_;
   }
-  if (!killed) {
-    ProcessContext ctx(this, proc);
-    try {
-      proc->fn(ctx);
-    } catch (const ProcessKilledException&) {
-      killed = true;
-    } catch (const ProtocolErrorException&) {
-      errored = true;
-    }
-  }
+  const End end = started ? RunBody(proc) : End::kKilled;
   std::unique_lock<std::mutex> lock(mu_);
-  AbortTxnLocked(proc, proc->clock);
-  if (killed) {
-    proc->state = ProcState::kDead;
-    ++stats_.processes_killed;
-  } else if (errored) {
-    // Terminated by FailProcLocked: counted in errors_, not as a failure.
-    proc->state = ProcState::kDead;
-  } else {
+  if (end == End::kDone) {
     proc->state = ProcState::kDone;
     completion_time_ = std::max(completion_time_, proc->clock);
-    RecordLocked(TraceEvent::Kind::kDone, proc->clock, proc, proc->machine);
+    RecordLocked(TraceEvent::Kind::kDone, ProcTime(proc), proc, proc->machine);
+  } else {
+    // A killed process is the scheduler's to respawn. An errored one is
+    // counted in errors_, not as a failure.
+    proc->state = ProcState::kDead;
+    if (end == End::kKilled) ++stats_.processes_killed;
   }
   proc->granted = false;
   if (active_pid_ == proc->id) active_pid_ = -1;
   sched_cv_.notify_all();
-  (void)incarnation;
+}
+
+Runtime::End Runtime::RunBody(Proc* proc) {
+  End end = End::kDone;
+  try {
+    ProcessContext ctx(this, proc);
+    proc->fn(ctx);
+    // kDistributed defers frames, typically the last commit. A clean return
+    // sends them, and their failure ends the process like a failed op.
+    if (dist_mode()) Step(this, proc).Wire(dclient_->Flush());
+  } catch (const ProcessKilledException&) {
+    end = End::kKilled;
+  } catch (const ProtocolErrorException&) {
+    end = End::kErrored;
+  } catch (const std::exception& e) {
+    const std::string detail =
+        std::string("uncaught exception in process body: ") + e.what();
+    std::lock_guard<std::mutex> lock(mu_);
+    RecordErrorLocked(proc, RuntimeError::Code::kWireProtocolError, detail);
+    end = End::kErrored;
+  }
+  AbortTxn(proc);
+  return end;
+}
+
+void Runtime::AbortTxn(Proc* proc) {
+  // Restore the tuples the transaction removed; drop its unpublished outs.
+  if (dist_mode()) {
+    // The server restores the ins it recorded. What the body's completed
+    // ops deferred applies first: XAbort flushes it ahead of itself, and
+    // Flush alone does outside a transaction. When the server does not
+    // confirm, dropping the connection without a BYE makes it roll back
+    // whatever is still open on its own.
+    const CallStatus status =
+        proc->txn_active ? dclient_->XAbort() : dclient_->Flush();
+    if (status != CallStatus::kOk) dclient_->Abandon();
+  } else if (!proc->txn_active) {
+    return;
+  } else if (sim_mode()) {
+    // Restored tuples re-enter at the tail of the FIFO order, which is an
+    // acceptable deviation (no template in this repo depends on the relative
+    // order of a restored tuple). While the server is down the restorations
+    // are parked and applied right after recovery's log replay.
+    std::lock_guard<std::mutex> lock(mu_);
+    const bool restored = !proc->txn_ins.empty();
+    for (Tuple& tuple : proc->txn_ins) {
+      if (server_up_) {
+        ServerOutLocked(proc->clock, std::move(tuple));
+      } else {
+        deferred_restores_.push_back(std::move(tuple));
+      }
+    }
+    ++stats_.transactions_aborted;
+    if (restored && server_up_) WakeBlockedLocked(proc->clock);
+  } else {
+    rspace_->OutBatch(std::move(proc->txn_ins));
+    real_aborts_.fetch_add(1, std::memory_order_relaxed);
+  }
+  proc->txn_ins.clear();
+  proc->txn_outs.clear();
+  proc->txn_active = false;
+}
+
+void Runtime::RecordErrorLocked(const Proc* proc, RuntimeError::Code code,
+                                std::string detail) {
+  RuntimeError error;
+  error.code = code;
+  error.time = ProcTime(proc);
+  error.pid = proc->id;
+  error.process = proc->name;
+  error.detail = std::move(detail);
+  RecordLocked(TraceEvent::Kind::kError, error.time, proc, proc->machine);
+  errors_.push_back(std::move(error));
+}
+
+double Runtime::ProcTime(const Proc* proc) const {
+  return sim_mode() ? proc->clock : NowReal();
 }
 
 void Runtime::Yield(Proc* proc, std::unique_lock<std::mutex>& lock) {
@@ -633,178 +830,115 @@ void Runtime::Yield(Proc* proc, std::unique_lock<std::mutex>& lock) {
 }
 
 void Runtime::OpOut(Proc* proc, Tuple tuple) {
-  if (real_mode()) {
-    RealOut(proc, std::move(tuple));
-    return;
-  }
-  if (dist_mode()) {
-    DistOut(proc, std::move(tuple));
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  WaitServerLocked(proc, lock);
-  proc->clock += options_.tuple_op_latency;
-  ++stats_.tuple_ops;
+  Step step(this, proc);
+  step.WaitServer();
+  step.Charge(options_.tuple_op_latency, /*tuple_op=*/true);
   if (proc->txn_active) {
     proc->txn_outs.push_back(std::move(tuple));
   } else {
-    ServerOutLocked(proc->clock, std::move(tuple));
-    WakeBlockedLocked(proc->clock);
+    step.Publish(std::move(tuple));
   }
-  Yield(proc, lock);
+  step.Yield();
 }
 
 bool Runtime::OpIn(Proc* proc, const Template& tmpl, Tuple* result,
                    bool blocking, bool remove) {
-  if (real_mode()) return RealIn(proc, tmpl, result, blocking, remove);
-  if (dist_mode()) return DistIn(proc, tmpl, result, blocking, remove);
-  std::unique_lock<std::mutex> lock(mu_);
-  proc->clock += options_.tuple_op_latency;
-  ++stats_.tuple_ops;
-  for (;;) {
-    WaitServerLocked(proc, lock);
-    // A transaction sees its own uncommitted outs.
-    if (proc->txn_active) {
-      bool matched = false;
-      for (auto it = proc->txn_outs.begin(); it != proc->txn_outs.end(); ++it) {
-        if (Matches(tmpl, *it)) {
-          if (result != nullptr) *result = *it;
-          if (remove) proc->txn_outs.erase(it);
-          matched = true;
-          break;
-        }
-      }
-      if (matched) {
-        Yield(proc, lock);
+  Step step(this, proc);
+  step.Charge(options_.tuple_op_latency, /*tuple_op=*/true);
+  step.WaitServer();
+  // A transaction sees its own uncommitted outs.
+  if (proc->txn_active) {
+    for (auto it = proc->txn_outs.begin(); it != proc->txn_outs.end(); ++it) {
+      if (Matches(tmpl, *it)) {
+        if (result != nullptr) *result = *it;
+        if (remove) proc->txn_outs.erase(it);
+        step.Yield();
         return true;
       }
     }
-    Tuple found;
-    const bool ok = remove ? ServerTryInLocked(proc->clock, tmpl, &found)
-                           : space_.TryRd(tmpl, &found);
-    if (ok) {
-      if (remove && proc->txn_active) proc->txn_ins.push_back(found);
-      if (result != nullptr) *result = std::move(found);
-      Yield(proc, lock);
-      return true;
-    }
-    if (!blocking) {
-      Yield(proc, lock);
-      return false;
-    }
-    proc->state = ProcState::kBlocked;
-    proc->block_reason = BlockReason::kTemplate;
-    proc->blocked_tmpl = tmpl;
-    proc->blocked_remove = remove;
-    Yield(proc, lock);  // woken when some commit/out publishes new tuples
   }
+  Tuple found;
+  const bool ok = step.Take(tmpl, &found, blocking, remove);
+  if (ok) {
+    if (remove && proc->txn_active) proc->txn_ins.push_back(found);
+    if (result != nullptr) *result = std::move(found);
+  }
+  step.Yield();
+  return ok;
 }
 
 void Runtime::OpXStart(Proc* proc) {
-  if (real_mode()) {
-    RealXStart(proc);
-    return;
-  }
-  if (dist_mode()) {
-    DistXStart(proc);
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  WaitServerLocked(proc, lock);
+  Step step(this, proc);
+  step.WaitServer();
   if (proc->txn_active) {
-    FailProcLocked(proc, RuntimeError::Code::kNestedXStart,
-                   "transaction already open");
+    step.Fail(RuntimeError::Code::kNestedXStart, "transaction already open");
   }
-  proc->clock += options_.txn_latency;
+  step.Charge(options_.txn_latency, /*tuple_op=*/false);
+  // kDistributed defers the xstart frame: it flushes (in order, one writev)
+  // with the next blocking in/rd or commit, collapsing the steady-state
+  // task loop [xcommit, xstart, blocking in] to one round trip.
+  if (dist_mode()) step.Wire(dclient_->DeferXStart());
   proc->txn_active = true;
-  Yield(proc, lock);
+  step.Yield();
 }
 
 void Runtime::OpXCommit(Proc* proc, bool has_continuation, Tuple continuation) {
-  if (real_mode()) {
-    RealXCommit(proc, has_continuation, std::move(continuation));
-    return;
-  }
-  if (dist_mode()) {
-    DistXCommit(proc, has_continuation, std::move(continuation));
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  WaitServerLocked(proc, lock);
+  Step step(this, proc);
+  step.WaitServer();
   if (!proc->txn_active) {
-    FailProcLocked(proc, RuntimeError::Code::kXCommitWithoutXStart,
-                   "no transaction is open");
+    step.Fail(RuntimeError::Code::kXCommitWithoutXStart,
+              "no transaction is open");
   }
-  proc->clock += options_.txn_latency;
-  bool published = !proc->txn_outs.empty();
-  for (Tuple& tuple : proc->txn_outs) {
-    ServerOutLocked(proc->clock, std::move(tuple));
-  }
+  step.Charge(options_.txn_latency, /*tuple_op=*/false);
+  step.Commit(has_continuation, std::move(continuation));
   proc->txn_outs.clear();
   proc->txn_ins.clear();
   proc->txn_active = false;
-  if (has_continuation) continuations_[proc->id] = std::move(continuation);
-  ++stats_.transactions_committed;
-  if (published) WakeBlockedLocked(proc->clock);
-  Yield(proc, lock);
+  step.Yield();
 }
 
 bool Runtime::OpXRecover(Proc* proc, Tuple* continuation) {
-  if (real_mode()) return RealXRecover(proc, continuation);
-  if (dist_mode()) return DistXRecover(proc, continuation);
-  std::unique_lock<std::mutex> lock(mu_);
-  WaitServerLocked(proc, lock);
+  Step step(this, proc);
+  step.WaitServer();
   if (proc->txn_active) {
-    FailProcLocked(proc, RuntimeError::Code::kXRecoverInsideTransaction,
-                   "xrecover must run outside transactions");
+    step.Fail(RuntimeError::Code::kXRecoverInsideTransaction,
+              "xrecover must run outside transactions");
   }
-  proc->clock += options_.txn_latency;
-  auto it = continuations_.find(proc->id);
-  const bool found = it != continuations_.end();
-  if (found && continuation != nullptr) *continuation = it->second;
-  Yield(proc, lock);
+  step.Charge(options_.txn_latency, /*tuple_op=*/false);
+  const bool found = step.Recover(continuation);
+  step.Yield();
   return found;
 }
 
 void Runtime::OpCompute(Proc* proc, double work_units) {
   assert(work_units >= 0);
-  if (dist_mode()) {
-    // Real work on the worker process; units feed the status-file report
-    // the supervisor folds into total_work.
-    proc->work_done += work_units;
-    return;
-  }
-  if (real_mode()) {
-    // The real work happens on the calling thread; the units only feed the
-    // total_work statistic (folded in after the join). Also a cancellation
-    // point so compute-heavy processes notice a deadlock shutdown.
-    if (rspace_->closed()) throw ProcessKilledException{};
-    proc->work_done += work_units;
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  proc->clock += work_units / machines_[static_cast<size_t>(proc->machine)].speed;
+  // Outside the simulator the real work happens on the calling thread or
+  // worker process, and the units only feed total_work when the run ends.
+  // Also a kRealParallel cancellation point, so compute-heavy processes
+  // notice a deadlock shutdown.
+  Step step(this, proc);
   proc->work_done += work_units;
-  stats_.total_work += work_units;
-  Yield(proc, lock);
+  if (sim_mode()) stats_.total_work += work_units;
+  step.Charge(work_units / machines_[static_cast<size_t>(proc->machine)].speed,
+              /*tuple_op=*/false);
+  step.Yield();
 }
 
 int Runtime::OpSpawn(Proc* proc, const std::string& name, ProcessFn fn) {
+  Step step(this, proc);
+  const std::string where = "cannot place process \"" + name + "\"";
   if (dist_mode()) {
-    FailProcDist(proc, RuntimeError::Code::kDistributedSpawnUnsupported,
-                 "cannot place process \"" + name + "\"");
+    step.Fail(RuntimeError::Code::kDistributedSpawnUnsupported, where);
   }
-  if (real_mode()) return RealSpawn(proc, name, std::move(fn));
-  std::unique_lock<std::mutex> lock(mu_);
-  proc->clock += options_.tuple_op_latency;
-  int machine = PickMachineLocked();
-  if (machine < 0) {
-    FailProcLocked(proc, RuntimeError::Code::kNoMachineAvailable,
-                   "cannot place process \"" + name + "\"");
-  }
-  int id = SpawnLocked(name, machine, std::move(fn),
-                       proc->clock + options_.spawn_delay);
-  Yield(proc, lock);
+  step.Charge(options_.tuple_op_latency, /*tuple_op=*/false);
+  step.Lock();
+  const int machine = PickMachineLocked();
+  if (machine < 0) step.Fail(RuntimeError::Code::kNoMachineAvailable, where);
+  // A kRealParallel child passes its start gate at once.
+  const double start =
+      real_mode() ? NowReal() : proc->clock + options_.spawn_delay;
+  const int id = SpawnLocked(name, machine, std::move(fn), start);
+  step.Yield();
   return id;
 }
 
@@ -831,7 +965,7 @@ bool Runtime::RunReal() {
     errors_.push_back(std::move(error));
     shutdown_ = true;
     for (auto& proc : procs_) proc->cv.notify_all();
-    BuildDiagnosticLocked();
+    BuildDiagnosticLocked({});
     lock.unlock();
     for (auto& thread : threads_) {
       if (thread.joinable()) thread.join();
@@ -846,7 +980,7 @@ bool Runtime::RunReal() {
   for (auto& proc : procs_) proc->cv.notify_all();
 
   // Watchdog: waits for every process to finish. A stalled waiter has no
-  // match in the space, and holding mu_ keeps RealSpawn from adding a
+  // match in the space, and holding mu_ keeps OpSpawn from adding a
   // process, so once the space counts every live process as stalled none
   // can ever run again: cancel by closing the space, which unwinds the
   // waiters through ProcessKilledException.
@@ -881,166 +1015,10 @@ bool Runtime::RunReal() {
   stats_.transactions_aborted += real_aborts_.exchange(0);
   for (auto& up : procs_) stats_.total_work += up->work_done;
   space_ = rspace_->TakeSpace();
-  if (deadlocked_ || !errors_.empty()) BuildDiagnosticLocked();
+  if (deadlocked_ || !errors_.empty()) {
+    BuildDiagnosticLocked(BlockedProcsLocked());
+  }
   return !deadlocked_ && errors_.empty();
-}
-
-void Runtime::RunProcessReal(Proc* proc) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    proc->cv.wait(lock, [&] { return started_real_ || shutdown_; });
-    if (!started_real_) {  // shut down before Run(): never ran
-      proc->state = ProcState::kDead;
-      sched_cv_.notify_all();
-      return;
-    }
-  }
-  bool killed = false;
-  bool errored = false;
-  ProcessContext ctx(this, proc);
-  try {
-    proc->fn(ctx);
-  } catch (const ProcessKilledException&) {
-    killed = true;
-  } catch (const ProtocolErrorException&) {
-    errored = true;
-  }
-  RealAbortTxn(proc);
-  std::unique_lock<std::mutex> lock(mu_);
-  if (killed) {
-    proc->state = ProcState::kDead;
-    ++stats_.processes_killed;
-  } else if (errored) {
-    proc->state = ProcState::kDead;
-  } else {
-    proc->state = ProcState::kDone;
-    RecordLocked(TraceEvent::Kind::kDone, NowReal(), proc, proc->machine);
-  }
-  sched_cv_.notify_all();
-}
-
-void Runtime::RealAbortTxn(Proc* proc) {
-  if (!proc->txn_active) return;
-  if (!rspace_->closed()) {
-    // Restore the tuples the transaction removed; drop unpublished outs.
-    for (Tuple& tuple : proc->txn_ins) rspace_->Out(std::move(tuple));
-  }
-  proc->txn_ins.clear();
-  proc->txn_outs.clear();
-  proc->txn_active = false;
-  real_aborts_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Runtime::FailProcReal(Proc* proc, RuntimeError::Code code,
-                           std::string detail) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    RuntimeError error;
-    error.code = code;
-    error.time = NowReal();
-    error.pid = proc->id;
-    error.process = proc->name;
-    error.detail = std::move(detail);
-    errors_.push_back(std::move(error));
-    proc->errored = true;
-    RecordLocked(TraceEvent::Kind::kError, NowReal(), proc, proc->machine);
-  }
-  throw ProtocolErrorException{};
-}
-
-void Runtime::RealOut(Proc* proc, Tuple tuple) {
-  if (rspace_->closed()) throw ProcessKilledException{};
-  real_tuple_ops_.fetch_add(1, std::memory_order_relaxed);
-  if (proc->txn_active) {
-    proc->txn_outs.push_back(std::move(tuple));
-  } else {
-    rspace_->Out(std::move(tuple));
-  }
-}
-
-bool Runtime::RealIn(Proc* proc, const Template& tmpl, Tuple* result,
-                     bool blocking, bool remove) {
-  if (rspace_->closed()) throw ProcessKilledException{};
-  real_tuple_ops_.fetch_add(1, std::memory_order_relaxed);
-  // A transaction sees its own uncommitted outs (same as the simulator).
-  if (proc->txn_active) {
-    for (auto it = proc->txn_outs.begin(); it != proc->txn_outs.end(); ++it) {
-      if (Matches(tmpl, *it)) {
-        if (result != nullptr) *result = *it;
-        if (remove) proc->txn_outs.erase(it);
-        return true;
-      }
-    }
-  }
-  Tuple found;
-  if (blocking) {
-    if (!rspace_->WaitIn(tmpl, &found, remove)) {
-      // Space closed while we waited: deadlock cancellation. Record what
-      // we waited for, for the post-mortem diagnostic.
-      proc->block_reason = BlockReason::kTemplate;
-      proc->blocked_tmpl = tmpl;
-      proc->blocked_remove = remove;
-      proc->real_blocked = true;
-      throw ProcessKilledException{};
-    }
-  } else {
-    const bool ok = remove ? rspace_->TryIn(tmpl, &found)
-                           : rspace_->TryRd(tmpl, &found);
-    if (!ok) return false;
-  }
-  if (remove && proc->txn_active) proc->txn_ins.push_back(found);
-  if (result != nullptr) *result = std::move(found);
-  return true;
-}
-
-void Runtime::RealXStart(Proc* proc) {
-  if (rspace_->closed()) throw ProcessKilledException{};
-  if (proc->txn_active) {
-    FailProcReal(proc, RuntimeError::Code::kNestedXStart,
-                 "transaction already open");
-  }
-  proc->txn_active = true;
-}
-
-void Runtime::RealXCommit(Proc* proc, bool has_continuation,
-                          Tuple continuation) {
-  if (rspace_->closed()) throw ProcessKilledException{};
-  if (!proc->txn_active) {
-    FailProcReal(proc, RuntimeError::Code::kXCommitWithoutXStart,
-                 "no transaction is open");
-  }
-  rspace_->OutBatch(std::move(proc->txn_outs));
-  proc->txn_outs.clear();
-  proc->txn_ins.clear();
-  proc->txn_active = false;
-  if (has_continuation) {
-    std::lock_guard<std::mutex> lock(mu_);
-    continuations_[proc->id] = std::move(continuation);
-  }
-  real_commits_.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool Runtime::RealXRecover(Proc* proc, Tuple* continuation) {
-  if (rspace_->closed()) throw ProcessKilledException{};
-  if (proc->txn_active) {
-    FailProcReal(proc, RuntimeError::Code::kXRecoverInsideTransaction,
-                 "xrecover must run outside transactions");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = continuations_.find(proc->id);
-  const bool found = it != continuations_.end();
-  if (found && continuation != nullptr) *continuation = it->second;
-  return found;
-}
-
-int Runtime::RealSpawn(Proc* proc, const std::string& name, ProcessFn fn) {
-  if (rspace_->closed()) throw ProcessKilledException{};
-  std::unique_lock<std::mutex> lock(mu_);
-  int machine = PickMachineLocked();
-  assert(machine >= 0 && "machines never fail in real mode");
-  // The new thread passes the start gate immediately (started_real_ is set).
-  (void)proc;
-  return SpawnLocked(name, machine, std::move(fn), NowReal());
 }
 
 // --- ProcessContext forwarding -------------------------------------------

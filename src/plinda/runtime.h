@@ -12,6 +12,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "plinda/concurrent_space.h"
@@ -68,7 +69,8 @@ enum class ExecutionMode {
 /// Runtime tuning knobs (virtual seconds; latencies apply to the simulated
 /// mode only).
 struct RuntimeOptions {
-  /// Execution backend: deterministic simulator or real multicore threads.
+  /// Execution backend: the deterministic simulator, real threads
+  /// (kRealParallel) or forked processes and a server (kDistributed).
   ExecutionMode mode = ExecutionMode::kSimulated;
   /// Cost of one tuple-space operation (out/in/rd/...): models the LAN round
   /// trip to the PLinda server.
@@ -165,7 +167,9 @@ struct RuntimeError {
     kFaultInjectionUnsupported,
     /// kDistributed: the wire conversation with the tuple-space server broke
     /// beyond recovery (undecodable reply, or unreachable past the
-    /// reconnect window). Detail carries the transport error.
+    /// reconnect window). Detail carries the transport error. In every
+    /// mode, also a process body that ended on an uncaught exception;
+    /// detail then carries its what().
     kWireProtocolError,
     /// kDistributed: ProcessContext::Spawn was called (the distributed
     /// process tree is fixed before Run()).
@@ -246,7 +250,9 @@ struct RuntimeStats {
   uint64_t stripe_conflicts = 0;
 };
 
-/// A PLinda network of workstations, in one of two execution modes.
+/// A PLinda network of workstations, in one of three execution modes. One
+/// process layer implements every ProcessContext op and how a process ends
+/// for all three; each mode supplies only the primitives underneath.
 ///
 /// **Simulated (default).** Each simulated process runs on its own OS
 /// thread, but a conservative scheduler admits exactly one process at a
@@ -345,7 +351,7 @@ class Runtime {
   /// elapsed wall seconds of the run (real-parallel mode).
   double CompletionTime() const { return completion_time_; }
 
-  /// Elapsed wall seconds of the previous Run() (both modes).
+  /// Elapsed wall seconds of the previous Run() (every mode).
   double wall_time() const { return wall_time_; }
 
   /// True if the previous Run() ended in deadlock.
@@ -382,6 +388,13 @@ class Runtime {
   /// Why a kBlocked process is blocked, for the deadlock diagnostic.
   enum class BlockReason { kNone, kTemplate, kServer };
 
+  /// How a process body ended (RunBody).
+  enum class End { kDone, kKilled, kErrored };
+
+  /// One op of one process and the backend primitives it runs on
+  /// (runtime.cc).
+  class Step;
+
   struct Proc {
     int id = 0;
     std::string name;
@@ -391,7 +404,6 @@ class Runtime {
     ProcState state = ProcState::kReady;
     bool granted = false;
     bool kill_requested = false;
-    bool errored = false;  // terminated by a protocol error, not a failure
     int incarnation = 0;
     std::condition_variable cv;
 
@@ -448,6 +460,7 @@ class Runtime {
     Tuple tuple;
   };
 
+  bool sim_mode() const { return options_.mode == ExecutionMode::kSimulated; }
   bool real_mode() const {
     return options_.mode == ExecutionMode::kRealParallel;
   }
@@ -465,8 +478,16 @@ class Runtime {
   void KillProcLocked(Proc* proc, double time, std::unique_lock<std::mutex>& lock);
   void RespawnLocked(Proc* proc, double time);
   void WakeBlockedLocked(double time);
-  void AbortTxnLocked(Proc* proc, double time);
-  void BuildDiagnosticLocked();
+  /// What each blocked process waits on, by pid ("in <template>", "rd
+  /// <template>" or "tuple-space server recovery"): the simulator's and
+  /// kRealParallel's feed for BuildDiagnosticLocked.
+  std::vector<std::pair<int, std::string>> BlockedProcsLocked() const;
+  /// Fills diagnostic_ from the blocked processes (kDistributed feeds the
+  /// server's parked waiters), the processes awaiting a machine, the
+  /// server's state and errors_.
+  void BuildDiagnosticLocked(
+      const std::vector<std::pair<int, std::string>>& blocked,
+      bool wall_limited = false);
 
   // --- tuple-space server (all require mu_ held) ---
   /// Takes every periodic checkpoint due at or before `now` (the space only
@@ -479,13 +500,23 @@ class Runtime {
   bool ServerTryInLocked(double now, const Template& tmpl, Tuple* result);
   /// Blocks the process until the server is up (throws if killed meanwhile).
   void WaitServerLocked(Proc* proc, std::unique_lock<std::mutex>& lock);
-  /// Records a protocol error, terminates the process ([[noreturn]] via the
-  /// internal unwind exception).
-  [[noreturn]] void FailProcLocked(Proc* proc, RuntimeError::Code code,
-                                   std::string detail);
 
-  // --- process-side entry points (called on process threads) ---
-  void RunProcess(Proc* proc, int incarnation);
+  // --- the process layer (every mode) ---
+  /// Thread body of a simulated or kRealParallel process: its start gate,
+  /// RunBody, and the bookkeeping of how it ended.
+  void RunProcess(Proc* proc);
+  /// Runs the process body, then aborts its open transaction, whatever
+  /// ended the body: a return, a protocol error, an exception or a kill.
+  /// The forked kDistributed worker runs it too.
+  End RunBody(Proc* proc);
+  void AbortTxn(Proc* proc);
+  /// The one error recorder: appends to errors_ (a forked worker's own) and
+  /// traces kError at the process's time.
+  void RecordErrorLocked(const Proc* proc, RuntimeError::Code code,
+                         std::string detail);
+  /// The process's virtual clock in the simulator, else wall seconds since
+  /// Run().
+  double ProcTime(const Proc* proc) const;
   void Yield(Proc* proc, std::unique_lock<std::mutex>& lock);
   void OpOut(Proc* proc, Tuple tuple);
   bool OpIn(Proc* proc, const Template& tmpl, Tuple* result, bool blocking,
@@ -499,24 +530,12 @@ class Runtime {
   // --- real-parallel backend (ExecutionMode::kRealParallel) ---
   /// Driver: moves the seeded space into the concurrent space, releases
   /// every process thread, and waits for them to finish. It declares
-  /// deadlock, under mu_ (which keeps RealSpawn out), once the space counts
+  /// deadlock, under mu_ (which keeps OpSpawn out), once the space counts
   /// every live process as stalled. Then it joins and moves the space back.
   bool RunReal();
-  /// Elapsed wall seconds since RunReal() released the processes.
+  /// Elapsed wall seconds since RunReal() released the processes (or since
+  /// RunDistributed() forked them).
   double NowReal() const;
-  void RunProcessReal(Proc* proc);
-  /// Rolls back `proc`'s open transaction (restores its ins unless the
-  /// space is closed). Called by the owning thread during unwind.
-  void RealAbortTxn(Proc* proc);
-  [[noreturn]] void FailProcReal(Proc* proc, RuntimeError::Code code,
-                                 std::string detail);
-  void RealOut(Proc* proc, Tuple tuple);
-  bool RealIn(Proc* proc, const Template& tmpl, Tuple* result, bool blocking,
-              bool remove);
-  void RealXStart(Proc* proc);
-  void RealXCommit(Proc* proc, bool has_continuation, Tuple continuation);
-  bool RealXRecover(Proc* proc, Tuple* continuation);
-  int RealSpawn(Proc* proc, const std::string& name, ProcessFn fn);
 
   // --- distributed backend (ExecutionMode::kDistributed) ---
   // Implemented in runtime_dist.cc. The parent process becomes the
@@ -525,18 +544,10 @@ class Runtime {
   // for deadlock via server STATUS polls, and drains results back into
   // space_ when every worker is done.
   bool RunDistributed();
-  /// Body of a forked worker process: connects to the server, runs the
-  /// ProcessFn, reports work/error through a per-incarnation status file,
+  /// Body of a forked worker process: connects to the server, runs
+  /// RunBody, reports work/error through a per-incarnation status file,
   /// and returns the child's exit code.
   int RunWorkerChild(Proc* proc);
-  void DistOut(Proc* proc, Tuple tuple);
-  bool DistIn(Proc* proc, const Template& tmpl, Tuple* result, bool blocking,
-              bool remove);
-  void DistXStart(Proc* proc);
-  void DistXCommit(Proc* proc, bool has_continuation, Tuple continuation);
-  bool DistXRecover(Proc* proc, Tuple* continuation);
-  [[noreturn]] void FailProcDist(Proc* proc, RuntimeError::Code code,
-                                 std::string detail);
 
   RuntimeOptions options_;
   std::vector<Machine> machines_;
@@ -597,7 +608,6 @@ class Runtime {
   std::unique_ptr<net::RemoteTupleSpace> dclient_;
   std::string dist_dir_;
   std::string dist_socket_;
-  std::vector<RuntimeError> dist_child_errors_;  // set inside the child only
 
   std::vector<std::thread> threads_;
 };

@@ -1,8 +1,8 @@
-// ExecutionMode::kDistributed backend: the supervisor (parent process), the
-// forked worker bodies, and the tuple-space ops a worker issues over the
-// wire. The parent stays single-threaded so fork() is safe; every PLinda
-// process is an OS process, and the tuple space lives in a SpaceServer
-// process reached through RemoteTupleSpace (see plinda/net/).
+// ExecutionMode::kDistributed backend: the supervisor (parent process) and
+// the forked worker bodies. The parent stays single-threaded so fork() is
+// safe; every PLinda process is an OS process, and the tuple space lives in
+// a SpaceServer process reached through RemoteTupleSpace (see plinda/net/).
+// A worker's ops are the process layer's (runtime.cc) on that connection.
 
 #include <errno.h>
 #include <fcntl.h>
@@ -34,12 +34,6 @@ namespace fpdm::plinda {
 namespace {
 
 using CallStatus = net::RemoteTupleSpace::CallStatus;
-
-/// Unwind types of a distributed worker child: the process-boundary
-/// equivalents of the simulator's internal exceptions. Thrown by the Dist*
-/// ops and caught only by RunWorkerChild, in this translation unit.
-struct DistKilledException {};
-struct DistProtocolErrorException {};
 
 /// What the supervisor keeps in the distributed state directory, besides
 /// one status file per worker incarnation (StatusFilePath).
@@ -168,203 +162,22 @@ bool ReadWorkerReport(const std::string& path, WorkerReport* report) {
 
 // --- worker side (runs in the forked child) ------------------------------
 
-void Runtime::FailProcDist(Proc* proc, RuntimeError::Code code,
-                           std::string detail) {
-  RuntimeError error;
-  error.code = code;
-  error.time = NowReal();
-  error.pid = proc->id;
-  error.process = proc->name;
-  error.detail = std::move(detail);
-  dist_child_errors_.push_back(std::move(error));
-  proc->errored = true;
-  throw DistProtocolErrorException{};
-}
-
-void Runtime::DistOut(Proc* proc, Tuple tuple) {
-  if (proc->txn_active) {
-    proc->txn_outs.push_back(std::move(tuple));
-    return;
-  }
-  // Consecutive non-blocking outs coalesce: the tuple rides in a kBatch
-  // frame flushed before the next blocking op, so a stream of outs costs
-  // one round trip instead of one each. Failures of the deferred frame
-  // surface here on a later out or at the next sync call.
-  switch (dclient_->BatchOut(tuple)) {
-    case CallStatus::kOk:
-      return;
-    case CallStatus::kCancelled:
-      throw DistKilledException{};
-    default:
-      FailProcDist(proc, RuntimeError::Code::kWireProtocolError,
-                   dclient_->last_error());
-  }
-}
-
-bool Runtime::DistIn(Proc* proc, const Template& tmpl, Tuple* result,
-                     bool blocking, bool remove) {
-  // A transaction sees its own uncommitted outs (same as the simulator).
-  // Removals from the shared space are rolled back server-side on abort, so
-  // no client-side txn_ins bookkeeping is needed.
-  if (proc->txn_active) {
-    for (auto it = proc->txn_outs.begin(); it != proc->txn_outs.end(); ++it) {
-      if (Matches(tmpl, *it)) {
-        if (result != nullptr) *result = *it;
-        if (remove) proc->txn_outs.erase(it);
-        return true;
-      }
-    }
-  }
-  Tuple found;
-  switch (dclient_->In(tmpl, blocking, remove, &found)) {
-    case CallStatus::kOk:
-      if (result != nullptr) *result = std::move(found);
-      return true;
-    case CallStatus::kNotFound:
-      return false;
-    case CallStatus::kCancelled:
-      throw DistKilledException{};
-    default:
-      FailProcDist(proc, RuntimeError::Code::kWireProtocolError,
-                   dclient_->last_error());
-  }
-}
-
-void Runtime::DistXStart(Proc* proc) {
-  if (proc->txn_active) {
-    FailProcDist(proc, RuntimeError::Code::kNestedXStart,
-                 "transaction already open");
-  }
-  // The xstart frame is deferred: it flushes (in order, one writev) with
-  // the next blocking in/rd or commit, collapsing the steady-state task
-  // loop [xcommit, xstart, blocking in] to one round trip.
-  switch (dclient_->DeferXStart()) {
-    case CallStatus::kOk:
-      proc->txn_active = true;
-      return;
-    case CallStatus::kCancelled:
-      throw DistKilledException{};
-    default:
-      FailProcDist(proc, RuntimeError::Code::kWireProtocolError,
-                   dclient_->last_error());
-  }
-}
-
-void Runtime::DistXCommit(Proc* proc, bool has_continuation,
-                          Tuple continuation) {
-  if (!proc->txn_active) {
-    FailProcDist(proc, RuntimeError::Code::kXCommitWithoutXStart,
-                 "no transaction is open");
-  }
-  // The commit frame is deferred too. The optimistic local txn-clear is
-  // safe: if the deferred commit is later rejected (cancelled run), the
-  // sticky deferred error unwinds this worker at its next wire call, and if
-  // the worker crashes before the frame flushes, the server's crash-abort
-  // on EOF rolls the transaction back — either way the commit applied
-  // exactly once or not at all.
-  switch (dclient_->DeferXCommit(proc->txn_outs, has_continuation,
-                                 continuation)) {
-    case CallStatus::kOk:
-      proc->txn_outs.clear();
-      proc->txn_ins.clear();
-      proc->txn_active = false;
-      return;
-    case CallStatus::kCancelled:
-      throw DistKilledException{};
-    default:
-      FailProcDist(proc, RuntimeError::Code::kWireProtocolError,
-                   dclient_->last_error());
-  }
-}
-
-bool Runtime::DistXRecover(Proc* proc, Tuple* continuation) {
-  if (proc->txn_active) {
-    FailProcDist(proc, RuntimeError::Code::kXRecoverInsideTransaction,
-                 "xrecover must run outside transactions");
-  }
-  Tuple found;
-  switch (dclient_->XRecover(&found)) {
-    case CallStatus::kOk:
-      if (continuation != nullptr) *continuation = std::move(found);
-      return true;
-    case CallStatus::kNotFound:
-      return false;
-    case CallStatus::kCancelled:
-      throw DistKilledException{};
-    default:
-      FailProcDist(proc, RuntimeError::Code::kWireProtocolError,
-                   dclient_->last_error());
-  }
-}
-
 int Runtime::RunWorkerChild(Proc* proc) {
   ::signal(SIGPIPE, SIG_IGN);
+  // The child reports only its own errors, through its status file.
+  errors_.clear();
   net::RemoteSpaceOptions copts;
   copts.endpoint = dist_socket_;
   copts.pid = proc->id;
   copts.incarnation = proc->incarnation;
   copts.reconnect_timeout_s = options_.distributed_reconnect_timeout;
   dclient_ = std::make_unique<net::RemoteTupleSpace>(copts);
-  int code = 0;
-  if (!dclient_->Connect()) {
-    RuntimeError error;
-    error.code = RuntimeError::Code::kWireProtocolError;
-    error.time = NowReal();
-    error.pid = proc->id;
-    error.process = proc->name;
-    error.detail = "cannot reach the tuple-space server";
-    dist_child_errors_.push_back(std::move(error));
-    code = 2;
+  End end = End::kErrored;
+  if (dclient_->Connect()) {
+    end = RunBody(proc);
   } else {
-    ProcessContext ctx(this, proc);
-    try {
-      proc->fn(ctx);
-    } catch (const DistKilledException&) {
-      code = 3;
-    } catch (const DistProtocolErrorException&) {
-      code = 2;
-    } catch (const std::exception& e) {
-      RuntimeError error;
-      error.code = RuntimeError::Code::kWireProtocolError;
-      error.time = NowReal();
-      error.pid = proc->id;
-      error.process = proc->name;
-      error.detail = std::string("uncaught exception in process body: ") +
-                     e.what();
-      dist_child_errors_.push_back(std::move(error));
-      code = 2;
-    }
-    if (code == 0 && proc->txn_active) {
-      // Clean return with an open transaction rolls it back, mirroring the
-      // simulator's unwind path.
-      dclient_->XAbort();
-      proc->txn_active = false;
-      proc->txn_outs.clear();
-    }
-    if (code == 0) {
-      // Push any still-deferred frames (typically the final task's commit)
-      // before declaring success: a deferred failure must fail this
-      // incarnation the same way a synchronous one would have.
-      switch (dclient_->Flush()) {
-        case CallStatus::kOk:
-        case CallStatus::kNotFound:
-          break;
-        case CallStatus::kCancelled:
-          code = 3;
-          break;
-        default: {
-          RuntimeError error;
-          error.code = RuntimeError::Code::kWireProtocolError;
-          error.time = NowReal();
-          error.pid = proc->id;
-          error.process = proc->name;
-          error.detail = dclient_->last_error();
-          dist_child_errors_.push_back(std::move(error));
-          code = 2;
-          break;
-        }
-      }
-    }
+    RecordErrorLocked(proc, RuntimeError::Code::kWireProtocolError,
+                      "cannot reach the tuple-space server");
   }
   char work_line[256];
   std::snprintf(work_line, sizeof(work_line),
@@ -372,7 +185,7 @@ int Runtime::RunWorkerChild(Proc* proc) {
                 static_cast<unsigned long long>(dclient_->rpc_round_trips()),
                 static_cast<unsigned long long>(dclient_->transport_bytes()));
   std::string content = work_line;
-  for (const RuntimeError& error : dist_child_errors_) {
+  for (const RuntimeError& error : errors_) {
     std::string detail = error.detail;
     for (char& c : detail) {
       if (c == '\n' || c == '\r') c = ' ';
@@ -382,8 +195,11 @@ int Runtime::RunWorkerChild(Proc* proc) {
   }
   WriteFileOnce(StatusFilePath(dist_dir_, proc->id, proc->incarnation),
                 content);
-  if (code != 3) dclient_->Bye();
-  return code;
+  // BYE suppresses the server's crash-abort of this client's transaction.
+  // Only a body that returned and whose deferred frames all applied says it;
+  // after any other end the server rolls back whatever is still open.
+  if (end == End::kDone) dclient_->Bye();
+  return end == End::kDone ? 0 : end == End::kKilled ? 3 : 2;
 }
 
 // --- supervisor side (the parent process) --------------------------------
@@ -419,7 +235,7 @@ bool Runtime::RunDistributed() {
 
   if (dist_dir_.empty()) {
     fail_run("cannot create the distributed state directory");
-    BuildDiagnosticLocked();
+    BuildDiagnosticLocked({});
     return false;
   }
   auto fail_structured = [&](RuntimeError::Code code, std::string detail) {
@@ -428,7 +244,7 @@ bool Runtime::RunDistributed() {
     error.time = now();
     error.detail = std::move(detail);
     errors_.push_back(std::move(error));
-    BuildDiagnosticLocked();
+    BuildDiagnosticLocked({});
     if (owns_dir) net::RemoveTree(dist_dir_);
     wall_time_ = now();
     completion_time_ = wall_time_;
@@ -792,21 +608,14 @@ bool Runtime::RunDistributed() {
         ++stats_.processes_killed;
       } else if (info.exited) {
         proc->state = ProcState::kDead;
-        proc->errored = true;
-        RuntimeError error;
+        RuntimeError::Code code = RuntimeError::Code::kWireProtocolError;
+        std::string detail =
+            "worker exited with code " + std::to_string(info.exit_code);
         if (have_report && report.has_error) {
-          error.code = static_cast<RuntimeError::Code>(report.error_code);
-          error.detail = report.error_detail;
-        } else {
-          error.code = RuntimeError::Code::kWireProtocolError;
-          error.detail =
-              "worker exited with code " + std::to_string(info.exit_code);
+          code = static_cast<RuntimeError::Code>(report.error_code);
+          detail = report.error_detail;
         }
-        error.time = now();
-        error.pid = proc->id;
-        error.process = proc->name;
-        errors_.push_back(std::move(error));
-        RecordLocked(TraceEvent::Kind::kError, now(), proc, proc->machine);
+        RecordErrorLocked(proc, code, std::move(detail));
       } else {
         // Signaled: a machine failure killed the worker mid-run. The server
         // crash-aborts its open transaction on connection EOF.
@@ -957,39 +766,13 @@ bool Runtime::RunDistributed() {
   completion_time_ = wall_time_;
 
   if (deadlocked_ || !errors_.empty()) {
-    std::string out;
-    if (deadlocked_) {
-      out += "deadlock: no process can make progress\n";
-      for (const net::ParkedWaiter& waiter : last_parked) {
-        const Proc* proc =
-            waiter.pid >= 0 && waiter.pid < static_cast<int32_t>(procs_.size())
-                ? procs_[static_cast<size_t>(waiter.pid)].get()
-                : nullptr;
-        char head[128];
-        std::snprintf(head, sizeof(head),
-                      "  %s (pid %d, machine %d) blocked on ",
-                      proc != nullptr ? proc->name.c_str() : "?", waiter.pid,
-                      proc != nullptr ? proc->machine : -1);
-        out += head;
-        out += waiter.remove ? "in " : "rd ";
-        out += waiter.tmpl_text;
-        out += '\n';
-      }
-      for (const Proc* proc : pending_respawns_) {
-        char line[128];
-        std::snprintf(line, sizeof(line),
-                      "  %s (pid %d) killed, awaiting an up machine\n",
-                      proc->name.c_str(), proc->id);
-        out += line;
-      }
-      if (wall_limited) {
-        out += "  wall-clock limit exceeded (distributed_wall_limit)\n";
-      }
+    // The server's parked waiters stand for the blocked processes.
+    std::vector<std::pair<int, std::string>> blocked;
+    for (const net::ParkedWaiter& waiter : last_parked) {
+      const std::string op = waiter.remove ? "in " : "rd ";
+      blocked.emplace_back(waiter.pid, op + waiter.tmpl_text);
     }
-    for (const RuntimeError& error : errors_) {
-      out += "  " + ToString(error) + '\n';
-    }
-    diagnostic_ = std::move(out);
+    BuildDiagnosticLocked(blocked, wall_limited);
   }
 
   if (listen_fd >= 0) ::close(listen_fd);

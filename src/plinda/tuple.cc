@@ -46,6 +46,15 @@ bool Matches(const Template& tmpl, const Tuple& tuple) {
   return true;
 }
 
+Template ExactTemplate(const Tuple& tuple) {
+  Template tmpl;
+  tmpl.fields.reserve(tuple.fields.size());
+  for (const Value& value : tuple.fields) {
+    tmpl.fields.push_back(TemplateField::Actual(value));
+  }
+  return tmpl;
+}
+
 int64_t GetInt(const Tuple& tuple, size_t index) {
   assert(index < tuple.fields.size());
   const int64_t* v = std::get_if<int64_t>(&tuple.fields[index]);

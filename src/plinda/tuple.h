@@ -48,6 +48,12 @@ struct Template {
 /// type-compatible.
 bool Matches(const Template& tmpl, const Tuple& tuple);
 
+/// A template of all actuals, matching exactly `tuple`. Replaying a logged
+/// removal with it takes the oldest tuple equal to the logged one, which is
+/// the tuple the original in removed: the oldest equal duplicate is also the
+/// oldest match of the original template.
+Template ExactTemplate(const Tuple& tuple);
+
 // --- Convenience constructors -------------------------------------------
 
 /// Builds a tuple from values, e.g. MakeTuple("task", 3, pattern_string).
