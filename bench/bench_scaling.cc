@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -199,44 +198,18 @@ BENCHMARK(BM_ScalingDistributedApriori)
 // trip per burst. Rows sweep the client count; the 8-client row is
 // the single serve loop under load. p99 burst latency (µs) rides along so a
 // throughput change bought with a latency collapse shows up.
-enum class SaturationTransport { kUnix, kTcp };
-
-void ServerSaturationImpl(benchmark::State& state,
-                          SaturationTransport transport) {
+void BM_ServerSaturation(benchmark::State& state) {
   using namespace plinda;
-  const bool tcp = transport == SaturationTransport::kTcp;
   const int clients = static_cast<int>(state.range(0));
   constexpr int kBurst = 32;   // outs per burst, and then as many takes
   constexpr int kRounds = 48;  // bursts per client per iteration
   const std::string dir = net::MakeStateDir();
   net::SpaceServerOptions sopts;
-  std::string endpoint = dir + "/space.sock";
-  sopts.endpoint = tcp ? "tcp:127.0.0.1:0" : endpoint;
-  if (tcp) sopts.resolved_endpoint_file = dir + "/endpoint";
+  const std::string endpoint = dir + "/space.sock";
+  sopts.endpoint = endpoint;
   sopts.state_dir = dir + "/state";
   const pid_t server_pid = net::ForkServerProcess(sopts);
-  if (server_pid <= 0) {
-    state.SkipWithError("server start failed");
-    return;
-  }
-  if (tcp) {
-    // The server binds port 0 and publishes the kernel-assigned port
-    // through the resolved-endpoint file.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    endpoint.clear();
-    while (endpoint.empty() && std::chrono::steady_clock::now() < deadline) {
-      std::ifstream in(sopts.resolved_endpoint_file);
-      std::getline(in, endpoint);
-      if (endpoint.empty()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-    }
-    if (endpoint.empty() || !net::WaitForEndpoint(endpoint, 10.0)) {
-      state.SkipWithError("server start failed");
-      return;
-    }
-  } else if (!net::WaitForEndpoint(endpoint, 10.0)) {
+  if (server_pid <= 0 || !net::WaitForEndpoint(endpoint, 10.0)) {
     state.SkipWithError("server start failed");
     return;
   }
@@ -321,23 +294,7 @@ void ServerSaturationImpl(benchmark::State& state,
   state.counters["clients"] = static_cast<double>(clients);
 }
 
-void BM_ServerSaturation(benchmark::State& state) {
-  ServerSaturationImpl(state, SaturationTransport::kUnix);
-}
 BENCHMARK(BM_ServerSaturation)
-    ->Arg(1)
-    ->Arg(8)
-    ->Iterations(3)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// The transport axis: the same saturation workload over loopback TCP. The
-// delta against the matching BM_ServerSaturation rows is pure transport
-// cost; the 8-client row doubles as the multi-client TCP soak.
-void BM_ServerSaturationTcp(benchmark::State& state) {
-  ServerSaturationImpl(state, SaturationTransport::kTcp);
-}
-BENCHMARK(BM_ServerSaturationTcp)
     ->Arg(1)
     ->Arg(8)
     ->Iterations(3)

@@ -44,6 +44,13 @@ void ApplyFailures(plinda::Runtime* runtime, const ParallelExecOptions& exec) {
   plinda::InstallFaultPlan(runtime, exec.fault_plan);
 }
 
+// The masters keep their state in locals and never XRecover, so a
+// respawned master would start over: the drivers refuse to run when
+// machine 0 fails (DESIGN.md, "Fault model", Masters).
+bool FailsMaster(const ParallelExecOptions& exec) {
+  return plinda::FailsMachine(0, exec.failures, exec.fault_plan);
+}
+
 plinda::RuntimeOptions RuntimeOptionsFor(const ParallelExecOptions& exec) {
   plinda::RuntimeOptions options = exec.runtime;
   options.mode = exec.execution_mode;
@@ -56,6 +63,7 @@ ParallelTreeResult ParallelNyuMinerCV(const Dataset& data,
                                       const std::vector<int>& rows,
                                       const NyuMinerOptions& options,
                                       const ParallelExecOptions& exec) {
+  if (FailsMaster(exec)) return ParallelTreeResult{};
   // Folds < 2 degenerate to growing the (unpruned) main tree, matching
   // GrowWithCostComplexityCv.
   const int folds = options.cv_folds >= 2 ? options.cv_folds : 0;
@@ -328,6 +336,7 @@ ParallelTreeResult ParallelC45(const Dataset& data,
                                const std::vector<int>& rows,
                                const C45Options& options,
                                const ParallelExecOptions& exec) {
+  if (FailsMaster(exec)) return ParallelTreeResult{};
   TrialRun run = RunTrialsInParallel(
       std::max(options.window_trials, 1), options.seed, exec,
       [&](int, uint64_t seed, double* work) {
@@ -358,6 +367,7 @@ ParallelRsResult ParallelNyuMinerRS(const Dataset& data,
                                     const std::vector<int>& rows,
                                     const NyuMinerOptions& options,
                                     const ParallelExecOptions& exec) {
+  if (FailsMaster(exec)) return ParallelRsResult{};
   TrialRun run = RunTrialsInParallel(
       options.rs_trials, options.seed, exec,
       [&](int, uint64_t seed, double* work) {

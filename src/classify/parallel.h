@@ -26,11 +26,13 @@ struct ParallelExecOptions {
   double seconds_per_work_unit = 1e-6;
   plinda::RuntimeOptions runtime;
   /// Machine failures to inject: (machine, virtual time). Machine 0 hosts
-  /// the master.
+  /// the master, which cannot survive its death: a run that fails machine 0
+  /// returns ok = false without running (DESIGN.md, "Fault model",
+  /// Masters).
   std::vector<std::pair<int, double>> failures;
   /// Seeded chaos schedule (machine and tuple-space-server faults) applied
-  /// on top of `failures`; see plinda/chaos.h. Keep machine 0 spared: the
-  /// master (and worker 0) run there.
+  /// on top of `failures`; see plinda/chaos.h. Keep machine 0 spared, as
+  /// `failures` must: the master (and worker 0) run there.
   plinda::FaultPlan fault_plan;
 };
 

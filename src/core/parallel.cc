@@ -119,12 +119,12 @@ void WorkerBody(ProcessContext& ctx, const MiningProblem& problem,
         if (problem.IsGood(pattern, goodness)) {
           children = problem.ChildPatterns(pattern);
         }
-        // The report MUST go out before the child tasks. A commit publishes
-        // its outs one at a time; with children first, a fast sibling chain
-        // can consume a child and deliver the whole subtree's reports while
-        // this report is still unpublished, driving the master's `active`
-        // counter to zero early. Report-first plus FIFO matching guarantees
-        // the master consumes a parent's report before any descendant's.
+        // The report goes out before the child tasks. Every backend
+        // publishes a commit's outs at once (kRealParallel under one lock
+        // through ConcurrentTupleSpace::OutBatch), so no descendant's report
+        // can appear before this one, and FIFO matching alone makes the
+        // master consume a parent's report first. The order is kept because
+        // it costs nothing.
         ctx.Out(MakeTuple("report", pattern.key, pattern.length, goodness,
                           static_cast<int64_t>(children.size())));
         for (const Pattern& child : children) {
@@ -328,6 +328,11 @@ const char* StrategyName(Strategy strategy) {
 
 ParallelResult MineParallel(const MiningProblem& problem,
                             const ParallelOptions& options) {
+  // The master keeps its state in locals and never XRecovers, so a
+  // respawned master would start over (DESIGN.md, "Fault model", Masters).
+  if (plinda::FailsMachine(0, options.failures, options.fault_plan)) {
+    return ParallelResult{};
+  }
   ParallelOptions opts = options;
   assert(opts.num_workers >= 1);
   if (opts.adaptive_master && (opts.strategy == Strategy::kOptimistic ||

@@ -68,13 +68,14 @@ struct ParallelOptions {
   double seconds_per_work_unit = 1.0;
 
   /// Virtual-machine failures to inject: (machine index, virtual time).
-  /// Machine 0 hosts the master; see DESIGN.md on master fault tolerance.
+  /// Machine 0 hosts the master, which cannot survive its death: a run
+  /// that fails machine 0 returns ok = false without running (DESIGN.md,
+  /// "Fault model", Masters).
   std::vector<std::pair<int, double>> failures;
 
   /// Seeded chaos schedule (machine and tuple-space-server faults) applied
   /// on top of `failures`. See plinda/chaos.h; generate with
-  /// GenerateFaultPlan and leave machine 0 spared (the master does not
-  /// commit continuations).
+  /// GenerateFaultPlan and leave machine 0 spared, as `failures` must.
   plinda::FaultPlan fault_plan;
 
   plinda::RuntimeOptions runtime;
@@ -91,7 +92,9 @@ struct ParallelResult {
   double wall_time = 0;
   plinda::RuntimeStats stats;
   int num_workers = 0;
-  bool ok = false;  // false on simulated deadlock (protocol bug)
+  /// false on a deadlock (protocol bug), a runtime error, or a fault
+  /// schedule that fails machine 0 (the run is then refused, not started).
+  bool ok = false;
 };
 
 /// Runs the parallel data mining virtual machine for `problem` on a

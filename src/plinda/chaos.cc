@@ -237,4 +237,20 @@ void InstallFaultPlan(Runtime* runtime, const FaultPlan& plan) {
   }
 }
 
+bool FailsMachine(int machine,
+                  const std::vector<std::pair<int, double>>& failures,
+                  const FaultPlan& plan) {
+  for (const auto& failure : failures) {
+    if (failure.first == machine) return true;
+  }
+  for (const FaultEvent& event : plan.events) {
+    if ((event.kind == FaultEvent::Kind::kMachineCrash ||
+         event.kind == FaultEvent::Kind::kMachineRetreat) &&
+        event.machine == machine) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace fpdm::plinda

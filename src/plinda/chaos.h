@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "plinda/runtime.h"
@@ -33,9 +34,9 @@ struct ChaosOptions {
   double retreat_probability = 0.5;
 
   /// Machines never failed by the plan. Defaults to machine 0: the miners'
-  /// masters run there, and (unlike the workers) the E-tree masters do not
-  /// commit continuations, so the PLinda guarantee covers worker deaths
-  /// only. An empty list puts every machine in play.
+  /// masters run there, and (unlike the workers) they do not commit
+  /// continuations, so the drivers refuse a plan that fails it (see
+  /// FailsMachine). An empty list puts every machine in play.
   std::vector<int> spared_machines = {0};
 
   /// Upper bound on machines down at the same instant. Non-positive means
@@ -113,6 +114,14 @@ FaultPlan GenerateFaultPlan(int num_machines, const ChaosOptions& options);
 /// Installs every event of the plan into the runtime
 /// (ScheduleFailure/ScheduleRecovery/ScheduleServerFailure/...).
 void InstallFaultPlan(Runtime* runtime, const FaultPlan& plan);
+
+/// True if `failures` ((machine, time) pairs) or a crash or retreat event of
+/// `plan` fails `machine`. The mining drivers refuse to run when this holds
+/// for machine 0, where their masters run (DESIGN.md, "Fault model",
+/// Masters).
+bool FailsMachine(int machine,
+                  const std::vector<std::pair<int, double>>& failures,
+                  const FaultPlan& plan);
 
 }  // namespace fpdm::plinda
 

@@ -118,21 +118,17 @@ void RemoteTupleSpace::BackoffSleep() {
 
 bool RemoteTupleSpace::EnsureConnected() {
   if (fd_ >= 0) return true;
-  // A structurally unusable endpoint — malformed grammar, or a unix path
-  // that would truncate into the fixed 108-byte sun_path and connect to a
-  // nonexistent socket forever — fails fast with a structured error
-  // instead of burning the whole reconnect window.
-  std::string error;
-  if (!EndpointUsable(options_.endpoint, &error)) {
-    last_error_ = error;
+  // A structurally unusable endpoint (a retired scheme, or a path that
+  // would truncate into the fixed 108-byte sun_path and connect to a
+  // nonexistent socket forever) fails fast with a structured error instead
+  // of burning the whole reconnect window.
+  std::string path;
+  if (!ParseEndpoint(options_.endpoint, &path, &last_error_)) {
     endpoint_bad_ = true;
     return false;
   }
-  Endpoint endpoint;
-  ParseEndpoint(options_.endpoint, &endpoint, nullptr);
-  const int fd = ConnectEndpoint(endpoint);
+  const int fd = ConnectSocket(path);
   if (fd < 0) return false;
-  if (endpoint.kind == Endpoint::Kind::kTcp) ApplyTcpSocketOptions(fd);
   fd_ = fd;
   reader_ = FrameReader{};
   if (options_.pid < 0) {  // control connections skip HELLO

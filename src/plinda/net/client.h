@@ -12,8 +12,8 @@
 namespace fpdm::plinda::net {
 
 struct RemoteSpaceOptions {
-  /// Server endpoint: "unix:<path>" or "tcp:<host>:<port>" (a bare string
-  /// is a Unix-domain path — see plinda/net/endpoint.h).
+  /// Server socket: "unix:<path>" or a bare path (see
+  /// plinda/net/endpoint.h).
   std::string endpoint;
   /// PLinda process id this client speaks for; -1 for control connections
   /// (the runtime supervisor), which skip registration and sequencing.
@@ -133,10 +133,9 @@ class RemoteTupleSpace {
   /// Chaos fault injection (control connections): cuts (start) or restores
   /// (heal) the server's network — see Op::kChaosPartition. Fire-and-poll
   /// like BeginStatus, never a blocking wait: the victim may have died
-  /// unplanned (a chaos die point) an instant earlier, and its pre-bound
-  /// listener then accepts this connection into a backlog nothing drains —
-  /// a blocking read would never return. Gather the reply via PollStatus;
-  /// a supervisor that gives up calls Abandon().
+  /// unplanned (a chaos die point) an instant earlier, and a blocking call
+  /// would hold its caller for the whole reconnect window. Gather the reply
+  /// via PollStatus; a supervisor that gives up calls Abandon().
   CallStatus BeginChaosPartition(bool start);
   /// Non-blocking check for the reply of the in-flight control frame
   /// (BeginStatus / BeginChaosPartition): kPending while it is still in
@@ -202,8 +201,8 @@ class RemoteTupleSpace {
   FrameReader reader_;
   uint64_t next_seq_ = 0;
   std::deque<PendingFrame> queued_;
-  /// Structurally unusable endpoint (malformed grammar, a unix path that
-  /// cannot fit sun_path): fatal, no point retrying. Detail in last_error_.
+  /// Structurally unusable endpoint (a retired scheme, a path that cannot
+  /// fit sun_path): fatal, no point retrying. Detail in last_error_.
   bool endpoint_bad_ = false;
   std::vector<BatchOp> batch_;  // open coalescing batch
   size_t batch_bytes_ = 0;      // rough encoded-size estimate

@@ -5,7 +5,6 @@
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <csignal>
@@ -1069,44 +1068,22 @@ int SpaceServer::Serve() {
   ::signal(SIGPIPE, SIG_IGN);
   if (!Recover()) return 1;
 
-  Endpoint listen_ep;
   {
-    // A structurally unusable endpoint (malformed grammar, a unix path
-    // overflowing the fixed 108-byte sun_path field — binding a silently
-    // truncated path would serve on a socket no client ever connects to)
-    // fails loudly with a distinct exit code the supervisor maps to a
-    // structured error. Transient bind/listen failures stay exit 1.
+    // An unusable endpoint (a retired scheme, or a path overflowing the
+    // fixed 108-byte sun_path field: binding a silently truncated path
+    // would serve on a socket no client ever connects to) fails loudly
+    // with a distinct exit code. Transient bind/listen failures stay exit 1.
     std::string error;
-    if (!EndpointUsable(options_.endpoint, &error)) {
+    if (!ParseEndpoint(options_.endpoint, &socket_path_, &error)) {
       std::fprintf(stderr, "fpdm server: %s\n", error.c_str());
       return 4;
     }
-    ParseEndpoint(options_.endpoint, &listen_ep, nullptr);
-    tcp_listener_ = listen_ep.kind == Endpoint::Kind::kTcp;
-    if (options_.listen_fd >= 0) {
-      // Supervisor-pre-bound socket (port-0 TCP): already listening; the
-      // concrete port lives in the supervisor's endpoint, not in listen_ep.
-      listen_fd_ = options_.listen_fd;
-    } else {
-      listen_fd_ = ListenEndpoint(&listen_ep, kListenBacklog, &error);
-      if (listen_fd_ < 0) {
-        std::fprintf(stderr, "fpdm server: %s\n", error.c_str());
-        return 1;
-      }
+    listen_fd_ = ListenSocket(socket_path_, &error);
+    if (listen_fd_ < 0) {
+      std::fprintf(stderr, "fpdm server: %s\n", error.c_str());
+      return 1;
     }
     if (!SetNonBlocking(listen_fd_)) return 1;
-    if (!options_.resolved_endpoint_file.empty()) {
-      // Publish the concrete endpoint (port 0 resolved) via tmp + rename,
-      // so a reader never sees a partial write.
-      const std::string resolved = FormatEndpoint(listen_ep);
-      const std::string tmp = options_.resolved_endpoint_file + ".tmp";
-      FILE* f = std::fopen(tmp.c_str(), "w");
-      if (f != nullptr) {
-        std::fputs(resolved.c_str(), f);
-        std::fclose(f);
-        ::rename(tmp.c_str(), options_.resolved_endpoint_file.c_str());
-      }
-    }
   }
 
   epoll_fd_ = ::epoll_create1(0);
@@ -1155,7 +1132,6 @@ int SpaceServer::Serve() {
         if (fd < 0) break;
         SetNonBlocking(fd);
         ApplySndbuf(fd, options_.sndbuf_bytes);
-        if (tcp_listener_) ApplyTcpSocketOptions(fd);
         auto conn = std::make_unique<Conn>();
         conn->fd = fd;
         epoll_event ev{};
@@ -1277,14 +1253,7 @@ int SpaceServer::Serve() {
   listen_fd_ = -1;
   ::close(epoll_fd_);
   epoll_fd_ = -1;
-  // Remove the socket path only if we bound it ourselves: a supervisor's
-  // pre-bound listener (listen_fd inheritance) must keep its path so a
-  // restarted server is reachable at the same address.
-  Endpoint ep;
-  if (options_.listen_fd < 0 && ParseEndpoint(options_.endpoint, &ep, nullptr) &&
-      ep.kind == Endpoint::Kind::kUnix) {
-    ::unlink(ep.path.c_str());
-  }
+  ::unlink(socket_path_.c_str());
   return wal_failed_ ? 1 : 0;
 }
 

@@ -18,23 +18,11 @@
 namespace fpdm::plinda::net {
 
 struct SpaceServerOptions {
-  /// Endpoint the server listens on: "unix:<path>" or "tcp:<host>:<port>"
-  /// (a bare string is a Unix-domain path — see plinda/net/endpoint.h).
-  /// A TCP port of 0 binds a kernel-assigned port; pair it with
-  /// resolved_endpoint_file (or a supervisor-held listen_fd) so clients can
-  /// learn the concrete address.
+  /// Unix-domain socket the server listens on: "unix:<path>" or a bare
+  /// path (see plinda/net/endpoint.h). The server binds it, replacing a
+  /// stale socket file a crashed predecessor left, and removes it on a
+  /// clean shutdown.
   std::string endpoint;
-  /// An already-bound, already-listening socket to serve on instead of
-  /// binding `endpoint` (-1 = bind it ourselves). The distributed
-  /// supervisor pre-binds its TCP listener with port 0 *before* forking, so
-  /// the endpoint is concrete at fork time and a restarted server
-  /// re-inherits the same port — tests never race on ports. The fd is
-  /// inherited through fork; the server never closes the supervisor's copy.
-  int listen_fd = -1;
-  /// If non-empty, the resolved endpoint (after a port-0 TCP bind) is
-  /// written here via tmp + rename once the server is listening —
-  /// standalone TCP servers publish their concrete address this way.
-  std::string resolved_endpoint_file;
   /// If non-empty, ForkServerProcess redirects the child's stderr here
   /// (append mode — restarts share the file). CI keeps these files with the
   /// per-run state dirs so a red chaos seed is debuggable post-hoc.
@@ -229,9 +217,7 @@ class SpaceServer {
   int log_fd_ = -1;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  /// True while serving on a TCP endpoint: accepted sockets get
-  /// TCP_NODELAY + SO_KEEPALIVE.
-  bool tcp_listener_ = false;
+  std::string socket_path_;  // parsed from options_.endpoint by Serve()
   int ops_since_checkpoint_ = 0;
   bool cancelled_ = false;
   /// Chaos partition (Op::kChaosPartition): while true, every registered

@@ -2,21 +2,14 @@
 
 #include <errno.h>
 #include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
 #include <stdlib.h>
-#include <string.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
 #include <thread>
-
-#include "plinda/net/endpoint.h"
-#include "plinda/net/wire.h"
 
 namespace fpdm::plinda::net {
 
@@ -97,88 +90,6 @@ bool WaitForExit(pid_t pid, double timeout_s, ExitInfo* info) {
     if (r < 0 && errno == ECHILD) return false;  // not our child / gone
     if (Clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-}
-
-size_t MaxSocketPathLength() {
-  return sizeof(sockaddr_un{}.sun_path) - 1;
-}
-
-bool SocketPathFits(const std::string& path) {
-  return path.size() <= MaxSocketPathLength();
-}
-
-bool WaitForSocket(const std::string& path, double timeout_s) {
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(timeout_s));
-  sockaddr_un addr;
-  ::memset(&addr, 0, sizeof(addr));
-  addr.sun_family = AF_UNIX;
-  if (!SocketPathFits(path)) return false;
-  ::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  for (;;) {
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd >= 0) {
-      const int rc =
-          ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-      ::close(fd);
-      if (rc == 0) return true;
-    }
-    if (Clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-}
-
-bool WaitForEndpoint(const std::string& endpoint_text, double timeout_s) {
-  Endpoint endpoint;
-  std::string error;
-  if (!ParseEndpoint(endpoint_text, &endpoint, &error)) return false;
-  if (endpoint.kind == Endpoint::Kind::kUnix) {
-    return WaitForSocket(endpoint.path, timeout_s);
-  }
-  // TCP: a bare connect only proves the *listener* exists — and with
-  // supervisor-pre-bound listeners it exists even while the server process
-  // is dead (the kernel queues connections in the backlog). Prove the
-  // server itself is serving with one control-HELLO round trip per attempt.
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(timeout_s));
-  std::string probe;
-  {
-    Request request;
-    request.op = Op::kHello;
-    request.pid = -1;
-    AppendFrame(EncodeRequest(request), &probe);
-  }
-  for (;;) {
-    const int fd = ConnectEndpoint(endpoint);
-    if (fd >= 0) {
-      size_t off = 0;
-      bool sent = true;
-      while (off < probe.size()) {
-        const ssize_t w = ::send(fd, probe.data() + off, probe.size() - off,
-                                 MSG_NOSIGNAL);
-        if (w < 0) {
-          if (errno == EINTR) continue;
-          sent = false;
-          break;
-        }
-        off += static_cast<size_t>(w);
-      }
-      bool replied = false;
-      if (sent) {
-        pollfd pfd{fd, POLLIN, 0};
-        if (::poll(&pfd, 1, 200) > 0 && (pfd.revents & POLLIN) != 0) {
-          char byte = 0;
-          replied = ::recv(fd, &byte, 1, 0) > 0;
-        }
-      }
-      ::close(fd);
-      if (replied) return true;
-    }
-    if (Clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 }
 

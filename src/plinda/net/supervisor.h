@@ -7,13 +7,15 @@
 #include <string>
 #include <vector>
 
+#include "plinda/net/endpoint.h"  // WaitForEndpoint
 #include "plinda/net/server.h"
 
 namespace fpdm::plinda::net {
 
 /// fork()/waitpid() helpers for the distributed runtime and its tests.
 /// Callers must be effectively single-threaded at fork time (the
-/// distributed supervisor loop is, by construction).
+/// distributed supervisor loop is, by construction). Waiting until a forked
+/// server accepts connections is WaitForEndpoint, in plinda/net/endpoint.h.
 
 /// Forks a child that runs `body` and _exit()s with its return value.
 /// Returns the child pid, or -1 on fork failure.
@@ -43,31 +45,6 @@ bool ReapAny(const std::vector<pid_t>& pids, ExitInfo* info);
 
 /// Blocks (polling) until `pid` exits or the timeout lapses.
 bool WaitForExit(pid_t pid, double timeout_s, ExitInfo* info);
-
-/// Longest Unix-domain socket path the platform accepts (sun_path minus
-/// the NUL). Paths beyond this silently truncate in naive code; everything
-/// here rejects them instead — see SocketPathFits.
-size_t MaxSocketPathLength();
-
-/// True if `path` fits sockaddr_un::sun_path. Callers with a too-long path
-/// (typically a very long $TMPDIR) must fail up front with a structured
-/// error rather than bind a truncated path.
-bool SocketPathFits(const std::string& path);
-
-/// Polls until something is accepting connections on the Unix-domain
-/// socket at `path`. Returns false immediately (no timeout burn) when the
-/// path cannot fit sun_path.
-bool WaitForSocket(const std::string& path, double timeout_s);
-
-/// Polls until a SpaceServer is *serving* at `endpoint` ("unix:<path>" /
-/// "tcp:<host>:<port>"). Unix endpoints use the plain connect probe of
-/// WaitForSocket. TCP endpoints need a full round trip — connect, send a
-/// framed control HELLO (pid -1), wait for reply bytes — because the
-/// supervisor pre-binds TCP listeners and passes them to the server by fd:
-/// the kernel accepts into the backlog even while the server process is
-/// dead, so a bare connect succeeding proves nothing about the server.
-/// Returns false immediately on a malformed endpoint.
-bool WaitForEndpoint(const std::string& endpoint, double timeout_s);
 
 /// Creates a fresh private directory for sockets + server state (mkdtemp
 /// under $FPDM_TEST_STATE_ROOT, else $TMPDIR, else /tmp). Tests and CI set

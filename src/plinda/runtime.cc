@@ -114,9 +114,6 @@ std::string ToString(const RuntimeError& error) {
     case RuntimeError::Code::kBadSocketPath:
       what = "server socket path exceeds the sun_path limit";
       break;
-    case RuntimeError::Code::kBadEndpoint:
-      what = "malformed server endpoint or unsupported transport";
-      break;
   }
   char buf[256];
   std::snprintf(buf, sizeof(buf), "[t=%8.2f] protocol error in %s (pid %d): %s%s%s",

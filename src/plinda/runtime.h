@@ -51,9 +51,9 @@ enum class ExecutionMode {
   /// produce bit-identical results in either mode.
   kRealParallel,
   /// Distributed execution: every process is a forked OS process talking to
-  /// one tuple-space *server process* over a Unix-domain or TCP socket (the
-  /// wire protocol in plinda/net/; see
-  /// RuntimeOptions::distributed_transport). Crossing the process boundary
+  /// one tuple-space *server process* over a Unix-domain socket in
+  /// distributed_dir (the wire protocol in plinda/net/), all on one host;
+  /// the paper's LAN is modeled by kSimulated. Crossing the process boundary
   /// restores the fault model that kRealParallel gave up: ScheduleFailure()
   /// SIGKILLs the worker processes placed on the failed machine (respawned
   /// with XRecover-visible incarnations), and ScheduleServerFailure()
@@ -110,15 +110,6 @@ struct RuntimeOptions {
   /// Ignored: the server runs one serve loop on one thread. Kept only so
   /// callers that still set it compile.
   int distributed_server_threads = 0;
-  /// kDistributed transport between the workers and the server: "unix"
-  /// (default; the socket lives under distributed_dir), "tcp" (loopback
-  /// TCP; the supervisor pre-binds the listener with port 0 before forking,
-  /// so the endpoint is a concrete "tcp:127.0.0.1:<port>" and nothing races
-  /// on port numbers). Any other value fails the run with a
-  /// structured kBadEndpoint error. The distributed test suites read
-  /// FPDM_TEST_TRANSPORT into this option for the CI transport matrix; the
-  /// runtime itself never consults the environment.
-  std::string distributed_transport = "unix";
 };
 
 /// One entry of the process-watch trace (the programmatic equivalent of
@@ -184,10 +175,6 @@ struct RuntimeError {
     /// sockaddr_un::sun_path (typically a very long $TMPDIR). Point
     /// RuntimeOptions::distributed_dir somewhere shorter.
     kBadSocketPath,
-    /// kDistributed: a malformed endpoint — an unparseable "tcp:<host>:
-    /// <port>" string, or an unsupported distributed_transport value.
-    /// Detail carries the offending string.
-    kBadEndpoint,
   };
   Code code = Code::kXCommitWithoutXStart;
   double time = 0;
@@ -282,7 +269,7 @@ struct RuntimeStats {
 ///
 /// **Distributed (ExecutionMode::kDistributed).** Each process is a forked
 /// OS process; the tuple space lives in one separate server process reached
-/// over a Unix-domain or TCP socket (plinda/net/). Faults come back: scheduled
+/// over a Unix-domain socket (plinda/net/). Faults come back: scheduled
 /// machine failures SIGKILL worker processes (auto-respawned with bumped
 /// incarnations) and scheduled server failures SIGKILL the server, which
 /// recovers from an on-disk checkpoint + operation log. Results and stats

@@ -37,7 +37,7 @@ using CallStatus = net::RemoteTupleSpace::CallStatus;
 
 /// What the supervisor keeps in the distributed state directory, besides
 /// one status file per worker incarnation (StatusFilePath).
-constexpr char kSocketName[] = "space.sock";       // unix transport only
+constexpr char kSocketName[] = "space.sock";
 constexpr char kServerStateName[] = "state";       // checkpoint + WAL
 constexpr char kServerStderrName[] = "server.stderr";
 
@@ -250,50 +250,20 @@ bool Runtime::RunDistributed() {
     completion_time_ = wall_time_;
     return false;
   };
-  const std::string& transport = options_.distributed_transport;
-  const bool tcp = transport == "tcp";
-  if (!tcp && transport != "unix") {
-    return fail_structured(
-        RuntimeError::Code::kBadEndpoint,
-        "unsupported distributed_transport \"" + transport +
-            "\" (expected \"unix\" or \"tcp\")");
-  }
-  // TCP: a pre-bound port-0 listener, inherited through fork (FD_CLOEXEC
-  // keeps it out of anything a process body execs). Bound BEFORE any fork
-  // so the endpoint is concrete from the first HELLO, and kept open in the
-  // supervisor so a chaos restart re-inherits the same listener, and with
-  // it the same port.
-  int listen_fd = -1;
-  if (tcp) {
-    net::Endpoint ep;
-    ep.kind = net::Endpoint::Kind::kTcp;
-    ep.host = "127.0.0.1";
-    ep.port = 0;
+  dist_socket_ = dist_dir_ + "/" + kSocketName;
+  {
+    std::string path;
     std::string error;
-    listen_fd = net::ListenEndpoint(&ep, net::kListenBacklog, &error);
-    if (listen_fd < 0) {
-      return fail_structured(RuntimeError::Code::kBadEndpoint,
-                             "cannot bind a loopback listener: " + error);
-    }
-    ::fcntl(listen_fd, F_SETFD, FD_CLOEXEC);
-    dist_socket_ = net::FormatEndpoint(ep);
-  } else {
-    dist_socket_ = dist_dir_ + "/" + kSocketName;
-    if (!net::SocketPathFits(dist_socket_)) {
+    if (!net::ParseEndpoint(dist_socket_, &path, &error)) {
       return fail_structured(
           RuntimeError::Code::kBadSocketPath,
-          "\"" + dist_socket_ + "\" (" + std::to_string(dist_socket_.size()) +
-              " bytes) exceeds the " +
-              std::to_string(net::MaxSocketPathLength()) +
-              "-byte sun_path limit; point "
-              "RuntimeOptions::distributed_dir (or $TMPDIR) at a "
-              "shorter path");
+          error + "; point RuntimeOptions::distributed_dir (or $TMPDIR) at "
+                  "a shorter path");
     }
   }
 
   net::SpaceServerOptions sopts;
   sopts.endpoint = dist_socket_;
-  sopts.listen_fd = listen_fd;
   // Server stderr capture, kept with the state dir: a red chaos seed under
   // FPDM_TEST_KEEP_STATE is debuggable from the CI artifact alone.
   sopts.stderr_file = dist_dir_ + "/" + kServerStderrName;
@@ -387,16 +357,14 @@ bool Runtime::RunDistributed() {
 
   // Chaos link faults are delivered as fire-and-poll control frames, never
   // as a blocking call: the server can die unplanned an instant before the
-  // event fires, while server_ok still says it is up. Its pre-bound
-  // listener — inherited by every server incarnation precisely so restarts
-  // keep the address — then accepts the control connection into a backlog
-  // nothing drains, and a blocking read would wedge the single-threaded
-  // supervisor forever, taking down the reap pass that would have restarted
-  // it. Bounded poll instead; an unanswered cut/heal is abandoned. That is
-  // safe: a frame that reached a live server still applies (the ack is not
-  // needed), and a frame stranded in a dead server's backlog is consumed by
-  // the restarted incarnation, whose partition state then matches the
-  // server_partitioned bookkeeping either way.
+  // event fires, while server_ok still says it is up, and a blocking call
+  // would hold the single-threaded supervisor, and with it the reap pass
+  // that restarts the server, for the control connection's whole reconnect
+  // window. Bounded poll instead; an unanswered cut/heal is abandoned. That
+  // is safe: a frame that reached a live server still applies (the ack is
+  // not needed), and one lost with a dead server leaves the restarted
+  // incarnation unpartitioned, so at worst a later heal reaches a server
+  // that is not partitioned, which changes nothing.
   auto chaos_partition = [&](bool start) {
     if (ctl.BeginChaosPartition(start) != CallStatus::kOk) return;
     const double deadline = now() + 1.0;
@@ -775,7 +743,6 @@ bool Runtime::RunDistributed() {
     BuildDiagnosticLocked(blocked, wall_limited);
   }
 
-  if (listen_fd >= 0) ::close(listen_fd);
   const bool failed = deadlocked_ || !errors_.empty();
   // FPDM_TEST_KEEP_STATE: leave a failed run's state dir (WAL, checkpoints,
   // status files, server stderr) on disk for CI artifact upload.

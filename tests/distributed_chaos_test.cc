@@ -6,7 +6,6 @@
 // has to deliver exactly-once task effects through the recovery.
 
 #include <chrono>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <thread>
@@ -37,19 +36,10 @@ using plinda::ValueType;
 
 constexpr int kNumTasks = 10;
 
-/// Wire transport: FPDM_TEST_TRANSPORT in the environment ("unix" or "tcp";
-/// CI re-runs the whole suite at tcp), default unix.
-std::string TestTransport() {
-  const char* env = std::getenv("FPDM_TEST_TRANSPORT");
-  if (env == nullptr || *env == '\0') return "unix";
-  return env;
-}
-
 RuntimeOptions DistOptions() {
   RuntimeOptions options;
   options.mode = ExecutionMode::kDistributed;
   options.distributed_checkpoint_ops = 8;  // several checkpoints per run
-  options.distributed_transport = TestTransport();
   return options;
 }
 
@@ -441,7 +431,6 @@ TEST(DistributedChaosTest, MinerSurvivesWorkerKillWithIdenticalResults) {
 
   core::ParallelOptions faulty = reference;
   faulty.execution_mode = ExecutionMode::kDistributed;
-  faulty.runtime.distributed_transport = TestTransport();
   // Wall-clock kill early in the run; worker 1's open task transaction
   // rolls back and the worker respawns on an up machine. Whether the kill
   // lands mid-task or after the run's tail is timing-dependent — the

@@ -6,7 +6,6 @@
 // backend end to end.
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -331,7 +330,7 @@ class NetIntegrationTest : public ::testing::Test {
   void StartServer() {
     server_pid_ = ForkServerProcess(sopts_);
     ASSERT_GT(server_pid_, 0);
-    ASSERT_TRUE(WaitForSocket(sopts_.endpoint, 10.0));
+    ASSERT_TRUE(WaitForEndpoint(sopts_.endpoint, 10.0));
   }
 
   void StopServer() {
@@ -363,19 +362,8 @@ using CallStatus = RemoteTupleSpace::CallStatus;
 // server-side (RemoteTupleSpace::In would sit waiting for the reply).
 class RawClient {
  public:
-  explicit RawClient(const std::string& socket_path) {
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0) return;
-    sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      Close();
-    }
-  }
+  explicit RawClient(const std::string& socket_path)
+      : fd_(ConnectSocket(socket_path)) {}
   ~RawClient() { Close(); }
 
   bool ok() const { return fd_ >= 0; }
@@ -1791,230 +1779,71 @@ TEST_F(NetIntegrationTest, CrashAbortWakeupIsNotHeldForTheIdleTick) {
 }
 
 // ---------------------------------------------------------------------------
-// Transports (PR 8): endpoint grammar, TCP listen/connect with port-0
-// resolution, the worker-launch template, live TCP integration, and the
-// structured kBadEndpoint twin of kBadSocketPath.
+// Endpoints: the Unix-socket address grammar, and the client's fast fail on
+// an endpoint that can never connect
 // ---------------------------------------------------------------------------
 
-TEST(EndpointTest, GrammarParsesAndFormatsCanonically) {
-  Endpoint ep;
+TEST(EndpointTest, BarePathOrUnixPrefixNamesTheSocket) {
+  std::string path;
   std::string error;
-
-  // A bare string is a Unix path — pre-endpoint socket_path strings keep
-  // working unchanged.
-  ASSERT_TRUE(ParseEndpoint("/tmp/fpdm/space.sock", &ep, &error)) << error;
-  EXPECT_EQ(ep.kind, Endpoint::Kind::kUnix);
-  EXPECT_EQ(ep.path, "/tmp/fpdm/space.sock");
-  EXPECT_EQ(FormatEndpoint(ep), "unix:/tmp/fpdm/space.sock");
-
-  ASSERT_TRUE(ParseEndpoint("unix:/run/s0.sock", &ep, &error)) << error;
-  EXPECT_EQ(ep.kind, Endpoint::Kind::kUnix);
-  EXPECT_EQ(ep.path, "/run/s0.sock");
-
-  ASSERT_TRUE(ParseEndpoint("tcp:127.0.0.1:6001", &ep, &error)) << error;
-  EXPECT_EQ(ep.kind, Endpoint::Kind::kTcp);
-  EXPECT_EQ(ep.host, "127.0.0.1");
-  EXPECT_EQ(ep.port, 6001);
-  EXPECT_EQ(FormatEndpoint(ep), "tcp:127.0.0.1:6001");
-
-  // Port 0 is legal: it asks the kernel for a free port at bind.
-  ASSERT_TRUE(ParseEndpoint("tcp:localhost:0", &ep, &error)) << error;
-  EXPECT_EQ(ep.host, "localhost");
-  EXPECT_EQ(ep.port, 0);
-
-  // FormatEndpoint(ParseEndpoint(x)) is a fixed point.
-  for (const char* text : {"unix:/a/b.sock", "tcp:10.0.0.7:80"}) {
-    ASSERT_TRUE(ParseEndpoint(text, &ep, &error)) << text;
-    EXPECT_EQ(FormatEndpoint(ep), text);
-  }
+  ASSERT_TRUE(ParseEndpoint("/tmp/fpdm/space.sock", &path, &error)) << error;
+  EXPECT_EQ(path, "/tmp/fpdm/space.sock");
+  ASSERT_TRUE(ParseEndpoint("unix:/run/s0.sock", &path, &error)) << error;
+  EXPECT_EQ(path, "/run/s0.sock");
+  // Any other prefix is part of a relative path.
+  ASSERT_TRUE(ParseEndpoint("state:space.sock", &path, &error)) << error;
+  EXPECT_EQ(path, "state:space.sock");
 }
 
 TEST(EndpointTest, MalformedStringsFailWithAReason) {
-  Endpoint ep;
-  for (const char* bad : {"", "unix:", "tcp:", "tcp:host", "tcp:host:",
-                          "tcp::80", "tcp:host:nan", "tcp:host:70000",
-                          "tcp:host:-1", "shm:/a.sock"}) {
+  std::string path;
+  for (const char* bad : {"", "unix:", "shm:/a.sock", "tcp:127.0.0.1:6001"}) {
     std::string error;
-    EXPECT_FALSE(ParseEndpoint(bad, &ep, &error)) << bad;
+    EXPECT_FALSE(ParseEndpoint(bad, &path, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }
-  // The retired shm scheme is refused by name, not read as a relative path.
+  // The retired schemes are refused by name, not read as relative paths.
   std::string error;
-  EXPECT_FALSE(ParseEndpoint("shm:/a.sock", &ep, &error));
+  EXPECT_FALSE(ParseEndpoint("shm:/a.sock", &path, &error));
   EXPECT_NE(error.find("shm transport is retired"), std::string::npos) << error;
+  EXPECT_FALSE(ParseEndpoint("tcp:127.0.0.1:6001", &path, &error));
+  EXPECT_NE(error.find("tcp transport is retired"), std::string::npos) << error;
 }
 
-TEST(EndpointTest, UsableRejectsOverlongUnixPathsButNotTcp) {
+TEST(EndpointTest, PathsThatOverflowSunPathAreRefused) {
+  // sockaddr_un::sun_path holds 107 bytes and the NUL on Linux.
+  const std::string fits = "/tmp/" + std::string(102, 'x');
+  ASSERT_EQ(fits.size(), 107u);
+  std::string path;
   std::string error;
-  EXPECT_TRUE(EndpointUsable("/tmp/ok.sock", &error)) << error;
-  EXPECT_TRUE(EndpointUsable("tcp:127.0.0.1:0", &error)) << error;
-  // An overlong Unix path cannot fit sockaddr_un::sun_path...
-  const std::string long_path = "/tmp/" + std::string(200, 'x') + ".sock";
-  EXPECT_FALSE(EndpointUsable(long_path, &error));
-  EXPECT_FALSE(error.empty());
-  // ...but length never disqualifies a TCP endpoint.
-  const std::string long_host =
-      "tcp:" + std::string(200, 'h') + ".example:80";
-  EXPECT_TRUE(EndpointUsable(long_host, &error)) << error;
+  EXPECT_TRUE(ParseEndpoint(fits, &path, &error)) << error;
+  EXPECT_FALSE(ParseEndpoint(fits + "y", &path, &error));
+  EXPECT_NE(error.find("sun_path"), std::string::npos) << error;
+  EXPECT_LT(ConnectSocket(fits + "y", &error), 0);
+  EXPECT_NE(error.find("sun_path"), std::string::npos) << error;
+  EXPECT_FALSE(WaitForEndpoint(fits + "y", 30.0));
 }
 
-TEST(EndpointTest, ListenResolvesPortZeroAndAcceptsAConnect) {
-  Endpoint ep;
-  ep.kind = Endpoint::Kind::kTcp;
-  ep.host = "127.0.0.1";
-  ep.port = 0;
-  std::string error;
-  const int listen_fd = ListenEndpoint(&ep, kListenBacklog, &error);
-  ASSERT_GE(listen_fd, 0) << error;
-  // The kernel-assigned port was resolved back, so the concrete address is
-  // publishable before anyone connects.
-  EXPECT_GT(ep.port, 0);
-  const int client_fd = ConnectEndpoint(ep, &error);
-  EXPECT_GE(client_fd, 0) << error;
-  if (client_fd >= 0) ::close(client_fd);
-  ::close(listen_fd);
-}
-
-class TcpIntegrationTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = MakeStateDir();
-    ASSERT_FALSE(dir_.empty());
-    sopts_.endpoint = "tcp:127.0.0.1:0";
-    sopts_.resolved_endpoint_file = dir_ + "/endpoint";
-    sopts_.state_dir = dir_ + "/state";
-    sopts_.checkpoint_every_ops = 4;
-    server_pid_ = ForkServerProcess(sopts_);
-    ASSERT_GT(server_pid_, 0);
-    // The server binds port 0 itself here (no supervisor pre-bind), then
-    // publishes the kernel-assigned port through the resolved-endpoint
-    // file; poll for it.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (endpoint_.empty() &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::ifstream in(sopts_.resolved_endpoint_file);
-      std::getline(in, endpoint_);
-      if (endpoint_.empty()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      }
-    }
-    ASSERT_FALSE(endpoint_.empty()) << "server never published its port";
-    ASSERT_TRUE(WaitForEndpoint(endpoint_, 10.0));
-  }
-
-  void TearDown() override {
-    if (server_pid_ > 0) {
-      KillProcess(server_pid_);
-      ExitInfo info;
-      WaitForExit(server_pid_, 5.0, &info);
-    }
-    RemoveTree(dir_);
-  }
-
-  RemoteSpaceOptions ClientOptions(int32_t pid, int32_t incarnation = 0) {
+TEST(RemoteClientTest, UnusableEndpointFailsFastWithoutAReconnectWindow) {
+  // An endpoint that can never become connectable makes Connect() fail at
+  // once, not after the reconnect window, with the reason in last_error().
+  const std::string overlong = "/tmp/" + std::string(200, 'x') + ".sock";
+  for (const std::string& endpoint : {overlong, std::string("tcp:h:80")}) {
     RemoteSpaceOptions opts;
-    opts.endpoint = endpoint_;
-    opts.pid = pid;
-    opts.incarnation = incarnation;
-    opts.reconnect_timeout_s = 10.0;
-    return opts;
-  }
-
-  std::string dir_;
-  std::string endpoint_;
-  SpaceServerOptions sopts_;
-  pid_t server_pid_ = -1;
-};
-
-TEST_F(TcpIntegrationTest, BasicOpsOverLoopbackTcp) {
-  // The resolved endpoint is a concrete tcp:127.0.0.1:<port> string.
-  Endpoint ep;
-  std::string error;
-  ASSERT_TRUE(ParseEndpoint(endpoint_, &ep, &error)) << error;
-  EXPECT_EQ(ep.kind, Endpoint::Kind::kTcp);
-  EXPECT_GT(ep.port, 0);
-
-  RemoteTupleSpace client(ClientOptions(1));
-  ASSERT_TRUE(client.Connect()) << client.last_error();
-  ASSERT_EQ(client.Out(MakeTuple("task", 1)), CallStatus::kOk);
-  ASSERT_EQ(client.Out(MakeTuple("task", 2)), CallStatus::kOk);
-  Tuple got;
-  ASSERT_EQ(client.In(MakeTemplate(A("task"), F(ValueType::kInt)),
-                      /*blocking=*/false, /*remove=*/true, &got),
-            CallStatus::kOk);
-  EXPECT_EQ(GetInt(got, 1), 1);  // FIFO within a bucket holds over TCP
-  ASSERT_EQ(client.In(MakeTemplate(A("task"), F(ValueType::kInt)),
-                      /*blocking=*/false, /*remove=*/true, &got),
-            CallStatus::kOk);
-  EXPECT_EQ(GetInt(got, 1), 2);
-  client.Bye();
-}
-
-TEST_F(TcpIntegrationTest, ReconnectAfterServerRestartOnSamePort) {
-  // A restarted server re-binds the SAME concrete port (the resolved
-  // endpoint is its identity now), and the client's reconnect/resend plus
-  // the dedup window must make the in-flight call exactly-once — the TCP
-  // twin of the Unix-domain crash-recovery tests.
-  RemoteTupleSpace client(ClientOptions(1));
-  ASSERT_TRUE(client.Connect()) << client.last_error();
-  ASSERT_EQ(client.Out(MakeTuple("persist", 7)), CallStatus::kOk);
-
-  KillProcess(server_pid_);
-  ExitInfo info;
-  WaitForExit(server_pid_, 5.0, &info);
-  sopts_.endpoint = endpoint_;  // re-bind the now-known concrete port
-  server_pid_ = ForkServerProcess(sopts_);
-  ASSERT_GT(server_pid_, 0);
-  ASSERT_TRUE(WaitForEndpoint(endpoint_, 10.0));
-
-  Tuple got;
-  ASSERT_EQ(client.In(MakeTemplate(A("persist"), F(ValueType::kInt)),
-                      /*blocking=*/false, /*remove=*/true, &got),
-            CallStatus::kOk);
-  EXPECT_EQ(GetInt(got, 1), 7);
-  client.Bye();
-}
-
-TEST(TcpClientTest, MalformedEndpointFailsFastWithoutAReconnectWindow) {
-  // The structured twin of the overlong-sun_path client test: a malformed
-  // tcp: string can never become connectable, so Connect must fail
-  // immediately — not sit out the reconnect window — with the reason in
-  // last_error().
-  RemoteSpaceOptions opts;
-  opts.endpoint = "tcp:127.0.0.1";  // no port
-  opts.pid = 1;
-  opts.reconnect_timeout_s = 30.0;  // would hang for 30s if not fast-failed
-  RemoteTupleSpace client(opts);
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(client.Connect());
-  const double waited =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_LT(waited, 5.0);
-  EXPECT_FALSE(client.last_error().empty());
-}
-
-TEST(DistributedRuntimeTest, UnsupportedTransportFailsStructurally) {
-  // The runtime-level twin of kBadSocketPath: an unsupported transport
-  // string — including the retired "shm" — must fail the run up front with
-  // a structured kBadEndpoint error naming the option and the two supported
-  // transports, before any server is forked.
-  for (const char* transport : {"carrier-pigeon", "shm"}) {
-    RuntimeOptions options;
-    options.mode = ExecutionMode::kDistributed;
-    options.distributed_transport = transport;
-    Runtime runtime(1, options);
-    runtime.SpawnOn("idle", 0, [](ProcessContext&) {});
-    EXPECT_FALSE(runtime.Run()) << transport;
-    ASSERT_FALSE(runtime.errors().empty()) << transport;
-    const RuntimeError& error = runtime.errors()[0];
-    EXPECT_EQ(error.code, RuntimeError::Code::kBadEndpoint) << transport;
-    EXPECT_NE(error.detail.find("distributed_transport"), std::string::npos)
-        << error.detail;
-    EXPECT_NE(error.detail.find("(expected \"unix\" or \"tcp\")"),
-              std::string::npos)
-        << error.detail;
+    opts.endpoint = endpoint;
+    opts.pid = 1;
+    opts.reconnect_timeout_s = 30.0;  // would hang for 30s if not fast-failed
+    RemoteTupleSpace client(opts);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(client.Connect()) << endpoint;
+    const double waited =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+    EXPECT_LT(waited, 5.0) << endpoint;
+    std::string path;
+    std::string reason;
+    EXPECT_FALSE(ParseEndpoint(endpoint, &path, &reason));
+    EXPECT_EQ(client.last_error(), reason) << endpoint;
   }
 }
 

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -18,14 +17,6 @@
 
 namespace fpdm::plinda {
 namespace {
-
-/// kDistributed's transport: FPDM_TEST_TRANSPORT in the environment ("unix"
-/// or "tcp"; CI re-runs the suite at tcp), default unix.
-std::string TestTransport() {
-  const char* env = std::getenv("FPDM_TEST_TRANSPORT");
-  if (env == nullptr || *env == '\0') return "unix";
-  return env;
-}
 
 const char* ModeName(ExecutionMode mode) {
   switch (mode) {
@@ -67,7 +58,6 @@ std::vector<std::string> Rendered(const std::vector<Tuple>& tuples) {
 Outcome RunIn(ExecutionMode mode, const Program& program) {
   RuntimeOptions options;
   options.mode = mode;
-  options.distributed_transport = TestTransport();
   Runtime runtime(1, options);
   for (const Tuple& tuple : program.seed) runtime.space().Out(tuple);
   for (size_t i = 0; i < program.bodies.size(); ++i) {
@@ -343,7 +333,6 @@ TEST(ProcessSemanticsTest, DeadlockIsDetectedAndNamesTheBlockedTemplate) {
 std::vector<int64_t> RunStepsKilledTwice(ExecutionMode mode) {
   RuntimeOptions options;
   options.mode = mode;
-  options.distributed_transport = TestTransport();
   // Virtual time passes only in Compute, as wall time passes in sleeps.
   options.tuple_op_latency = 0;
   options.txn_latency = 0;
