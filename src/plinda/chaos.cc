@@ -34,14 +34,6 @@ int FaultPlan::server_crashes() const {
   return count;
 }
 
-int FaultPlan::server_partitions() const {
-  int count = 0;
-  for (const FaultEvent& event : events) {
-    if (event.kind == FaultEvent::Kind::kServerPartition) ++count;
-  }
-  return count;
-}
-
 int FaultPlan::machine_failures() const {
   int count = 0;
   for (const FaultEvent& event : events) {
@@ -70,12 +62,6 @@ std::string ToString(const FaultEvent& event) {
       break;
     case FaultEvent::Kind::kServerRecover:
       kind = "SERVER_RECOVER";
-      break;
-    case FaultEvent::Kind::kServerPartition:
-      kind = "SERVER_PARTITION";
-      break;
-    case FaultEvent::Kind::kServerHeal:
-      kind = "SERVER_HEAL";
       break;
   }
   const char* torn = event.torn_tail ? " (torn WAL tail)" : "";
@@ -184,24 +170,6 @@ FaultPlan GenerateFaultPlan(int num_machines, const ChaosOptions& options) {
     }
   }
 
-  // Network partitions, drawn strictly AFTER every machine/server draw:
-  // enabling them (or changing their knobs) never reshuffles the schedule
-  // an existing seed produced without them. The heal is always scheduled —
-  // possibly beyond the horizon — so no server stays cut off forever.
-  if (options.partition_mttf > 0) {
-    double t = options.start_time + Exponential(&rng, options.partition_mttf);
-    int partitions = 0;
-    while (t < options.horizon && partitions < options.max_partitions) {
-      const double heal = t + Exponential(&rng, options.partition_duration);
-      plan.events.push_back(
-          FaultEvent{FaultEvent::Kind::kServerPartition, t, -1});
-      plan.events.push_back(
-          FaultEvent{FaultEvent::Kind::kServerHeal, heal, -1});
-      ++partitions;
-      t = heal + Exponential(&rng, options.partition_mttf);
-    }
-  }
-
   std::sort(plan.events.begin(), plan.events.end(),
             [](const FaultEvent& a, const FaultEvent& b) {
               if (a.time != b.time) return a.time < b.time;
@@ -226,12 +194,6 @@ void InstallFaultPlan(Runtime* runtime, const FaultPlan& plan) {
         break;
       case FaultEvent::Kind::kServerRecover:
         runtime->ScheduleServerRecovery(event.time);
-        break;
-      case FaultEvent::Kind::kServerPartition:
-        runtime->ScheduleServerPartition(event.time);
-        break;
-      case FaultEvent::Kind::kServerHeal:
-        runtime->ScheduleServerHeal(event.time);
         break;
     }
   }

@@ -55,18 +55,6 @@ struct ChaosOptions {
   /// record by checksum and replay only the intact prefix. kDistributed
   /// only; the simulator ignores the flag.
   double torn_tail_probability = 0;
-
-  /// Network partitions: mean time to the next link cut (<= 0 disables
-  /// them), mean partition duration, and a cap on partitions per plan.
-  /// Unlike a crash the server keeps running — its connections are dropped
-  /// and its traffic blackholed until the heal, exercising reconnect/resend
-  /// and the dedup window over a lossy link.
-  /// Partition draws happen AFTER every other draw, so enabling them never
-  /// reshuffles the machine/server schedule of an existing seed.
-  /// kDistributed only; the simulator ignores partition events.
-  double partition_mttf = 0;
-  double partition_duration = 1.0;
-  int max_partitions = 2;
 };
 
 /// One scheduled fault. Machine events carry the machine index; server
@@ -78,8 +66,6 @@ struct FaultEvent {
     kMachineRecover,
     kServerCrash,
     kServerRecover,
-    kServerPartition,  // link cut: the server keeps running, unreachable
-    kServerHeal,       // link restored: clients reconnect and resend
   };
   Kind kind = Kind::kMachineCrash;
   double time = 0;
@@ -96,8 +82,6 @@ struct FaultPlan {
   bool empty() const { return events.empty(); }
   /// Number of server crashes in the plan.
   int server_crashes() const;
-  /// Number of network partitions in the plan.
-  int server_partitions() const;
   /// Number of machine crash/retreat events in the plan.
   int machine_failures() const;
 };

@@ -222,10 +222,9 @@ void RemoteTupleSpace::DrainStatus() {
   if (!status_inflight_) return;
   status_inflight_ = false;
   if (fd_ < 0) return;
-  // Control frames (status, chaos) need no reply delivery: kStatus is
-  // read-only and re-begun by its poller, and a chaos cut/heal applies
-  // server-side whether or not its ack is read. Discarding the reply (or
-  // losing it to a dead connection) therefore costs nothing.
+  // A status frame needs no reply delivery: kStatus is read-only and
+  // re-begun by its poller, so discarding the reply (or losing it to a dead
+  // connection) costs nothing.
   Reply reply;
   bool wire_error = false;
   if (!ReadReply(&reply, &wire_error)) CloseFd();
@@ -431,8 +430,7 @@ RemoteTupleSpace::CallStatus RemoteTupleSpace::DeferXCommit(
 
 // --- pipelined control-plane calls ----------------------------------------
 
-RemoteTupleSpace::CallStatus RemoteTupleSpace::BeginControl(Op op,
-                                                            uint32_t flags) {
+RemoteTupleSpace::CallStatus RemoteTupleSpace::BeginStatus() {
   DrainStatus();
   if (!queued_.empty() || !batch_.empty()) {
     const CallStatus status = SyncFlush(nullptr, nullptr);
@@ -440,8 +438,7 @@ RemoteTupleSpace::CallStatus RemoteTupleSpace::BeginControl(Op op,
   }
   if (fd_ < 0 && !EnsureConnected()) return CallStatus::kUnreachable;
   Request request;
-  request.op = op;
-  request.flags = flags;
+  request.op = Op::kStatus;
   request.pid = options_.pid;
   request.incarnation = options_.incarnation;
   std::string framed;
@@ -454,15 +451,6 @@ RemoteTupleSpace::CallStatus RemoteTupleSpace::BeginControl(Op op,
   ++frames_sent_;
   status_inflight_ = true;
   return CallStatus::kOk;
-}
-
-RemoteTupleSpace::CallStatus RemoteTupleSpace::BeginStatus() {
-  return BeginControl(Op::kStatus, 0);
-}
-
-RemoteTupleSpace::CallStatus RemoteTupleSpace::BeginChaosPartition(
-    bool start) {
-  return BeginControl(Op::kChaosPartition, start ? 1 : 0);
 }
 
 RemoteTupleSpace::CallStatus RemoteTupleSpace::PollStatus(Reply* reply) {

@@ -130,16 +130,8 @@ class RemoteTupleSpace {
   /// event loop can overlap the poll round trip with its other work. Any
   /// other call on this client first drains the in-flight reply.
   CallStatus BeginStatus();
-  /// Chaos fault injection (control connections): cuts (start) or restores
-  /// (heal) the server's network — see Op::kChaosPartition. Fire-and-poll
-  /// like BeginStatus, never a blocking wait: the victim may have died
-  /// unplanned (a chaos die point) an instant earlier, and a blocking call
-  /// would hold its caller for the whole reconnect window. Gather the reply
-  /// via PollStatus; a supervisor that gives up calls Abandon().
-  CallStatus BeginChaosPartition(bool start);
-  /// Non-blocking check for the reply of the in-flight control frame
-  /// (BeginStatus / BeginChaosPartition): kPending while it is still in
-  /// flight, otherwise the decoded result.
+  /// Non-blocking check for the reply of the in-flight BeginStatus:
+  /// kPending while it is still in flight, otherwise the decoded result.
   CallStatus PollStatus(Reply* reply);
   bool status_inflight() const { return status_inflight_; }
 
@@ -172,10 +164,6 @@ class RemoteTupleSpace {
   };
 
   CallStatus Call(Request& request, Reply* reply);
-  /// Shared body of the fire-and-poll control calls: flushes anything
-  /// deferred, writes one control frame, and marks it in flight for
-  /// PollStatus.
-  CallStatus BeginControl(Op op, uint32_t flags);
   /// The single wire-touching primitive: seals the open batch, appends the
   /// optional sync request, writes every queued frame in one writev, and
   /// reads one reply per frame in order, reconnecting and resending

@@ -747,22 +747,6 @@ void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
     conn.close_after_flush = true;
     return;
   }
-  // Chaos partition: while partitioned_, this server is "off the network"
-  // for everyone except the out-of-band control channel (unregistered
-  // conns, pid < 0) that will eventually heal it. Client traffic is
-  // blackholed — no reply, connection dropped — which models a link cut
-  // rather than a crash: durable state stays intact, so a healed reconnect
-  // finds transactions exactly where the partition left them.
-  if (partitioned_ && request.op != Op::kChaosPartition) {
-    const bool client_traffic =
-        conn.pid >= 0 || (request.op == Op::kHello && request.pid >= 0);
-    if (client_traffic) {
-      conn.saw_bye = true;  // partition drop, not a crash: no crash-abort
-      conn.close_after_flush = true;
-      flush_request_.insert(conn.fd);
-      return;  // blackholed: no reply
-    }
-  }
   if (request.op == Op::kHello) {
     HandleHello(conn, request);
     return;
@@ -966,26 +950,6 @@ void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {
       SendReply(conn, Reply{});
       stop_ = true;
       break;
-    case Op::kChaosPartition: {
-      // Chaos control: cut (flags != 0) or heal (flags == 0) this server's
-      // network. Control-channel only — a registered client asking to
-      // partition its own server would be a protocol bug, not a fault
-      // injection.
-      if (conn.pid >= 0) {
-        SendError(conn, "chaos partition from a registered client");
-        break;
-      }
-      if (request.flags != 0) {
-        partitioned_ = true;
-        StartPartitionDrop();
-      } else {
-        // Heal: new connections flow again; clients reconnect and resend
-        // their unreplied frames, the dedup window absorbing duplicates.
-        partitioned_ = false;
-      }
-      SendReply(conn, Reply{});
-      break;
-    }
     case Op::kBye:
       conn.saw_bye = true;
       SendReply(conn, Reply{});
@@ -1032,21 +996,6 @@ void SpaceServer::DropConns(const std::vector<int>& fds) {
     if (!AppendLog(entry)) return;
     ApplyEntry(entry);
     SatisfyWaiters();
-  }
-}
-
-void SpaceServer::StartPartitionDrop() {
-  // Cut every registered client's link by flushing-then-closing, exactly
-  // the kBye teardown. saw_bye suppresses the DropConns crash-abort: the
-  // client is alive on the far side of the cut and will reconnect under the
-  // SAME incarnation after the heal, expecting its open transaction intact.
-  // Unregistered control connections stay up as the heal channel.
-  for (auto& [fd, conn_ptr] : conns_) {
-    Conn& conn = *conn_ptr;
-    if (conn.pid < 0) continue;
-    conn.saw_bye = true;
-    conn.close_after_flush = true;
-    flush_request_.insert(fd);
   }
 }
 

@@ -122,8 +122,8 @@ class SpaceServer {
     bool epoll_out = false;  // EPOLLOUT currently armed for this fd
     int32_t pid = -1;  // set by HELLO; control connections stay -1
     int32_t incarnation = 0;
-    /// A clean goodbye (or a partition cut): dropping the connection does
-    /// not crash-abort the client's open transaction.
+    /// A clean goodbye: dropping the connection does not crash-abort the
+    /// client's open transaction.
     bool saw_bye = false;
     bool close_after_flush = false;  // drop once outbuf is fully flushed
   };
@@ -188,11 +188,6 @@ class SpaceServer {
   /// dying connections and their parked waiters leave the tables before any
   /// abort republishes tuples, so a dead client can never consume them.
   void DropConns(const std::vector<int>& fds);
-  /// Op::kChaosPartition start: marks every registered-client connection
-  /// for a drop WITHOUT the crash-abort (saw_bye — the client is alive on
-  /// the far side of the partition, and its open transaction must survive
-  /// for the same-incarnation reconnect after the heal).
-  void StartPartitionDrop();
 
   /// Adds a tuple to the space and bumps publish_epoch_.
   void PublishTuple(Tuple tuple);
@@ -220,11 +215,6 @@ class SpaceServer {
   std::string socket_path_;  // parsed from options_.endpoint by Serve()
   int ops_since_checkpoint_ = 0;
   bool cancelled_ = false;
-  /// Chaos partition (Op::kChaosPartition): while true, every registered
-  /// client connection is dropped (without crash-abort — the clients are
-  /// alive, merely cut off) and their traffic is blackholed; control
-  /// connections stay reachable as the out-of-band heal channel.
-  bool partitioned_ = false;
   bool stop_ = false;
   bool wal_failed_ = false;  // durability lost: stop serving, exit nonzero
   std::string wal_frame_buf_;  // AppendLog frame reuse

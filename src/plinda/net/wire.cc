@@ -248,7 +248,7 @@ bool DecodeRequest(std::string_view payload, Request* request,
   uint8_t op = 0;
   if (!r.TakeU8(&op)) return Fail(error, "request: truncated opcode");
   if (op < static_cast<uint8_t>(Op::kHello) ||
-      op > static_cast<uint8_t>(Op::kChaosPartition)) {
+      op > static_cast<uint8_t>(Op::kBatch)) {
     return Fail(error, "request: unknown opcode");
   }
   request->op = static_cast<Op>(op);

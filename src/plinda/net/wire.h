@@ -130,14 +130,6 @@ enum class Op : uint8_t {
   // WAL record under the same seq, which would break that argument — the
   // client pipelines a separate kIn frame behind the batch instead.
   kBatch = 15,
-  // Chaos control (control connections only, never clients): flags == 1
-  // starts a network partition of the server — every registered client
-  // connection is dropped without crash-aborting open transactions (the
-  // client is alive, merely unreachable), and new client traffic is
-  // blackholed until flags == 0 heals the partition. Reconnect/resend plus
-  // the (pid, seq) dedup window must absorb the replays — the lossy-link
-  // drill for the exactly-once machinery.
-  kChaosPartition = 16,
 };
 
 // kIn flags.

@@ -59,12 +59,6 @@ std::string ToString(const TraceEvent& event) {
     case TraceEvent::Kind::kServerCheckpoint:
       kind = "SERVER_CHECKPOINT";
       break;
-    case TraceEvent::Kind::kServerPartitioned:
-      kind = "SERVER_PARTITIONED";
-      break;
-    case TraceEvent::Kind::kServerHealed:
-      kind = "SERVER_HEALED";
-      break;
     case TraceEvent::Kind::kError:
       kind = "ERROR";
       break;
@@ -176,14 +170,6 @@ void Runtime::ScheduleServerFailure(double time, bool torn_tail) {
 
 void Runtime::ScheduleServerRecovery(double time) {
   events_.push_back(Event{time, Event::Kind::kServerRecover});
-}
-
-void Runtime::ScheduleServerPartition(double time) {
-  events_.push_back(Event{time, Event::Kind::kServerPartition});
-}
-
-void Runtime::ScheduleServerHeal(double time) {
-  events_.push_back(Event{time, Event::Kind::kServerHeal});
 }
 
 int Runtime::Spawn(const std::string& name, ProcessFn fn) {
@@ -462,11 +448,6 @@ void Runtime::ApplyEventLocked(const Event& event,
       WakeBlockedLocked(event.time + options_.server_restart_delay);
       return;
     }
-    case Event::Kind::kServerPartition:
-    case Event::Kind::kServerHeal:
-      // Link faults only exist in kDistributed mode (handled by the
-      // distributed supervisor loop); the simulator has no network.
-      return;
   }
 }
 
@@ -1062,6 +1043,6 @@ int ProcessContext::Spawn(const std::string& name, ProcessFn fn) {
   return runtime_->OpSpawn(proc_, name, std::move(fn));
 }
 
-double ProcessContext::Now() const { return proc_->clock; }
+double ProcessContext::Now() const { return runtime_->ProcTime(proc_); }
 
 }  // namespace fpdm::plinda

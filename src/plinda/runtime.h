@@ -115,7 +115,7 @@ struct RuntimeOptions {
 /// One entry of the process-watch trace (the programmatic equivalent of
 /// the PLinda runtime "Monitor" window of Chapter 7): a lifecycle event of
 /// a simulated process or machine, stamped with virtual time (simulated
-/// mode) or elapsed wall seconds (real-parallel mode).
+/// mode) or elapsed wall seconds (kRealParallel and kDistributed).
 struct TraceEvent {
   enum class Kind {
     kSpawned,
@@ -127,8 +127,6 @@ struct TraceEvent {
     kServerFailed,      // tuple-space server crash (machine/pid = -1)
     kServerRecovered,   // server back up: checkpoint restored, log replayed
     kServerCheckpoint,  // periodic checkpoint of the tuple space taken
-    kServerPartitioned,  // link fault: server cut off (kDistributed only)
-    kServerHealed,       // link restored; clients reconnect + resend
     kError,             // protocol misuse terminated the process
   };
   Kind kind = Kind::kSpawned;
@@ -199,9 +197,6 @@ struct RuntimeStats {
   uint64_t server_checkpoints = 0;
   /// Logged operations replayed on top of the last checkpoint at recovery.
   uint64_t server_ops_replayed = 0;
-  /// kDistributed: network partitions actually delivered to a live server
-  /// (the victim's links were cut and later healed; the server never died).
-  uint64_t server_partitions = 0;
   /// Total virtual seconds the server was down (crash to recovery event).
   double server_downtime = 0;
   /// Sum over processes of Compute() work units actually performed
@@ -310,16 +305,6 @@ class Runtime {
   void ScheduleServerFailure(double time, bool torn_tail = false);
   void ScheduleServerRecovery(double time);
 
-  /// Schedules a network partition of the server / its heal (kDistributed
-  /// only; the simulator has no network and ignores both). Unlike
-  /// ScheduleServerFailure this is a LINK fault, not a crash: the server
-  /// keeps running with its state intact, but every established client
-  /// connection is dropped and new traffic is blackholed (no replies) until
-  /// the heal — exercising the reconnect/resend machinery over a lossy
-  /// link rather than across a restart.
-  void ScheduleServerPartition(double time);
-  void ScheduleServerHeal(double time);
-
   /// If true (default), killed processes are automatically re-spawned on an
   /// up machine, as the PLinda server does.
   void set_auto_respawn(bool enabled) { auto_respawn_ = enabled; }
@@ -335,7 +320,7 @@ class Runtime {
   bool Run();
 
   /// Virtual time at which the last process finished (simulated mode), or
-  /// elapsed wall seconds of the run (real-parallel mode).
+  /// elapsed wall seconds of the run (kRealParallel and kDistributed).
   double CompletionTime() const { return completion_time_; }
 
   /// Elapsed wall seconds of the previous Run() (every mode).
@@ -425,11 +410,6 @@ class Runtime {
       kMachineRecover,
       kServerFail,
       kServerRecover,
-      // Link faults, kDistributed only (the simulator has no network):
-      // blackhole one server's traffic / restore it. See
-      // ScheduleServerPartition.
-      kServerPartition,
-      kServerHeal,
     };
     double time = 0;
     Kind kind = Kind::kMachineFail;
@@ -635,6 +615,9 @@ class ProcessContext {
   /// Spawns another process (proc_eval). Returns the new process id.
   int Spawn(const std::string& name, ProcessFn fn);
 
+  /// The process's clock: its virtual time in the simulator, else wall
+  /// seconds since Run() started the processes. RuntimeError::time and
+  /// TraceEvent::time read the same clock.
   double Now() const;
   int pid() const { return proc_->id; }
   int machine() const { return proc_->machine; }

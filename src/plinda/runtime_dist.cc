@@ -350,35 +350,6 @@ bool Runtime::RunDistributed() {
   std::vector<net::ParkedWaiter> last_parked;
   int unplanned_server_deaths = 0;
   bool server_fatal_exit = false;  // _exit'ed non-zero: unrestartable
-  // Link-fault state (kServerPartition/kServerHeal). A crash clears it —
-  // the blackhole dies with the process, and the restarted server comes up
-  // reachable.
-  bool server_partitioned = false;
-
-  // Chaos link faults are delivered as fire-and-poll control frames, never
-  // as a blocking call: the server can die unplanned an instant before the
-  // event fires, while server_ok still says it is up, and a blocking call
-  // would hold the single-threaded supervisor, and with it the reap pass
-  // that restarts the server, for the control connection's whole reconnect
-  // window. Bounded poll instead; an unanswered cut/heal is abandoned. That
-  // is safe: a frame that reached a live server still applies (the ack is
-  // not needed), and one lost with a dead server leaves the restarted
-  // incarnation unpartitioned, so at worst a later heal reaches a server
-  // that is not partitioned, which changes nothing.
-  auto chaos_partition = [&](bool start) {
-    if (ctl.BeginChaosPartition(start) != CallStatus::kOk) return;
-    const double deadline = now() + 1.0;
-    net::Reply reply;
-    for (;;) {
-      const CallStatus poll = ctl.PollStatus(&reply);
-      if (poll != CallStatus::kPending) return;
-      if (now() >= deadline) {
-        ctl.Abandon();
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  };
 
   auto restart_server = [&](const char* what) {
     server_pid = net::ForkServerProcess(sopts);
@@ -457,7 +428,6 @@ bool Runtime::RunDistributed() {
           net::WaitForExit(server_pid, 5.0, &info);
           server_ok = false;
           server_down_at = t;
-          server_partitioned = false;
           ++stats_.server_failures;
           if (event.torn_tail) {
             // The kill landed; now make the crash "tear" the final WAL
@@ -467,27 +437,6 @@ bool Runtime::RunDistributed() {
           RecordLocked(TraceEvent::Kind::kServerFailed, t, nullptr, -1);
           break;
         }
-        case Event::Kind::kServerPartition:
-          // Link fault: the server keeps running; its connections are cut
-          // and its traffic blackholed until the heal. Delivered over the
-          // control channel, which the partitioned server keeps serving as
-          // the out-of-band path. Best effort — a server that is down
-          // (crash chaos raced the partition) simply has no link to cut.
-          if (server_ok && !server_partitioned) {
-            chaos_partition(true);
-            server_partitioned = true;
-            ++stats_.server_partitions;
-            RecordLocked(TraceEvent::Kind::kServerPartitioned, t, nullptr,
-                         -1);
-          }
-          break;
-        case Event::Kind::kServerHeal:
-          if (!server_partitioned) break;
-          server_partitioned = false;
-          if (!server_ok) break;
-          chaos_partition(false);
-          RecordLocked(TraceEvent::Kind::kServerHealed, t, nullptr, -1);
-          break;
         case Event::Kind::kServerRecover:
           if (server_ok) break;
           if (!restart_server("scheduled recovery")) {

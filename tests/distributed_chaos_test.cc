@@ -334,62 +334,6 @@ TEST(DistributedChaosTest, TwoInTxnSurvivesKillsAndTornWalTailsExactlyOnce) {
   EXPECT_GE(total_kills, 12u);
 }
 
-TEST(DistributedChaosTest, PartitionedServerHealsAndResumesExactlyOnce) {
-  // A partition is a link fault, not a crash: at 40ms the server's
-  // connections are dropped and its traffic blackholed (the worker's calls
-  // stall with no reply), at 120ms the link heals and the SAME server —
-  // never restarted, no recovery replay — answers the reconnect/resend.
-  // The dedup window must absorb the resent tail exactly once.
-  Runtime runtime(1, DistOptions());
-  runtime.ScheduleServerPartition(0.04);
-  runtime.ScheduleServerHeal(0.12);
-  for (int64_t i = 0; i < kNumTasks; ++i) {
-    runtime.space().Out(MakeTuple("task", i));
-  }
-  runtime.SpawnOn("worker", 0, TaskLoop);
-  ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
-  EXPECT_EQ(runtime.stats().server_partitions, 1u);
-  EXPECT_EQ(runtime.stats().server_failures, 0u);  // nothing actually died
-  ExpectExactlyOnceResults(runtime);
-}
-
-TEST(DistributedChaosTest, PartitionChaosSuiteConvergesExactlyOnce) {
-  // 22 seeded fault plans mixing partitions with server crashes over
-  // two-bucket transactions. Partition draws ride AFTER the crash draws in
-  // the plan, so enabling them leaves each seed's crash schedule as it
-  // was. Whatever combination lands — a partition spanning a crash, a
-  // heal racing a recovery, a transaction cut off mid-flush — results must
-  // stay exactly-once.
-  uint64_t total_partitions = 0;
-  for (uint64_t seed = 1; seed <= 22; ++seed) {
-    plinda::ChaosOptions chaos;
-    chaos.seed = seed;
-    chaos.start_time = 0.02;
-    chaos.horizon = 0.25;
-    chaos.machine_mttf = 0;  // server faults only
-    chaos.server_mttf = 0.14;
-    chaos.server_mttr = 0.05;
-    chaos.max_server_failures = 1;
-    chaos.partition_mttf = 0.06;
-    chaos.partition_duration = 0.04;
-    chaos.max_partitions = 2;
-    const plinda::FaultPlan plan = plinda::GenerateFaultPlan(1, chaos);
-    SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + ToString(plan));
-
-    Runtime runtime(1, DistOptions());
-    plinda::InstallFaultPlan(&runtime, plan);
-    SeedTwoInTasks(runtime);
-    runtime.SpawnOn("worker", 0, TwoInTaskLoop);
-    ASSERT_TRUE(runtime.Run()) << runtime.diagnostic();
-    ExpectExactlyOnceResults(runtime);
-    total_partitions += runtime.stats().server_partitions;
-  }
-  // The plans must actually have exercised partitions: 21 of them
-  // start before 0.10 s with the server up and no other cut open, and no
-  // run can end before then, so at least those are delivered.
-  EXPECT_GE(total_partitions, 21u);
-}
-
 TEST(DistributedChaosTest, FatalServerExitFailsRunWithServerDead) {
   // A server whose WAL stops accepting appends mid-run _exits(1) rather
   // than acknowledge mutations it cannot make durable. Restarting it would

@@ -97,9 +97,6 @@ TEST(FaultPlanTest, OutagesWellFormedAndCapped) {
         EXPECT_TRUE(server_down) << ToString(event);
         server_down = false;
         break;
-      case FaultEvent::Kind::kServerPartition:
-      case FaultEvent::Kind::kServerHeal:
-        break;  // link faults; the partition tests below cover them
     }
   }
   EXPECT_TRUE(down.empty()) << "every outage must end";
@@ -143,54 +140,6 @@ TEST(FaultPlanTest, DisabledGeneratorsYieldEmptyPlan) {
   opts.machine_mttf = 0;
   opts.server_mttf = 0;
   EXPECT_TRUE(GenerateFaultPlan(4, opts).empty());
-}
-
-TEST(FaultPlanTest, PartitionsCappedPairedAndDrawnAfterEverythingElse) {
-  ChaosOptions opts = BusyOptions(23);
-  const FaultPlan without = GenerateFaultPlan(4, opts);
-  opts.partition_mttf = 40.0;  // would cut many links if uncapped
-  opts.partition_duration = 10.0;
-  opts.max_partitions = 2;
-  const FaultPlan with = GenerateFaultPlan(4, opts);
-
-  EXPECT_GE(with.server_partitions(), 1);
-  EXPECT_LE(with.server_partitions(), 2);
-  // Partition draws ride AFTER every machine/server draw: the plan with
-  // partitions enabled contains the partition-free plan's events verbatim
-  // — same kinds, times, machines — so existing seeds never reshuffle.
-  std::vector<FaultEvent> base;
-  for (const FaultEvent& event : with.events) {
-    if (event.kind == FaultEvent::Kind::kServerPartition ||
-        event.kind == FaultEvent::Kind::kServerHeal) {
-      continue;
-    }
-    base.push_back(event);
-  }
-  ASSERT_EQ(base.size(), without.events.size());
-  for (size_t i = 0; i < base.size(); ++i) {
-    EXPECT_EQ(base[i].kind, without.events[i].kind) << i;
-    EXPECT_EQ(base[i].time, without.events[i].time) << i;  // bit-for-bit
-    EXPECT_EQ(base[i].machine, without.events[i].machine) << i;
-  }
-  // Partitions never overlap: each heals, no earlier than it started,
-  // before the next one starts. Like every server event they name no
-  // machine.
-  bool cut = false;
-  double cut_at = 0;
-  for (const FaultEvent& event : with.events) {
-    if (event.kind == FaultEvent::Kind::kServerPartition) {
-      EXPECT_FALSE(cut) << ToString(event);
-      cut = true;
-      cut_at = event.time;
-      EXPECT_EQ(event.machine, -1) << ToString(event);
-    } else if (event.kind == FaultEvent::Kind::kServerHeal) {
-      EXPECT_TRUE(cut) << ToString(event);
-      cut = false;
-      EXPECT_GE(event.time, cut_at) << ToString(event);
-      EXPECT_EQ(event.machine, -1) << ToString(event);
-    }
-  }
-  EXPECT_FALSE(cut) << "every partition must heal";
 }
 
 // Every event of the plan with its time bit-exact (hexfloat), so a pinned
@@ -238,23 +187,15 @@ TEST(FaultPlanTest, ChaosSuitePlansArePinned) {
   // would silently move every seed those runs exercise. One FNV-1a hash
   // per option set over the bit-exact rendering of all its seeds (the
   // failure message prints the rendering); the example's plan verbatim.
-  std::string kills, torn, partitions;
+  std::string kills, torn;
   for (uint64_t seed = 1; seed <= 22; ++seed) {
     kills += ExactRendering(GenerateFaultPlan(1, ServerKillOptions(seed)));
     ChaosOptions t = ServerKillOptions(seed);
     t.torn_tail_probability = 0.5;
     torn += ExactRendering(GenerateFaultPlan(1, t));
-    ChaosOptions p = ServerKillOptions(seed);
-    p.server_mttf = 0.14;
-    p.max_server_failures = 1;
-    p.partition_mttf = 0.06;
-    p.partition_duration = 0.04;
-    p.max_partitions = 2;
-    partitions += ExactRendering(GenerateFaultPlan(1, p));
   }
   EXPECT_EQ(Fnv1a64(kills), 0xc4b8fd2ea01e751dull) << kills;
   EXPECT_EQ(Fnv1a64(torn), 0x0b94c89255d37349ull) << torn;
-  EXPECT_EQ(Fnv1a64(partitions), 0xa552e17e586d5333ull) << partitions;
 
   // The soak's time scales are its failure-free simulated completion
   // times: Apriori on 4 machines, NyuMiner-CV on 3.
@@ -298,12 +239,7 @@ TEST(FaultPlanTest, ToStringRendersEveryKind) {
   plan.events.push_back(FaultEvent{FaultEvent::Kind::kMachineRecover, 3.0, 2});
   plan.events.push_back(FaultEvent{FaultEvent::Kind::kServerCrash, 4.0, -1});
   plan.events.push_back(FaultEvent{FaultEvent::Kind::kServerRecover, 5.0, -1});
-  plan.events.push_back(
-      FaultEvent{FaultEvent::Kind::kServerPartition, 6.0, -1});
-  plan.events.push_back(FaultEvent{FaultEvent::Kind::kServerHeal, 7.0, -1});
   const std::string text = ToString(plan);
-  EXPECT_NE(text.find("SERVER_PARTITION"), std::string::npos);
-  EXPECT_NE(text.find("SERVER_HEAL"), std::string::npos);
   EXPECT_NE(text.find("CRASH"), std::string::npos);
   EXPECT_NE(text.find("RETREAT"), std::string::npos);
   EXPECT_NE(text.find("RECOVER"), std::string::npos);
@@ -625,6 +561,16 @@ TEST(ToStringTest, RuntimeErrorAllCodes) {
        "xrecover inside an open transaction"},
       {RuntimeError::Code::kNoMachineAvailable,
        "spawn requested while every machine is down"},
+      {RuntimeError::Code::kFaultInjectionUnsupported,
+       "fault injection is unsupported in kRealParallel mode"},
+      {RuntimeError::Code::kWireProtocolError,
+       "tuple-space server wire protocol failure"},
+      {RuntimeError::Code::kDistributedSpawnUnsupported,
+       "spawn from a running process is unsupported in kDistributed mode"},
+      {RuntimeError::Code::kServerDead,
+       "tuple-space server exited fatally and cannot be restarted"},
+      {RuntimeError::Code::kBadSocketPath,
+       "server socket path exceeds the sun_path limit"},
   };
   for (const Case& c : kCases) {
     RuntimeError error;

@@ -215,6 +215,24 @@ TEST(ProcessSemanticsTest, XRecoverReadsTheLastCommittedContinuationAgain) {
   }
 }
 
+TEST(ProcessSemanticsTest, NowAdvancesWithTheProcess) {
+  // The simulator's clock moves with Compute, the others' with the sleep.
+  Program program;
+  program.bodies.push_back([](ProcessContext& ctx) {
+    const double before = ctx.Now();
+    ctx.Compute(0.02);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int64_t advanced = ctx.Now() > before;
+    ctx.Out(MakeTuple("advanced", advanced));
+  });
+  const Tuple advanced = MakeTuple("advanced", int64_t{1});
+  for (const Outcome& outcome : RunEverywhere(program)) {
+    SCOPED_TRACE(outcome.mode);
+    EXPECT_TRUE(outcome.ok) << outcome.diagnostic;
+    EXPECT_EQ(outcome.space, Rendered({advanced}));
+  }
+}
+
 TEST(ProcessSemanticsTest, CleanReturnWithAnOpenTransactionRestoresItsIns) {
   Program program;
   program.seed.push_back(MakeTuple("t", int64_t{1}));
