@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the performance-critical
 // primitives: tuple-space matching, the wire protocol (unbatched vs
 // batched round trips against a live server process), GST construction,
-// the motif-matching DP, the optimal sub-K-ary split DP, one Apriori pass,
-// and tree edit distance with cuts.
+// exact and bit-parallel approximate motif matching, the optimal sub-K-ary
+// split DP, one Apriori pass, and tree edit distance with cuts.
 
 #include <benchmark/benchmark.h>
 
@@ -213,7 +213,9 @@ void BM_MotifMatchExact(benchmark::State& state) {
 }
 BENCHMARK(BM_MotifMatchExact);
 
-void BM_MotifMatchDp(benchmark::State& state) {
+// Approximate matching within range(0) mutations. The motif occurs in no
+// sequence, so every sequence is scanned to its end.
+void BM_MotifMatchApprox(benchmark::State& state) {
   std::vector<std::string> seqs =
       seqmine::GenerateProteinSet(seqmine::CyclinsLikeConfig());
   seqmine::Motif motif{{"ACDEFGHIKLMN"}};
@@ -223,7 +225,21 @@ void BM_MotifMatchDp(benchmark::State& state) {
         seqmine::OccurrenceNumber(motif, seqs, mutations, nullptr));
   }
 }
-BENCHMARK(BM_MotifMatchDp)->Arg(1)->Arg(4);
+BENCHMARK(BM_MotifMatchApprox)->Arg(1)->Arg(4);
+
+// The same with a motif planted in the set: a sequence that holds it is
+// scanned only up to the first place where it ends within the budget.
+void BM_MotifMatchApproxPlanted(benchmark::State& state) {
+  const seqmine::ProteinSetConfig config = seqmine::CyclinsLikeConfig();
+  std::vector<std::string> seqs = seqmine::GenerateProteinSet(config);
+  seqmine::Motif motif{{config.planted[0].motif}};
+  const int mutations = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        seqmine::OccurrenceNumber(motif, seqs, mutations, nullptr));
+  }
+}
+BENCHMARK(BM_MotifMatchApproxPlanted)->Arg(2);
 
 void BM_OptimalSplitDp(benchmark::State& state) {
   const int baskets = static_cast<int>(state.range(0));

@@ -29,18 +29,30 @@ struct Motif {
   bool operator==(const Motif& other) const = default;
 };
 
-/// Statistics a matching call accumulates; `cells` counts DP cell updates /
-/// characters scanned — the deterministic cost model for the NOW simulator.
+/// Statistics a matching call accumulates — the deterministic cost model
+/// for the NOW simulator. `cells` is the row DP's count (RowDpMatchDistance):
+/// |S|+1 cells per row, up to and including the first row whose minimum
+/// exceeds the budget, and at a zero budget the letters the exact scan
+/// reads. The bit-parallel matcher reports that count without doing that
+/// work.
 struct MatchStats {
   uint64_t cells = 0;
 };
 
 /// Minimum total mutations needed to match `motif` against `sequence`, or
-/// `max_mutations + 1` if no matching exists within the budget (the DP cuts
-/// off as soon as the budget is provably exceeded). Empty motifs match with
-/// 0 mutations.
+/// `max_mutations + 1` if no matching exists within the budget. A motif
+/// without letters matches with 0 mutations at any budget; no other motif
+/// matches a negative budget.
 int MatchDistance(const Motif& motif, std::string_view sequence,
                   int max_mutations, MatchStats* stats);
+
+/// The reference for MatchDistance and the definition of `cells`: the
+/// chained row DP, one row of |S|+1 cells per motif letter, which stops
+/// after the first row whose minimum exceeds the budget (at a zero budget,
+/// exact matching). MatchDistance runs it only for a segment longer than 63
+/// letters, which does not fit one 64-bit word.
+int RowDpMatchDistance(const Motif& motif, std::string_view sequence,
+                       int max_mutations, MatchStats* stats);
 
 /// True if `motif` occurs in `sequence` within `max_mutations` mutations.
 bool MatchesWithin(const Motif& motif, std::string_view sequence,

@@ -215,5 +215,36 @@ TEST(CyclinsLikeTest, SettingOneProfileResemblesPaper) {
   EXPECT_GT(motifs.size(), 0u);
 }
 
+TEST(CostModelTest, SequentialTraversalCostsArePinned) {
+  // TaskCost is the matcher's `cells`, the simulator's clock: a drift moves
+  // Figs 4.8-4.14 and Table 4.2. These are bench_scaling's
+  // BM_ScalingSeqmine inputs (min length 4, min occurrence 6) and the
+  // values the row DP gives.
+  ProteinSetConfig config;
+  config.num_sequences = 16;
+  config.min_length = 50;
+  config.max_length = 70;
+  config.seed = 321;
+  config.planted = {{"MKWVTFISLLFL", 9, 0.0}, {"HKSEVAHRFK", 7, 0.0}};
+  const std::vector<std::string> sequences = GenerateProteinSet(config);
+  struct Pin {
+    int max_mutations;
+    size_t patterns_tested;
+    size_t good_patterns;
+    double total_task_cost;
+  };
+  const Pin pins[] = {{1, 2119, 1247, 7200705}, {2, 3306, 2454, 13701452}};
+  for (const Pin& pin : pins) {
+    const SequenceMiningProblem problem(sequences, {4, 6, pin.max_mutations});
+    const core::MiningResult result = core::EtreeTraversal(problem);
+    EXPECT_EQ(result.patterns_tested, pin.patterns_tested)
+        << "k=" << pin.max_mutations;
+    EXPECT_EQ(result.good_patterns.size(), pin.good_patterns)
+        << "k=" << pin.max_mutations;
+    EXPECT_EQ(result.total_task_cost, pin.total_task_cost)
+        << "k=" << pin.max_mutations;
+  }
+}
+
 }  // namespace
 }  // namespace fpdm::seqmine

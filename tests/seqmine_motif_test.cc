@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "seqmine/generator.h"
+#include "util/random.h"
 
 namespace fpdm::seqmine {
 namespace {
@@ -141,6 +143,99 @@ TEST(MotifMatchTest, ExactnessOfDpAgainstBruteForce) {
     }
   }
   EXPECT_EQ(MatchDistance(m, seq, 10, nullptr), best);
+}
+
+std::string RandomLetters(util::Rng& rng, const std::string& alphabet,
+                          int length) {
+  std::string letters;
+  for (int i = 0; i < length; ++i) {
+    letters += alphabet[rng.NextBounded(alphabet.size())];
+  }
+  return letters;
+}
+
+// `text` after `edits` random substitutions, insertions and deletions.
+std::string Mutate(util::Rng& rng, const std::string& alphabet,
+                   std::string text, int edits) {
+  for (int e = 0; e < edits; ++e) {
+    const size_t at = rng.NextBounded(text.size() + 1);
+    const char letter = alphabet[rng.NextBounded(alphabet.size())];
+    switch (rng.NextBounded(3)) {
+      case 0:
+        if (at < text.size()) text[at] = letter;
+        break;
+      case 1:
+        text.insert(at, 1, letter);
+        break;
+      default:
+        if (at < text.size()) text.erase(at, 1);
+        break;
+    }
+  }
+  return text;
+}
+
+TEST(MotifMatchTest, BitParallelMatchesTheRowDp) {
+  // The row DP defines both the distance and `cells`; the bit-parallel
+  // matcher must reproduce both, through every entry point. A 63-letter
+  // segment fills a word, 64 and 80 letters take the DP. Sequences carry
+  // mutated copies of the segments, so matches within budget are common.
+  const std::vector<int> lengths = {0, 1, 2, 3, 4, 5, 6, 7, 8, 63, 64, 80};
+  const std::vector<int> budgets = {-1, 0, 1, 2, 3, 5, 64};
+  util::Rng rng(24);
+  int chained_matches = 0;  // within a positive budget, 2+ segments
+  for (int trial = 0; trial < 600; ++trial) {
+    // 2 to 6 letters, or the 20 amino acids.
+    const size_t size = rng.NextBounded(6);
+    const std::string alphabet(kAminoAcids, size < 5 ? size + 2 : 20);
+    Motif motif;
+    const int num_segments = static_cast<int>(rng.NextInt(1, 3));
+    for (int s = 0; s < num_segments; ++s) {
+      const int length = lengths[rng.NextBounded(lengths.size())];
+      motif.segments.push_back(RandomLetters(rng, alphabet, length));
+    }
+    std::vector<std::string> sequences;
+    for (int i = 0; i < 4; ++i) {
+      const size_t target = rng.NextBounded(151);
+      std::string sequence;
+      while (sequence.size() < target) {
+        if (rng.NextBool(0.3)) {
+          const std::string& segment =
+              motif.segments[rng.NextBounded(motif.segments.size())];
+          sequence += Mutate(rng, alphabet, segment,
+                             static_cast<int>(rng.NextInt(0, 3)));
+        } else {
+          sequence += RandomLetters(rng, alphabet,
+                                    static_cast<int>(rng.NextInt(1, 10)));
+        }
+      }
+      sequence.resize(target);
+      sequences.push_back(sequence);
+    }
+    for (const int k : budgets) {
+      int matches = 0;
+      uint64_t cells = 0;
+      for (const std::string& sequence : sequences) {
+        const std::string what =
+            motif.ToString() + " in " + sequence + ", k=" + std::to_string(k);
+        MatchStats want, got, within;
+        const int distance = RowDpMatchDistance(motif, sequence, k, &want);
+        ASSERT_EQ(MatchDistance(motif, sequence, k, &got), distance) << what;
+        ASSERT_EQ(got.cells, want.cells) << what;
+        ASSERT_EQ(MatchesWithin(motif, sequence, k, &within), distance <= k)
+            << what;
+        ASSERT_EQ(within.cells, want.cells) << what;
+        matches += distance <= k ? 1 : 0;
+        cells += want.cells;
+        if (k > 0 && distance <= k && num_segments > 1) ++chained_matches;
+      }
+      MatchStats occurrence;
+      ASSERT_EQ(OccurrenceNumber(motif, sequences, k, &occurrence), matches)
+          << motif.ToString() << ", k=" << k;
+      ASSERT_EQ(occurrence.cells, cells) << motif.ToString() << ", k=" << k;
+    }
+  }
+  EXPECT_GT(chained_matches, 1000);
 }
 
 TEST(MotifSubpatternTest, SingleSegment) {
