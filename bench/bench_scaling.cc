@@ -44,30 +44,93 @@ void FillCounters(benchmark::State& state, double wall_time, uint64_t ops) {
   state.counters["tuple_ops"] = static_cast<double>(ops);
 }
 
-// Frequent-itemset mining (§2.2) under the load-balanced E-tree strategy:
-// workers pull one itemset task at a time and push children back, so the
-// support-counting work spreads across however many cores are available.
-void BM_ScalingApriori(benchmark::State& state) {
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - start;
+  return elapsed.count();
+}
+
+// The sequential program on a problem: core::EtreeTraversal, with no
+// runtime and no tuple space. Returns its wall seconds.
+double TimeSequential(const core::MiningProblem& problem) {
+  const auto start = std::chrono::steady_clock::now();
+  benchmark::DoNotOptimize(core::EtreeTraversal(problem).patterns_tested);
+  return SecondsSince(start);
+}
+
+// The paper's efficiency (Figs 4.8, 4.9): sequential time over workers
+// times parallel time.
+void SetEfficiency(benchmark::State& state, double sequential_s,
+                   int workers, double parallel_s) {
+  state.counters["efficiency"] = sequential_s / (workers * parallel_s);
+}
+
+// Frequent-itemset mining (§2.2) on 600 baskets over 30 items with three
+// planted itemsets: the problem of every Apriori row. The problem keeps no
+// memo, so every iteration may reuse one.
+arm::ItemsetProblem AprioriProblem() {
   arm::BasketConfig config;
   config.num_transactions = 600;
   config.num_items = 30;
   config.avg_transaction_size = 8;
   config.patterns = {{{1, 4, 7}, 0.25}, {{2, 5, 9, 12}, 0.2}, {{3, 8}, 0.3}};
-  const arm::ItemsetProblem problem(arm::GenerateBaskets(config),
-                                    /*min_support=*/40);
-  core::ParallelOptions options;
-  options.strategy = core::Strategy::kLoadBalanced;
-  options.execution_mode = plinda::ExecutionMode::kRealParallel;
-  options.num_workers = static_cast<int>(state.range(0));
-  core::ParallelResult result;
+  return arm::ItemsetProblem(arm::GenerateBaskets(config),
+                             /*min_support=*/40);
+}
+
+// The sequential Apriori program as a row of its own: the baseline of the
+// Apriori rows below.
+void BM_ScalingAprioriSequential(benchmark::State& state) {
+  const arm::ItemsetProblem problem = AprioriProblem();
+  core::MiningResult result;
   for (auto _ : state) {
+    result = core::EtreeTraversal(problem);
+    benchmark::DoNotOptimize(result.good_patterns.size());
+  }
+  state.counters["hw_threads"] =
+      static_cast<double>(std::thread::hardware_concurrency());
+  state.counters["patterns_tested"] =
+      static_cast<double>(result.patterns_tested);
+}
+BENCHMARK(BM_ScalingAprioriSequential)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// Runs `options` on the Apriori problem once per iteration, with the
+// sequential program timed next to every run (outside the timed region), so
+// the efficiency compares the two under the same host load.
+core::ParallelResult RunApriori(benchmark::State& state,
+                                const core::ParallelOptions& options) {
+  const arm::ItemsetProblem problem = AprioriProblem();
+  core::ParallelResult result;
+  double sequential_s = 0;
+  double parallel_s = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sequential_s += TimeSequential(problem);
+    state.ResumeTiming();
+    const auto start = std::chrono::steady_clock::now();
     result = core::MineParallel(problem, options);
+    parallel_s += SecondsSince(start);
     if (!result.ok) state.SkipWithError("parallel run failed");
     benchmark::DoNotOptimize(result.mining.good_patterns.size());
   }
   FillCounters(state, result.wall_time, result.stats.tuple_ops);
   state.counters["patterns_tested"] =
       static_cast<double>(result.mining.patterns_tested);
+  SetEfficiency(state, sequential_s, options.num_workers, parallel_s);
+  return result;
+}
+
+// Apriori under the load-balanced E-tree strategy in kRealParallel: workers
+// pull one itemset task at a time and push children back, so the
+// support-counting work spreads across however many cores are available.
+void BM_ScalingApriori(benchmark::State& state) {
+  core::ParallelOptions options;
+  options.strategy = core::Strategy::kLoadBalanced;
+  options.execution_mode = plinda::ExecutionMode::kRealParallel;
+  options.num_workers = static_cast<int>(state.range(0));
+  RunApriori(state, options);
 }
 BENCHMARK(BM_ScalingApriori)
     ->Arg(1)
@@ -97,19 +160,10 @@ std::vector<std::string> SeqmineSequences() {
 const seqmine::SequenceMiningConfig kSeqmineMining{
     /*min_length=*/4, /*min_occurrence=*/6, /*max_mutations=*/1};
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  return elapsed.count();
-}
-
-// The sequential program on the same inputs: core::EtreeTraversal, with no
-// runtime and no tuple space. Returns its wall seconds on a fresh problem.
+// The sequential program's wall seconds on a fresh (cold-memo) problem.
 double TimeSequentialSeqmine(const std::vector<std::string>& sequences) {
   const seqmine::SequenceMiningProblem problem(sequences, kSeqmineMining);
-  const auto start = std::chrono::steady_clock::now();
-  benchmark::DoNotOptimize(core::EtreeTraversal(problem).patterns_tested);
-  return SecondsSince(start);
+  return TimeSequential(problem);
 }
 
 // The sequential program as a row of its own: the baseline of the parallel
@@ -160,10 +214,7 @@ void BM_ScalingSeqmine(benchmark::State& state) {
   FillCounters(state, result.wall_time, result.stats.tuple_ops);
   state.counters["patterns_tested"] =
       static_cast<double>(result.mining.patterns_tested);
-  // The paper's efficiency (Figs 4.8, 4.9): sequential time over workers
-  // times parallel time.
-  state.counters["efficiency"] =
-      sequential_s / (options.num_workers * parallel_s);
+  SetEfficiency(state, sequential_s, options.num_workers, parallel_s);
 }
 BENCHMARK(BM_ScalingSeqmine)
     ->Arg(1)
@@ -172,22 +223,6 @@ BENCHMARK(BM_ScalingSeqmine)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-
-// The same Apriori workload in ExecutionMode::kDistributed: every worker
-// is a forked OS process and the tuple space is a separate server process
-// behind a Unix-domain socket, so this row prices the wire protocol + WAL
-// against the in-process space of BM_ScalingApriori. Iterations are
-// pinned: each one forks a server and a full worker fleet, so letting the
-// harness auto-scale the count would make the bench needlessly slow.
-arm::ItemsetProblem DistributedAprioriProblem() {
-  arm::BasketConfig config;
-  config.num_transactions = 600;
-  config.num_items = 30;
-  config.avg_transaction_size = 8;
-  config.patterns = {{{1, 4, 7}, 0.25}, {{2, 5, 9, 12}, 0.2}, {{3, 8}, 0.3}};
-  return arm::ItemsetProblem(arm::GenerateBaskets(config),
-                             /*min_support=*/40);
-}
 
 // Wire-traffic counters of a distributed run: round trips and bytes summed
 // across every worker plus the supervisor's control connection, kBatch
@@ -218,23 +253,20 @@ void FillWireCounters(benchmark::State& state,
       static_cast<double>(stats.transport_bytes);
 }
 
-// Arg 0 sweeps the worker fleet against the one server.
+// The same Apriori workload in ExecutionMode::kDistributed: every worker
+// is a forked OS process and the tuple space is a separate server process
+// behind a Unix-domain socket, so this row prices the wire protocol + WAL
+// against the in-process space of BM_ScalingApriori. Iterations are
+// pinned: each one forks a server and a full worker fleet, so letting the
+// harness auto-scale the count would make the bench needlessly slow. Arg 0
+// sweeps the worker fleet against the one server.
 void BM_ScalingDistributedApriori(benchmark::State& state) {
-  const arm::ItemsetProblem problem = DistributedAprioriProblem();
   core::ParallelOptions options;
   options.strategy = core::Strategy::kLoadBalanced;
   options.execution_mode = plinda::ExecutionMode::kDistributed;
   options.num_workers = static_cast<int>(state.range(0));
-  core::ParallelResult result;
-  for (auto _ : state) {
-    result = core::MineParallel(problem, options);
-    if (!result.ok) state.SkipWithError("distributed run failed");
-    benchmark::DoNotOptimize(result.mining.good_patterns.size());
-  }
-  FillCounters(state, result.wall_time, result.stats.tuple_ops);
+  const core::ParallelResult result = RunApriori(state, options);
   FillWireCounters(state, result.stats);
-  state.counters["patterns_tested"] =
-      static_cast<double>(result.mining.patterns_tested);
   state.counters["server_checkpoints"] =
       static_cast<double>(result.stats.server_checkpoints);
 }

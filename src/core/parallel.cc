@@ -202,7 +202,9 @@ std::vector<Pattern> ExpandLocally(ProcessContext& ctx,
 // task counting: `active` is the number of task tuples not yet fully
 // accounted for; each report retires one task and announces `spawned` new
 // ones. This is observationally equivalent to the paper's sibling-pruning
-// termination() and needs no extra tuples.
+// termination() and needs no extra tuples. Each transaction drains every
+// waiting report (InAll), so one round trip and one commit retire them all;
+// the simulator bills the drain what one transaction per report costs.
 void EtreeMaster(ProcessContext& ctx, const MiningProblem& problem,
                  const ParallelOptions& options, int64_t mode,
                  SharedState* shared) {
@@ -216,11 +218,11 @@ void EtreeMaster(ProcessContext& ctx, const MiningProblem& problem,
     ++active;
   }
   ctx.XCommit();
+  std::vector<Tuple> reports;
   while (active > 0) {
     ctx.XStart();
-    Tuple report;
-    ctx.In(ReportTemplate(), &report);
-    active += GetInt(report, 4) - 1;
+    ctx.InAll(ReportTemplate(), &reports);
+    for (const Tuple& report : reports) active += GetInt(report, 4) - 1;
     ctx.XCommit();
   }
   ctx.XStart();
@@ -231,7 +233,9 @@ void EtreeMaster(ProcessContext& ctx, const MiningProblem& problem,
 // Master for PLED and the PLED->PLET hybrid. Maintains the E-dag visiting
 // rule: a pattern is emitted only when all its immediate subpatterns are
 // known good. In hybrid mode, children deeper than hybrid_switch_level are
-// handed to the load-balanced protocol instead.
+// handed to the load-balanced protocol instead. It takes one report per
+// transaction: a drained batch would publish the tasks its verdicts release
+// only at the batch's commit.
 void PledMaster(ProcessContext& ctx, const MiningProblem& problem,
                 const ParallelOptions& options, bool hybrid,
                 SharedState* /*shared*/) {

@@ -52,12 +52,16 @@ bool ConcurrentTupleSpace::TryRd(const Template& tmpl, Tuple* result) {
 }
 
 bool ConcurrentTupleSpace::WaitIn(const Template& tmpl, Tuple* result,
-                                  bool remove) {
+                                  bool remove, std::vector<Tuple>* more) {
   std::shared_ptr<Waiter> waiter;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (closed()) return false;
     if (remove ? space_.TryIn(tmpl, result) : space_.TryRd(tmpl, result)) {
+      if (more != nullptr) {
+        Tuple next;
+        while (space_.TryIn(tmpl, &next)) more->push_back(std::move(next));
+      }
       return true;
     }
     if (waiter == nullptr) {

@@ -44,7 +44,10 @@ class ConcurrentTupleSpace {
 
   /// Blocking in/rd: waits until a matching tuple exists (removing it when
   /// `remove`), or until Close() is called. Returns false only on close.
-  bool WaitIn(const Template& tmpl, Tuple* result, bool remove);
+  /// With `more` (a drain; `remove` only), also removes every further match
+  /// under the same lock and appends them to *more, oldest first.
+  bool WaitIn(const Template& tmpl, Tuple* result, bool remove,
+              std::vector<Tuple>* more = nullptr);
 
   /// Wakes every waiter and makes all current and future WaitIn calls
   /// return false. Used for deadlock cancellation.

@@ -69,16 +69,6 @@ bool WritevAll(int fd, std::vector<iovec> iov, uint64_t* bytes_sent,
   return true;
 }
 
-/// Rough encoded size of a tuple, for the batch-sealing threshold.
-size_t RoughTupleBytes(const Tuple& tuple) {
-  size_t n = 16;
-  for (const Value& v : tuple.fields) {
-    n += 28;
-    if (const std::string* s = std::get_if<std::string>(&v)) n += s->size();
-  }
-  return n;
-}
-
 RemoteTupleSpace::CallStatus MapWireStatus(WireStatus status) {
   switch (status) {
     case WireStatus::kOk:
@@ -376,7 +366,7 @@ RemoteTupleSpace::CallStatus RemoteTupleSpace::BatchOut(const Tuple& tuple) {
   BatchOp op;
   op.op = Op::kOut;
   op.tuple = tuple;
-  batch_bytes_ += RoughTupleBytes(tuple);
+  batch_bytes_ += EstimateTupleBytes(tuple);
   batch_.push_back(std::move(op));
   if (batch_.size() >= kMaxBatchOps || batch_bytes_ >= kMaxBatchBytes) {
     SealBatch(nullptr);
@@ -536,16 +526,29 @@ RemoteTupleSpace::CallStatus RemoteTupleSpace::Out(const Tuple& tuple) {
 
 RemoteTupleSpace::CallStatus RemoteTupleSpace::In(const Template& tmpl,
                                                   bool blocking, bool remove,
-                                                  Tuple* result) {
+                                                  Tuple* result,
+                                                  std::vector<Tuple>* more) {
   Request request;
   request.op = Op::kIn;
   request.tmpl = tmpl;
   request.flags = static_cast<uint8_t>((remove ? kInRemove : 0) |
-                                       (blocking ? kInBlocking : 0));
+                                       (blocking ? kInBlocking : 0) |
+                                       (more != nullptr ? kInDrain : 0));
   Reply reply;
   const CallStatus status = Call(request, &reply);
-  if (status == CallStatus::kOk && reply.has_tuple && result != nullptr) {
-    *result = std::move(reply.tuple);
+  if (status != CallStatus::kOk) return status;
+  if (more == nullptr) {
+    if (reply.has_tuple && result != nullptr) *result = std::move(reply.tuple);
+    return status;
+  }
+  // A drain replies with its record's items, one per tuple, oldest first.
+  if (reply.items.empty()) {
+    last_error_ = "drain reply carries no tuple";
+    return CallStatus::kWireError;
+  }
+  if (result != nullptr) *result = std::move(reply.items[0].tuple);
+  for (size_t i = 1; i < reply.items.size(); ++i) {
+    more->push_back(std::move(reply.items[i].tuple));
   }
   return status;
 }

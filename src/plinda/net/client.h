@@ -90,8 +90,11 @@ class RemoteTupleSpace {
 
   // --- synchronous calls (flush anything deferred first) ------------------
   CallStatus Out(const Tuple& tuple);
+  /// in/inp/rd/rdp. With `more` (a drain: blocking and removing only),
+  /// also appends to *more every further match the server took with the
+  /// first, oldest first, in the same round trip.
   CallStatus In(const Template& tmpl, bool blocking, bool remove,
-                Tuple* result);
+                Tuple* result, std::vector<Tuple>* more = nullptr);
   CallStatus Count(const Template& tmpl, uint64_t* count);
   CallStatus XStart();
   CallStatus XCommit(const std::vector<Tuple>& outs, bool has_continuation,

@@ -7,6 +7,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -492,9 +493,9 @@ std::string SpaceServer::ApplyEntry(const LogEntry& entry) {
       break;
     }
     case LogKind::kBatch: {
-      // Replay of a whole batch frame: re-apply the resolved effects in
-      // order. The live path already mutated the space while resolving
-      // (HandleBatch), so only replay reaches this case.
+      // Replay of a whole batch frame or drain: re-apply the resolved
+      // effects in order. The live path already mutated the space while
+      // resolving (HandleBatch, Drain), so only replay reaches this case.
       for (const BatchEffect& effect : entry.effects) {
         switch (effect.kind) {
           case BatchEffectKind::kPublished:
@@ -553,6 +554,50 @@ void SpaceServer::SendError(Conn& conn, const std::string& detail) {
   SendReply(conn, reply);
 }
 
+bool SpaceServer::TxnOpen(int32_t pid) const {
+  if (pid < 0) return false;
+  auto client = clients_.find(pid);
+  return client != clients_.end() && client->second.txn_open;
+}
+
+bool SpaceServer::LogBatch(Conn& conn, const LogEntry& entry) {
+  if (!AppendLog(entry)) return false;
+  const std::string encoded = EncodeReply(BatchReplyFor(entry));
+  if (entry.seq != 0 && entry.pid >= 0) {
+    CacheReply(clients_[entry.pid], entry.seq, encoded);
+  }
+  SendEncoded(conn, encoded);
+  return true;
+}
+
+bool SpaceServer::Drain(Conn& conn, int32_t pid, uint64_t seq,
+                        const Template& tmpl) {
+  // Room for the items in one reply frame, past the reply's fixed fields
+  // (under 200 bytes). The first match always fits: its out fit a request.
+  constexpr size_t kReplyFixedBytes = 4096;
+  size_t room = kMaxFramePayload - kReplyFixedBytes;
+  const bool in_txn = TxnOpen(pid);
+  LogEntry entry;
+  entry.kind = LogKind::kBatch;
+  entry.pid = pid;
+  entry.incarnation = conn.incarnation;
+  entry.seq = seq;
+  // Removes while resolving and appends after, as HandleBatch does: nothing
+  // runs in between, and a failed append stops the server unacknowledged.
+  Tuple t;
+  while (space_.TryRd(tmpl, &t)) {
+    const size_t bytes = 2 + EstimateTupleBytes(t);
+    if (!entry.effects.empty() && bytes > room) break;
+    room -= std::min(bytes, room);
+    space_.TryIn(tmpl, nullptr);
+    if (in_txn) clients_[pid].txn_ins.push_back(t);
+    ++tuple_ops_;
+    entry.effects.push_back(
+        BatchEffect{BatchEffectKind::kTook, in_txn, std::move(t)});
+  }
+  return LogBatch(conn, entry);
+}
+
 void SpaceServer::SatisfyWaiters() {
   for (auto it = waiters_.begin(); it != waiters_.end();) {
     Tuple t;
@@ -566,18 +611,16 @@ void SpaceServer::SatisfyWaiters() {
       continue;
     }
     Conn& conn = *cit->second;
-    if (it->remove) {
-      bool in_txn = false;
-      if (it->pid >= 0) {
-        auto client = clients_.find(it->pid);
-        in_txn = client != clients_.end() && client->second.txn_open;
-      }
+    if (it->drain) {
+      // WAL lost: leave the waiter parked.
+      if (!Drain(conn, it->pid, it->seq, it->tmpl)) return;
+    } else if (it->remove) {
       LogEntry entry;
       entry.kind = LogKind::kIn;
       entry.pid = it->pid;
       entry.incarnation = conn.incarnation;
       entry.seq = it->seq;
-      entry.in_txn = in_txn;
+      entry.in_txn = TxnOpen(it->pid);
       entry.tuple = t;
       if (!AppendLog(entry)) return;  // WAL lost: leave the waiter parked
       SendEncoded(conn, ApplyEntry(entry));
@@ -599,6 +642,7 @@ void SpaceServer::ParkWaiter(Conn& conn, const Request& request) {
   w.seq = request.seq;
   w.tmpl = request.tmpl;
   w.remove = (request.flags & kInRemove) != 0;
+  w.drain = (request.flags & kInDrain) != 0;
   waiters_.push_back(std::move(w));
 }
 
@@ -637,20 +681,22 @@ void SpaceServer::HandleHello(Conn& conn, const Request& request) {
 void SpaceServer::HandleIn(Conn& conn, const Request& request) {
   const bool remove = (request.flags & kInRemove) != 0;
   const bool blocking = (request.flags & kInBlocking) != 0;
+  const bool drain = (request.flags & kInDrain) != 0;
+  if (drain && !(remove && blocking)) {
+    SendError(conn, "in: a drain must be a blocking, removing in");
+    return;
+  }
   Tuple t;
   if (space_.TryRd(request.tmpl, &t)) {
-    if (remove) {
-      bool in_txn = false;
-      if (conn.pid >= 0) {
-        auto client = clients_.find(conn.pid);
-        in_txn = client != clients_.end() && client->second.txn_open;
-      }
+    if (drain) {
+      Drain(conn, conn.pid, request.seq, request.tmpl);
+    } else if (remove) {
       LogEntry entry;
       entry.kind = LogKind::kIn;
       entry.pid = conn.pid;
       entry.incarnation = conn.incarnation;
       entry.seq = request.seq;
-      entry.in_txn = in_txn;
+      entry.in_txn = TxnOpen(conn.pid);
       entry.tuple = std::move(t);
       if (!AppendLog(entry)) return;
       SendEncoded(conn, ApplyEntry(entry));
@@ -678,18 +724,15 @@ void SpaceServer::HandleBatch(Conn& conn, const Request& request) {
   // malformed sub-op must reject the whole frame with no partial effects.
   // (DecodeRequest already rejects unknown sub-opcodes; blocking is a
   // semantic check — a parked sub-op would need a second WAL record under
-  // the same seq, breaking the one-frame/one-record atomicity argument.)
+  // the same seq, breaking the one-frame/one-record atomicity argument. A
+  // drain only ever rides a blocking in.)
   for (const BatchOp& op : request.batch) {
-    if (op.op == Op::kIn && (op.flags & kInBlocking) != 0) {
-      SendError(conn, "batch: blocking sub-op not allowed");
+    if (op.op == Op::kIn && (op.flags & (kInBlocking | kInDrain)) != 0) {
+      SendError(conn, "batch: blocking or drain sub-op not allowed");
       return;
     }
   }
-  bool in_txn = false;
-  if (conn.pid >= 0) {
-    auto client = clients_.find(conn.pid);
-    in_txn = client != clients_.end() && client->second.txn_open;
-  }
+  const bool in_txn = TxnOpen(conn.pid);
   // Resolve every sub-op against the space, mutating as we go (later
   // sub-ops see the effects of earlier ones in the same batch) and
   // recording each resolved effect. The WAL record is appended AFTER
@@ -730,13 +773,7 @@ void SpaceServer::HandleBatch(Conn& conn, const Request& request) {
     ++tuple_ops_;
     entry.effects.push_back(std::move(effect));
   }
-  if (!AppendLog(entry)) return;
-  const std::string encoded = EncodeReply(BatchReplyFor(entry));
-  if (entry.seq != 0 && conn.pid >= 0) {
-    CacheReply(clients_[conn.pid], entry.seq, encoded);
-  }
-  SendEncoded(conn, encoded);
-  if (published) SatisfyWaiters();
+  if (LogBatch(conn, entry) && published) SatisfyWaiters();
 }
 
 void SpaceServer::HandleFrame(Conn& conn, std::string_view payload) {

@@ -134,6 +134,7 @@ class SpaceServer {
     uint64_t seq = 0;
     Template tmpl;
     bool remove = false;
+    bool drain = false;  // kInDrain: take every match once one exists
   };
 
   // --- state recovery ----------------------------------------------------
@@ -168,12 +169,25 @@ class SpaceServer {
   /// kBatch gets a bit-identical cached reply.
   Reply BatchReplyFor(const LogEntry& entry);
 
+  /// Live path of a kBatch record whose effects are already applied: appends
+  /// it to the WAL, caches its reply in the client's dedup window and queues
+  /// it on `conn`. False when the append failed (the server is stopping).
+  bool LogBatch(Conn& conn, const LogEntry& entry);
+
+  /// True when `pid` is a registered client with an open transaction.
+  bool TxnOpen(int32_t pid) const;
+
   // --- request handling --------------------------------------------------
   /// Decodes one frame and applies it (or answers it with an error).
   void HandleFrame(Conn& conn, std::string_view payload);
   void HandleHello(Conn& conn, const Request& request);
   void HandleIn(Conn& conn, const Request& request);
   void HandleBatch(Conn& conn, const Request& request);
+  /// A drain (kIn with kInDrain) that has a first match: removes every match
+  /// of `tmpl` that fits one reply frame, oldest first, as one kBatch record
+  /// of kTook effects under `seq`, and replies with its items. False when
+  /// the WAL append failed.
+  bool Drain(Conn& conn, int32_t pid, uint64_t seq, const Template& tmpl);
   /// Publish-side wakeup: scans the parked waiters in arrival order and
   /// satisfies those whose template now matches.
   void SatisfyWaiters();
@@ -234,8 +248,8 @@ class SpaceServer {
   uint64_t aborts_ = 0;
   uint64_t checkpoints_ = 0;
   uint64_t ops_replayed_ = 0;
-  uint64_t batch_frames_ = 0;  // kBatch frames (live + replay)
-  uint64_t batched_ops_ = 0;   // sub-ops carried by those frames
+  uint64_t batch_frames_ = 0;  // kBatch records, frames and drains
+  uint64_t batched_ops_ = 0;   // effects carried by those records
   int wal_appends_attempted_ = 0;  // wal_fail_after injection
 };
 

@@ -42,8 +42,12 @@ void PatchU32(std::string* out, size_t pos, size_t v) {
   (*out)[pos + 3] = static_cast<char>((v >> 24) & 0xff);
 }
 
-/// Cheap upper-ish estimate of a tuple's encoded size, for reserve().
+}  // namespace
+
 size_t EstimateTupleBytes(const Tuple& tuple) {
+  // 16 covers the u32 length and the arity prefix; 28 covers a field's tag,
+  // its longest number ("%.17g" or an int64) or string length, and its
+  // separator.
   size_t n = 16;
   for (const Value& v : tuple.fields) {
     const std::string* s = std::get_if<std::string>(&v);
@@ -51,8 +55,6 @@ size_t EstimateTupleBytes(const Tuple& tuple) {
   }
   return n;
 }
-
-}  // namespace
 
 void PutTuple(const Tuple& tuple, std::string* out) {
   // Serialize straight into the destination through a patched length

@@ -42,6 +42,9 @@ void PutU64(uint64_t v, std::string* out);
 void PutI32(int32_t v, std::string* out);
 void PutString(std::string_view s, std::string* out);
 void PutTuple(const Tuple& tuple, std::string* out);
+/// An upper bound on the bytes PutTuple appends for `tuple`, without
+/// encoding it.
+size_t EstimateTupleBytes(const Tuple& tuple);
 void PutTemplate(const Template& tmpl, std::string* out);
 
 /// Bounds-checked reader over an encoded buffer. Every Take* returns false
@@ -135,6 +138,12 @@ enum class Op : uint8_t {
 // kIn flags.
 inline constexpr uint8_t kInRemove = 1;    // in/inp (vs rd/rdp)
 inline constexpr uint8_t kInBlocking = 2;  // in/rd (vs inp/rdp)
+// Drain (ProcessContext::InAll): once a first match exists, the server also
+// removes every further match that fits one reply frame, logs them all as
+// one kBatch record of kTook effects under the frame's seq, and replies with
+// that record's items, oldest first. Valid only with kInRemove and
+// kInBlocking, and never on a kBatch sub-op.
+inline constexpr uint8_t kInDrain = 4;
 
 /// One sub-operation of a kBatch request.
 struct BatchOp {
@@ -179,6 +188,7 @@ struct ParkedWaiter {
 
 /// Per-sub-op result inside a kBatch reply, in request order. kOk with no
 /// tuple = out applied; kOk with a tuple = inp/rdp hit; kNotFound = miss.
+/// A drain's reply carries one kOk item per tuple it took.
 struct BatchItem {
   WireStatus status = WireStatus::kOk;
   bool has_tuple = false;
@@ -197,12 +207,12 @@ struct Reply {
   uint64_t aborts = 0;
   uint64_t checkpoints = 0;
   uint64_t ops_replayed = 0;
-  uint64_t batch_frames = 0;  // kBatch frames applied
-  uint64_t batched_ops = 0;   // sub-ops carried by those frames
+  uint64_t batch_frames = 0;  // kBatch records applied: frames and drains
+  uint64_t batched_ops = 0;   // effects carried by those records
   // kStatus.
   uint64_t publish_epoch = 0;
   std::vector<ParkedWaiter> parked;
-  std::vector<BatchItem> items;  // kBatch
+  std::vector<BatchItem> items;  // kBatch, kIn with kInDrain
   std::string error;  // kError detail
   /// kStats: WAL group-commit observability — durable groups (one per
   /// append without wal_sync, one per fdatasync with it) and the log bytes
@@ -239,10 +249,11 @@ enum class LogKind : uint8_t {
   kCommit = 5,
   kAbort = 6,
   // 7 is retired: XRECOVER reads the continuation table and logs nothing.
-  // A whole kBatch frame as ONE record. The entry stores resolved per-sub-op
-  // *effects* (which tuple was published / removed / read / missed), not the
-  // request, so replay reproduces both the space mutation and the cached
-  // batched reply bit-identically without re-running the matching.
+  // A whole kBatch frame, or a whole drain (kIn with kInDrain), as ONE
+  // record. The entry stores resolved per-sub-op *effects* (which tuple was
+  // published / removed / read / missed), not the request, so replay
+  // reproduces both the space mutation and the cached batched reply
+  // bit-identically without re-running the matching.
   kBatch = 8,
 };
 

@@ -212,8 +212,8 @@ struct RuntimeStats {
   /// the per-request latency.
   uint64_t rpc_calls = 0;
   uint64_t bytes_on_wire = 0;  // sent + received
-  uint64_t batch_frames = 0;   // kBatch frames the server applied
-  uint64_t batched_tuple_ops = 0;  // sub-ops carried by those frames
+  uint64_t batch_frames = 0;   // kBatch records: batch frames and drains
+  uint64_t batched_tuple_ops = 0;  // sub-ops and drained tuples they held
   /// kDistributed: durable WAL groups the server made and the WAL bytes
   /// those groups covered. Without wal_sync each append is its own group;
   /// with it each group is one fdatasync per serve-loop pass, so
@@ -488,6 +488,7 @@ class Runtime {
   void OpOut(Proc* proc, Tuple tuple);
   bool OpIn(Proc* proc, const Template& tmpl, Tuple* result, bool blocking,
             bool remove);
+  void OpInAll(Proc* proc, const Template& tmpl, std::vector<Tuple>* result);
   void OpXStart(Proc* proc);
   void OpXCommit(Proc* proc, bool has_continuation, Tuple continuation);
   bool OpXRecover(Proc* proc, Tuple* continuation);
@@ -592,6 +593,18 @@ class ProcessContext {
 
   /// Non-blocking in (inp). Returns false if nothing matches right now.
   bool Inp(const Template& tmpl, Tuple* result);
+
+  /// Blocking in of every match (a drain): waits for the first match, then
+  /// also removes every further match visible at that moment, and returns
+  /// them all in *result, oldest first. Inside a transaction the removals
+  /// roll back with it, and, as for In, the transaction's own outs come
+  /// first: when any of them match, InAll takes just those and leaves the
+  /// space alone. kDistributed takes at most one reply frame's worth
+  /// (kMaxFramePayload). Each tuple counts as one tuple op. The simulator
+  /// bills each tuple after the first one in plus one xcommit/xstart pair,
+  /// so a drain costs the virtual time of taking the same tuples one
+  /// transaction each.
+  void InAll(const Template& tmpl, std::vector<Tuple>* result);
 
   /// Blocking / non-blocking read (rd / rdp): copies without removing.
   void Rd(const Template& tmpl, Tuple* result);

@@ -347,6 +347,32 @@ TEST(ParallelTest, InitialLevelTwoStillCorrect) {
   }
 }
 
+// The load-balanced master drains every waiting report in one transaction,
+// and the simulator bills each drained report what one transaction per
+// report cost, so virtual time and tuple ops stay those of the one-report
+// master. Twelve-millisecond tasks on 8 workers pile the reports up.
+TEST(ParallelTest, DrainingMasterKeepsTheOneReportMastersVirtualTime) {
+  ToyItemsetProblem problem = MakeToyProblem();
+  ParallelOptions options;
+  options.strategy = Strategy::kLoadBalanced;
+  options.num_workers = 8;
+  options.seconds_per_work_unit = 0.001;
+  const ParallelResult parallel = MineParallel(problem, options);
+  ASSERT_TRUE(parallel.ok);
+  const MiningResult etree = EtreeTraversal(problem);
+  EXPECT_EQ(Keys(parallel.mining), Keys(etree));
+  EXPECT_EQ(parallel.mining.patterns_tested, etree.patterns_tested);
+  // Pinned from the one-report-per-transaction master.
+  EXPECT_EQ(parallel.completion_time, 3.7049999999999854);
+  EXPECT_EQ(parallel.stats.tuple_ops, 161u);
+  // Each task is one worker commit and one report; each worker commits its
+  // poison; the master commits its first tasks, its drains and the poison.
+  const uint64_t reports = parallel.mining.patterns_tested;
+  const uint64_t master_commits = parallel.stats.transactions_committed -
+                                  reports - options.num_workers;
+  EXPECT_LT(master_commits - 2, reports);
+}
+
 TEST(ParallelTest, WorkUnitsMatchSequentialCostWithoutFailures) {
   ToyItemsetProblem problem = MakeToyProblem();
   MiningResult etree = EtreeTraversal(problem);

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -220,6 +221,20 @@ TEST(WireFuzzTest, EveryTruncationFailsCleanly) {
         entry.kind = LogKind::kCommit;
         entry.outs = {MakeTuple("a", 1), MakeTuple("b")};
         return entry;
+      }()),
+      EncodeRequest([] {
+        Request request;
+        request.op = Op::kIn;
+        request.seq = 3;
+        request.flags = kInRemove | kInBlocking | kInDrain;
+        request.tmpl = MakeTemplate(A("r"), F(ValueType::kInt));
+        return request;
+      }()),
+      EncodeReply([] {
+        Reply reply;
+        reply.items = {{WireStatus::kOk, true, MakeTuple("r", 1)},
+                       {WireStatus::kOk, true, MakeTuple("r", 2)}};
+        return reply;
       }()),
   };
   std::string error;
@@ -1253,6 +1268,221 @@ TEST_F(NetIntegrationTest, BlockingSubOpInABatchIsAStructuredError) {
   ASSERT_TRUE(worker.Receive(&reply));
   EXPECT_EQ(reply.status, WireStatus::kError);
   EXPECT_NE(reply.error.find("blocking"), std::string::npos) << reply.error;
+}
+
+/// Every intact record of a WAL file, oldest first.
+std::vector<LogEntry> ReadWal(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string raw((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  std::vector<LogEntry> entries;
+  size_t off = 0;
+  while (off + 12 <= raw.size()) {
+    uint32_t len = 0;
+    for (int i = 0; i < 4; ++i) {
+      len |= static_cast<uint32_t>(static_cast<unsigned char>(raw[off + i]))
+             << (8 * i);
+    }
+    if (off + 12 + len > raw.size()) break;
+    LogEntry entry;
+    std::string error;
+    if (!DecodeLogEntry(std::string_view(raw).substr(off + 12, len), &entry,
+                        &error)) {
+      break;
+    }
+    entries.push_back(std::move(entry));
+    off += 12 + len;
+  }
+  return entries;
+}
+
+/// A registered raw client for pid `pid`.
+void Hello(RawClient* client, int32_t pid) {
+  Request hello;
+  hello.op = Op::kHello;
+  hello.pid = pid;
+  Reply reply;
+  ASSERT_TRUE(client->Send(hello));
+  ASSERT_TRUE(client->Receive(&reply));
+  ASSERT_EQ(reply.status, WireStatus::kOk);
+}
+
+Template ReportTmpl() { return MakeTemplate(A("r"), F(ValueType::kInt)); }
+
+Request DrainRequest(int32_t pid, uint64_t seq) {
+  Request drain;
+  drain.op = Op::kIn;
+  drain.pid = pid;
+  drain.seq = seq;
+  drain.flags = kInRemove | kInBlocking | kInDrain;
+  drain.tmpl = ReportTmpl();
+  return drain;
+}
+
+TEST_F(NetIntegrationTest, DrainIsOneWalRecordAndItsResendTakesNothingMore) {
+  // No periodic checkpoint: the live log keeps every record of the test.
+  StopServer();
+  sopts_.checkpoint_every_ops = 1000;
+  StartServer();
+  RemoteTupleSpace ctl(ClientOptions(-1));
+  ASSERT_TRUE(ctl.Connect());
+  RawClient worker(sopts_.endpoint);
+  ASSERT_TRUE(worker.ok());
+  Hello(&worker, 6);
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_EQ(ctl.Out(MakeTuple("r", i)), CallStatus::kOk);
+  }
+  ASSERT_EQ(ctl.Out(MakeTuple("other", 9)), CallStatus::kOk);
+  const size_t before = ReadWal(NewestLogFile(sopts_.state_dir)).size();
+
+  const Request drain = DrainRequest(6, 1);
+  ASSERT_TRUE(worker.Send(drain));
+  Reply first;
+  ASSERT_TRUE(worker.Receive(&first));
+  ASSERT_EQ(first.status, WireStatus::kOk) << first.error;
+  ASSERT_EQ(first.items.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(first.items[i].tuple, MakeTuple("r", i + 1));
+  }
+  std::vector<LogEntry> wal = ReadWal(NewestLogFile(sopts_.state_dir));
+  ASSERT_EQ(wal.size(), before + 1);
+  EXPECT_EQ(wal.back().kind, LogKind::kBatch);
+  EXPECT_EQ(wal.back().seq, 1u);
+  ASSERT_EQ(wal.back().effects.size(), 3u);
+  for (const BatchEffect& effect : wal.back().effects) {
+    EXPECT_EQ(effect.kind, BatchEffectKind::kTook);
+  }
+
+  // A fresh match, then the identical frame again, as a resend after a
+  // server crash would send it: the dedup window answers with the same
+  // tuples, and the fresh match stays.
+  ASSERT_EQ(ctl.Out(MakeTuple("r", 4)), CallStatus::kOk);
+  ASSERT_TRUE(worker.Send(drain));
+  Reply second;
+  ASSERT_TRUE(worker.Receive(&second));
+  EXPECT_EQ(second.status, WireStatus::kOk);
+  ASSERT_EQ(second.items.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(second.items[i].tuple, first.items[i].tuple);
+  }
+  uint64_t count = 0;
+  ASSERT_EQ(ctl.Count(ReportTmpl(), &count), CallStatus::kOk);
+  EXPECT_EQ(count, 1u);
+  wal = ReadWal(NewestLogFile(sopts_.state_dir));
+  ASSERT_EQ(wal.size(), before + 2);  // the drain and the fresh out
+  EXPECT_EQ(wal.back().kind, LogKind::kOut);
+  ctl.Bye();
+}
+
+TEST_F(NetIntegrationTest, DrainSurvivesACrashAndAnAbortRestoresEveryTuple) {
+  // No periodic checkpoint: recovery replays the drain's record from the log.
+  StopServer();
+  sopts_.checkpoint_every_ops = 1000;
+  StartServer();
+  RemoteTupleSpace client(ClientOptions(1));
+  ASSERT_TRUE(client.Connect());
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_EQ(client.Out(MakeTuple("r", i)), CallStatus::kOk);
+  }
+  ASSERT_EQ(client.XStart(), CallStatus::kOk);
+  Tuple first;
+  std::vector<Tuple> more;
+  ASSERT_EQ(client.In(ReportTmpl(), /*blocking=*/true, /*remove=*/true,
+                      &first, &more),
+            CallStatus::kOk);
+  EXPECT_EQ(first, MakeTuple("r", 1));
+  ASSERT_EQ(more.size(), 2u);
+  EXPECT_EQ(more[1], MakeTuple("r", 3));
+
+  StopServer();
+  StartServer();
+  uint64_t count = 99;
+  ASSERT_EQ(client.Count(ReportTmpl(), &count), CallStatus::kOk);
+  EXPECT_EQ(count, 0u);
+  Reply stats;
+  ASSERT_EQ(client.Stats(&stats), CallStatus::kOk);
+  EXPECT_GT(stats.ops_replayed, 0u);
+  // The recovered transaction still holds the drained tuples.
+  ASSERT_EQ(client.XAbort(), CallStatus::kOk);
+  ASSERT_EQ(client.Count(ReportTmpl(), &count), CallStatus::kOk);
+  EXPECT_EQ(count, 3u);
+  client.Bye();
+}
+
+TEST_F(NetIntegrationTest, ParkedDrainTakesEveryMatchTheWakingCommitPublished) {
+  RawClient worker(sopts_.endpoint);
+  ASSERT_TRUE(worker.ok());
+  Hello(&worker, 6);
+  ASSERT_TRUE(worker.Send(DrainRequest(6, 1)));
+
+  // Wait until the drain is parked, so the commit below wakes it.
+  RemoteTupleSpace ctl(ClientOptions(-1));
+  ASSERT_TRUE(ctl.Connect());
+  Reply status;
+  for (int i = 0; i < 2000 && status.parked.empty(); ++i) {
+    ASSERT_EQ(ctl.BeginStatus(), CallStatus::kOk);
+    CallStatus polled = CallStatus::kPending;
+    while (polled == CallStatus::kPending) {
+      polled = ctl.PollStatus(&status);
+      if (polled == CallStatus::kPending) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    ASSERT_EQ(polled, CallStatus::kOk);
+  }
+  ASSERT_EQ(status.parked.size(), 1u);
+
+  RemoteTupleSpace client(ClientOptions(1));
+  ASSERT_TRUE(client.Connect());
+  ASSERT_EQ(client.XStart(), CallStatus::kOk);
+  ASSERT_EQ(client.XCommit({MakeTuple("r", 1), MakeTuple("other", 9),
+                            MakeTuple("r", 2), MakeTuple("r", 3)},
+                           false, Tuple()),
+            CallStatus::kOk);
+  Reply reply;
+  ASSERT_TRUE(worker.Receive(&reply));
+  ASSERT_EQ(reply.status, WireStatus::kOk) << reply.error;
+  ASSERT_EQ(reply.items.size(), 3u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(reply.items[i].tuple, MakeTuple("r", i + 1));
+  }
+  uint64_t count = 99;
+  ASSERT_EQ(ctl.Count(ReportTmpl(), &count), CallStatus::kOk);
+  EXPECT_EQ(count, 0u);
+  client.Bye();
+  ctl.Bye();
+}
+
+TEST_F(NetIntegrationTest, DrainFlagNeedsABlockingRemovingIn) {
+  RawClient worker(sopts_.endpoint);
+  ASSERT_TRUE(worker.ok());
+  Hello(&worker, 7);
+  uint64_t seq = 0;
+  for (const uint8_t flags : {uint8_t{kInDrain | kInRemove},
+                              uint8_t{kInDrain | kInBlocking}}) {
+    Request drain = DrainRequest(7, ++seq);
+    drain.flags = flags;
+    ASSERT_TRUE(worker.Send(drain));
+    Reply reply;
+    ASSERT_TRUE(worker.Receive(&reply));
+    EXPECT_EQ(reply.status, WireStatus::kError) << int{flags};
+    EXPECT_NE(reply.error.find("drain"), std::string::npos) << reply.error;
+  }
+  // Nor may a batch carry one: a drain rides only a blocking in.
+  Request batch;
+  batch.op = Op::kBatch;
+  batch.pid = 7;
+  batch.seq = ++seq;
+  BatchOp take;
+  take.op = Op::kIn;
+  take.flags = kInRemove | kInDrain;
+  take.tmpl = ReportTmpl();
+  batch.batch = {take};
+  ASSERT_TRUE(worker.Send(batch));
+  Reply reply;
+  ASSERT_TRUE(worker.Receive(&reply));
+  EXPECT_EQ(reply.status, WireStatus::kError);
+  EXPECT_NE(reply.error.find("drain"), std::string::npos) << reply.error;
 }
 
 TEST_F(NetIntegrationTest, AsyncStatusPollAndSingleRoundTripHarvest) {

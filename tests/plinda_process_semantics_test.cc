@@ -160,6 +160,80 @@ TEST(ProcessSemanticsTest, InpAndRdpMissWithoutBlocking) {
   }
 }
 
+/// Records what a drain returned: ("got", position, value) per tuple.
+void RecordDrain(ProcessContext& ctx, const std::vector<Tuple>& drained) {
+  for (size_t i = 0; i < drained.size(); ++i) {
+    ctx.Out(MakeTuple("got", static_cast<int64_t>(i), GetInt(drained[i], 1)));
+  }
+}
+
+TEST(ProcessSemanticsTest, InAllTakesEveryMatchOldestFirstAndLeavesTheRest) {
+  Program program;
+  program.seed = {MakeTuple("r", int64_t{1}), MakeTuple("r", int64_t{2}),
+                  MakeTuple("other", int64_t{9}), MakeTuple("r", int64_t{3})};
+  program.bodies.push_back([](ProcessContext& ctx) {
+    std::vector<Tuple> drained;
+    ctx.InAll(IntTemplate("r"), &drained);
+    RecordDrain(ctx, drained);
+  });
+  const std::vector<Tuple> expected = {
+      MakeTuple("other", int64_t{9}), MakeTuple("got", int64_t{0}, int64_t{1}),
+      MakeTuple("got", int64_t{1}, int64_t{2}),
+      MakeTuple("got", int64_t{2}, int64_t{3})};
+  for (const Outcome& outcome : RunEverywhere(program)) {
+    SCOPED_TRACE(outcome.mode);
+    EXPECT_TRUE(outcome.ok) << outcome.diagnostic;
+    EXPECT_EQ(outcome.space, Rendered(expected));
+  }
+}
+
+TEST(ProcessSemanticsTest, InAllSeesTheTransactionsOwnOutsFirst) {
+  // The own matching outs are taken, in order, and the space's match stays.
+  Program program;
+  program.seed.push_back(MakeTuple("r", int64_t{3}));
+  program.bodies.push_back([](ProcessContext& ctx) {
+    ctx.XStart();
+    ctx.Out(MakeTuple("r", int64_t{1}));
+    ctx.Out(MakeTuple("x", int64_t{1}));
+    ctx.Out(MakeTuple("r", int64_t{2}));
+    std::vector<Tuple> drained;
+    ctx.InAll(IntTemplate("r"), &drained);
+    ctx.XCommit();
+    RecordDrain(ctx, drained);
+  });
+  const std::vector<Tuple> expected = {
+      MakeTuple("r", int64_t{3}), MakeTuple("x", int64_t{1}),
+      MakeTuple("got", int64_t{0}, int64_t{1}),
+      MakeTuple("got", int64_t{1}, int64_t{2})};
+  for (const Outcome& outcome : RunEverywhere(program)) {
+    SCOPED_TRACE(outcome.mode);
+    EXPECT_TRUE(outcome.ok) << outcome.diagnostic;
+    EXPECT_EQ(outcome.space, Rendered(expected));
+  }
+}
+
+TEST(ProcessSemanticsTest, EndingWithADrainsTransactionOpenRestoresEveryTuple) {
+  // The body returns cleanly only after draining all three tuples, so a
+  // short drain fails the run with its size in the diagnostic.
+  Program program;
+  program.seed = {MakeTuple("r", int64_t{1}), MakeTuple("r", int64_t{2}),
+                  MakeTuple("r", int64_t{3})};
+  program.bodies.push_back([](ProcessContext& ctx) {
+    ctx.XStart();
+    std::vector<Tuple> drained;
+    ctx.InAll(IntTemplate("r"), &drained);
+    if (drained.size() != 3) {
+      throw std::runtime_error("drained " + std::to_string(drained.size()));
+    }
+  });
+  for (const Outcome& outcome : RunEverywhere(program)) {
+    SCOPED_TRACE(outcome.mode);
+    EXPECT_TRUE(outcome.ok) << outcome.diagnostic;
+    EXPECT_EQ(outcome.space, Rendered(program.seed));
+    EXPECT_EQ(outcome.aborted, 1u);
+  }
+}
+
 TEST(ProcessSemanticsTest, CommitPublishesTheBufferedOuts) {
   // p0 holds its transaction open until p1 has looked for its out; p1 then
   // blocks until the commit publishes it.
